@@ -34,7 +34,7 @@ from .core import (
 )
 from .engine import run_scheduler
 from .errors import ConfigurationError, MalformedInputError
-from .kernels import simulate_family_trials
+from .kernels import POLICY_CODES, simulate_family_trials
 from .opt import opt_units
 from .schedulers import make_scheduler, scheduler_names
 from .verify import SUITE_NAMES, run_suite
@@ -238,8 +238,8 @@ def _load_sweep_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"sweep config is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"sweep config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigurationError("sweep config must be a JSON object")
     unknown = sorted(set(config) - set(_SWEEP_KEYS))
@@ -263,6 +263,12 @@ def _load_sweep_config(path: str) -> dict:
         raise ConfigurationError("every eta0 must be >= 0")
     if not config["algorithms"]:
         raise ConfigurationError("sweep config key 'algorithms' must be non-empty")
+    for algorithm in config["algorithms"]:
+        if not isinstance(algorithm, str) or algorithm not in POLICY_CODES:
+            raise ConfigurationError(
+                f"no batched kernel for algorithm {algorithm!r}; "
+                f"choose from {', '.join(POLICY_CODES)}"
+            )
     if config["phases"] < 1 or config["trials"] < 1:
         raise ConfigurationError("phases and trials must be >= 1")
     if config["granularity"] < max(config["n"]):
@@ -333,7 +339,7 @@ def main(argv=None) -> int:
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,7 @@ whitespace) so that identical content is identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,6 +57,11 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# The offline DP's infinity (kernels._dp_opt, opt.opt_schedule). Inputs
+# whose task units plus one move per step stay below it keep every
+# cumulative sum and DP value exact in int64.
+UNIT_LIMIT = 1 << 60
 
 
 @dataclass(frozen=True)
@@ -91,20 +97,36 @@ class TaskSequence:
 
 @dataclass(frozen=True)
 class Phase:
-    """One complete saturation phase of a task sequence."""
+    """One saturation phase of a task sequence.
+
+    A complete phase ends on the step at which its last state saturates.
+    The trailing partial phase (``complete`` False) runs to the end of the
+    input, and each state that does not saturate inside the input has
+    ``sat_step`` equal to the input length.
+    """
 
     index: int
     start: int
     end: int
     sat_step: tuple
     order: tuple
+    complete: bool = True
 
     @property
     def last_saturated(self) -> int:
         return self.order[-1]
 
+    def pst_error(self, h):
+        """Sum over states of |h[s] - sat_step[s]|.
 
-def decompose_phases(seq: TaskSequence):
+        None when there is no prediction block or the phase has not closed.
+        """
+        if h is None or not self.complete:
+            return None
+        return sum(abs(hs - sat) for hs, sat in zip(h, self.sat_step))
+
+
+def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
     """Split a sequence into complete phases plus an incomplete suffix.
 
     Returns (phases, suffix_start) where suffix_start is the first step not
@@ -112,22 +134,31 @@ def decompose_phases(seq: TaskSequence):
     split depends only on the tasks, never on any scheduler. Within a
     phase, sat_step[s] is the first step at which state s reaches the
     saturation threshold and ``order`` lists states by (sat_step, index).
+    With ``include_trailing`` the suffix, when there is one, closes the
+    list as the trailing partial phase.
     """
     arr = seq.task_array()
     total, n = arr.shape
     threshold = seq.granularity
+    # cum[s, t] is the demand state s receives before step t, so state s
+    # saturates in the phase opening at `start` on the step before the
+    # first t with cum[s, t] >= cum[s, start] + threshold.
+    cum = np.zeros((n, total + 1), dtype=np.int64)
+    np.cumsum(arr.T, axis=1, out=cum[:, 1:])
     phases: list[Phase] = []
     start = 0
     while start < total:
-        cum = np.cumsum(arr[start:], axis=0)
-        if int(cum[-1].min()) < threshold:
-            break
         sat = tuple(
-            start + int(np.searchsorted(cum[:, s], threshold, side="left"))
+            int(np.searchsorted(cum[s], cum[s, start] + threshold, side="left")) - 1
             for s in range(n)
         )
         end = max(sat)
         order = tuple(sorted(range(n), key=lambda s: (sat[s], s)))
+        if end == total:
+            if include_trailing:
+                phases.append(Phase(index=len(phases), start=start, end=total - 1,
+                                    sat_step=sat, order=order, complete=False))
+            break
         phases.append(
             Phase(index=len(phases), start=start, end=end, sat_step=sat, order=order)
         )
@@ -181,20 +212,8 @@ def pst_error_per_phase(seq: TaskSequence):
     aligns with the complete phases and holds None where no block matches.
     """
     phases, _ = decompose_phases(seq)
-    by_start = {}
-    if seq.pst:
-        by_start = {block.phase_start: block for block in seq.pst}
-    errors = []
-    for phase in phases:
-        block = by_start.get(phase.start)
-        if block is None:
-            errors.append(None)
-            continue
-        err = 0
-        for s in range(seq.n):
-            err += abs(block.h[s] - phase.sat_step[s])
-        errors.append(err)
-    return errors
+    by_start = {block.phase_start: block.h for block in seq.pst or ()}
+    return [phase.pst_error(by_start.get(phase.start)) for phase in phases]
 
 
 def lv_loss(seq: TaskSequence) -> int:
@@ -272,10 +291,15 @@ def from_json_dict(payload) -> TaskSequence:
     if not isinstance(tasks_raw, list):
         _fail("tasks must be a list of per-step unit vectors")
     tasks = []
+    units = 0
     for t, row in enumerate(tasks_raw):
         if not isinstance(row, list) or len(row) != n:
             _fail(f"tasks[{t}] must be a list of {n} entries")
         tasks.append([_check_int(v, f"tasks[{t}][{s}]", minimum=0) for s, v in enumerate(row)])
+        units += sum(row)
+    if units + len(tasks) * granularity >= UNIT_LIMIT:
+        _fail(f"task units plus granularity per step must stay below 2**60, got "
+              f"{units} + {len(tasks)} * {granularity}")
 
     pst = None
     if "pst" in payload and payload["pst"] is not None:
@@ -298,6 +322,8 @@ def from_json_dict(payload) -> TaskSequence:
             for s, v in enumerate(h):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     _fail(f"pst[{i}].h[{s}] must be a number")
+                if isinstance(v, float) and not math.isfinite(v):
+                    _fail(f"pst[{i}].h[{s}] must be finite, got {v!r}")
             pst.append(PhasePrediction(phase_start=phase_start, h=tuple(h)))
             previous_start = phase_start
 
@@ -331,6 +357,6 @@ def load_task_sequence(path) -> TaskSequence:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(f"not valid UTF-8 JSON: {exc}") from exc
     return from_json_dict(payload)

@@ -17,9 +17,12 @@ Event model per phase: the scheduler may move once when the phase opens
 saturates at some step t, at which point it must pick a state that
 saturates strictly later; that move is charged to the phase containing t.
 Once every state is saturated the phase is over and the scheduler is
-necessarily sitting in the last state to have saturated. Steps after the
-last complete phase (the suffix) are simulated the same way against the
-partial saturation picture, and their costs are reported separately.
+necessarily sitting in the last state to have saturated. The steps after
+the last complete phase form a trailing phase that has not closed; the
+decomposition gives each state that never saturates in it the input
+length as its saturation step, so the same loop walks it and stops once
+the scheduler sits on such a state. Its costs are reported separately, as
+``RunResult.suffix``.
 """
 
 from __future__ import annotations
@@ -62,12 +65,14 @@ class RunResult:
     granularity: int
     phases: list = field(default_factory=list)
     suffix_start: int = 0
-    suffix_transitions: int = 0
-    suffix_moves: int = 0
-    suffix_movement_units: int = 0
-    suffix_processing_units: int = 0
+    suffix: PhaseStats | None = None
     schedule: list = field(default_factory=list)
     conforming: bool = True
+
+    @property
+    def all_phases(self) -> list:
+        """The complete phases followed by the trailing partial one, if any."""
+        return self.phases if self.suffix is None else self.phases + [self.suffix]
 
     @property
     def transitions_per_phase(self) -> list:
@@ -75,16 +80,15 @@ class RunResult:
 
     @property
     def total_transitions(self) -> int:
-        return sum(p.transitions for p in self.phases) + self.suffix_transitions
+        return sum(p.transitions for p in self.all_phases)
 
     @property
     def total_moves(self) -> int:
-        return sum(p.moves for p in self.phases) + self.suffix_moves
+        return sum(p.moves for p in self.all_phases)
 
     @property
     def total_units(self) -> int:
-        inside = sum(p.cost_units for p in self.phases)
-        return inside + self.suffix_movement_units + self.suffix_processing_units
+        return sum(p.cost_units for p in self.all_phases)
 
 
 def _resolve(scheduler) -> Scheduler:
@@ -108,10 +112,8 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
     stream = RandomStream(trial_seed(seed, trial_index)) if sched.uses_rng else None
     sched.reset(n, threshold, stream)
 
-    phases, suffix_start = decompose_phases(seq)
-    pst_by_start = {}
-    if seq.pst:
-        pst_by_start = {block.phase_start: block.h for block in seq.pst}
+    phases, suffix_start = decompose_phases(seq, include_trailing=True)
+    pst_by_start = {block.phase_start: block.h for block in seq.pst or ()}
 
     arr = seq.task_array()
     schedule = np.zeros(total_steps, dtype=np.int64)
@@ -193,65 +195,20 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
             transitions += 1
             moves += 1
 
-        if h is None:
-            pst_err = None
-        else:
-            pst_err = 0
-            for s in range(n):
-                pst_err += abs(h[s] - phase.sat_step[s])
-        result.phases.append(
-            PhaseStats(
-                index=phase.index,
-                start=phase.start,
-                end=phase.end,
-                transitions=transitions,
-                moves=moves,
-                movement_units=moves * threshold,
-                processing_units=0,
-                pst_error=pst_err,
-            )
+        stats = PhaseStats(
+            index=phase.index,
+            start=phase.start,
+            end=phase.end,
+            transitions=transitions,
+            moves=moves,
+            movement_units=moves * threshold,
+            processing_units=0,
+            pst_error=phase.pst_error(h),
         )
-
-    if suffix_start < total_steps:
-        tail = arr[suffix_start:]
-        cum = np.cumsum(tail, axis=0)
-        sat_sfx: list = [None] * n
-        for s in range(n):
-            idx = int(np.searchsorted(cum[:, s], threshold, side="left"))
-            if idx < len(tail):
-                sat_sfx[s] = suffix_start + idx
-        h = pst_by_start.get(suffix_start)
-        if sched.needs_pst and h is None:
-            raise ConfigurationError(
-                f"scheduler {sched.name!r} cannot run into the incomplete trailing "
-                f"phase at step {suffix_start}: no prediction block covers it"
-            )
-        target, count_even_if_stay = sched.phase_start(cur, h)
-        if target is not None:
-            target = check_target(target, None)
-            if target != cur:
-                open_segment_move(target, suffix_start)
-                result.suffix_transitions += 1
-                result.suffix_moves += 1
-            elif count_even_if_stay:
-                result.suffix_transitions += 1
-        elif count_even_if_stay:
-            result.suffix_transitions += 1
-
-        while sched.conforming:
-            tau = sat_sfx[cur]
-            if tau is None:
-                break
-            unsat = [s for s in range(n) if sat_sfx[s] is None or sat_sfx[s] > tau]
-            if not unsat:
-                break
-            advance_lv(tau)
-            target = sched.on_saturation(cur, unsat, tau, h, latest_lv)
-            target = check_target(target, set(unsat))
-            open_segment_move(target, tau + 1)
-            result.suffix_transitions += 1
-            result.suffix_moves += 1
-        result.suffix_movement_units = result.suffix_moves * threshold
+        if phase.complete:
+            result.phases.append(stats)
+        else:
+            result.suffix = stats
 
     if total_steps > seg_entry:
         schedule[seg_entry:] = cur
@@ -259,10 +216,8 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
 
     if total_steps:
         per_step = arr[np.arange(total_steps), schedule]
-        for stats in result.phases:
+        for stats in result.all_phases:
             stats.processing_units = int(per_step[stats.start : stats.end + 1].sum())
-        if suffix_start < total_steps:
-            result.suffix_processing_units = int(per_step[suffix_start:].sum())
     return result
 
 
@@ -308,13 +263,13 @@ def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) ->
                 arr[stats.start : stats.end + 1], seq.granularity, free_start=True
             )
         report["phases"].append(row)
-    if result.suffix_start < len(seq.tasks):
+    if result.suffix is not None:
         report["suffix"] = {
-            "start": result.suffix_start,
-            "transitions": result.suffix_transitions,
-            "moves": result.suffix_moves,
-            "movement_units": result.suffix_movement_units,
-            "processing_units": result.suffix_processing_units,
+            "start": result.suffix.start,
+            "transitions": result.suffix.transitions,
+            "moves": result.suffix.moves,
+            "movement_units": result.suffix.movement_units,
+            "processing_units": result.suffix.processing_units,
         }
     if include_opt:
         opt_total = opt_units(arr, seq.granularity, start_state=0)

@@ -9,13 +9,44 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from .core import schedule_cost
+import numpy as np
+
+from .core import Phase, TaskSequence, schedule_cost
 
 __all__ = [
+    "decompose_phases_restart",
     "max_footrule_bruteforce",
     "opt_bruteforce",
     "expected_walk_visits_bruteforce",
 ]
+
+
+def decompose_phases_restart(seq: TaskSequence):
+    """Complete phases and suffix start, re-summing from every phase start.
+
+    Costs O(phases * steps * n); ``core.decompose_phases`` computes the same
+    split from one cumulative sum.
+    """
+    arr = seq.task_array()
+    total, n = arr.shape
+    threshold = seq.granularity
+    phases: list[Phase] = []
+    start = 0
+    while start < total:
+        cum = np.cumsum(arr[start:], axis=0)
+        if int(cum[-1].min()) < threshold:
+            break
+        sat = tuple(
+            start + int(np.searchsorted(cum[:, s], threshold, side="left"))
+            for s in range(n)
+        )
+        end = max(sat)
+        order = tuple(sorted(range(n), key=lambda s: (sat[s], s)))
+        phases.append(
+            Phase(index=len(phases), start=start, end=end, sat_step=sat, order=order)
+        )
+        start = end + 1
+    return phases, start
 
 
 def max_footrule_bruteforce(m: int) -> int:

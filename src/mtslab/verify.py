@@ -133,8 +133,8 @@ def _check_run(result: VerifyResult, seq: TaskSequence, run: RunResult, phases, 
     audit_total, audit_move, audit_proc = schedule_cost(
         seq.tasks, seq.granularity, run.schedule, start_state=0
     )
-    engine_move = sum(p.movement_units for p in run.phases) + run.suffix_movement_units
-    engine_proc = sum(p.processing_units for p in run.phases) + run.suffix_processing_units
+    engine_move = sum(p.movement_units for p in run.all_phases)
+    engine_proc = sum(p.processing_units for p in run.all_phases)
     ok = audit_move == engine_move and audit_proc == engine_proc
     result.add(
         "cost-identity",

@@ -145,6 +145,37 @@ def test_missing_input_file_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unreadable_input_path_is_usage_error(tmp_path, capsys):
+    rc = main(["simulate", "--input", str(tmp_path), "--algorithm", "lps"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_malformed(tmp_path, capsys):
+    raw = tmp_path / "latin1.json"
+    raw.write_bytes(b'{"version": 1, "n": 1, "granularity": 1, "tasks": [[1]], "x": "\xe9"}')
+    rc = main(["simulate", "--input", str(raw), "--algorithm", "lowest-index"])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+    rc = main(["sweep", "--config", str(raw), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("payload", [
+    '{"version": 1, "n": 2, "granularity": 2, "tasks": [[2, 0], [0, 2]],'
+    ' "pst": [{"phase_start": 0, "h": [0, NaN]}]}',
+    '{"version": 1, "n": 2, "granularity": 2, "tasks": [[100000000000000000000000, 0]]}',
+], ids=["nan-prediction", "huge-entry"])
+def test_unsafe_numbers_are_malformed_input(tmp_path, capsys, payload):
+    inp = tmp_path / "input.json"
+    inp.write_text(payload)
+    rc = main(["simulate", "--input", str(inp), "--algorithm", "lps"])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_subcommand_exit_codes(capsys, monkeypatch):
     rc = main(["verify", "--suite", "footrule", "--max-m", "4"])
     assert rc == 0
@@ -250,6 +281,16 @@ def test_sweep_config_validation(tmp_path, capsys, overrides):
     rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_sweep_without_kernel_for_an_algorithm_writes_nothing(tmp_path, capsys):
+    cfg = _write_config(tmp_path, algorithms=["lps", "lv-greedy"])
+    out_dir = tmp_path / "o"
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+    assert rc == 2
+    assert "lv-greedy" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_sweep_rejects_non_object_config(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mtslab.core import (
+    UNIT_LIMIT,
     PhasePrediction,
     TaskSequence,
     decompose_phases,
@@ -52,6 +53,20 @@ def test_simultaneous_saturation_orders_by_state_index():
     assert phases[0].order == (0, 1)
     assert phases[0].last_saturated == 1
     assert suffix_start == 1
+
+
+def test_trailing_phase_gives_unsaturated_states_the_input_length():
+    seq = TaskSequence(n=3, granularity=2, tasks=[[2, 2, 2], [0, 2, 1], [1, 0, 0]])
+    phases, suffix_start = decompose_phases(seq, include_trailing=True)
+    assert [p.complete for p in phases] == [True, False]
+    trailing = phases[-1]
+    assert (trailing.index, trailing.start, trailing.end) == (1, 1, 2)
+    assert suffix_start == 1
+    # State 1 saturates at step 1; states 0 and 2 never do inside the input.
+    assert trailing.sat_step == (3, 1, 3)
+    assert trailing.order == (1, 0, 2)
+    assert trailing.pst_error((3, 1, 3)) is None
+    assert decompose_phases(seq) == (phases[:1], 1)
 
 
 def test_unit_task_and_requested_state():
@@ -136,6 +151,30 @@ def test_rejects_malformed_payloads():
     for payload in bad_cases:
         with pytest.raises(MalformedInputError):
             from_json_dict(payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_rejects_non_finite_predictions(bad):
+    payload = {
+        "version": 1, "n": 2, "granularity": 1, "tasks": [[1, 0], [0, 1]],
+        "pst": [{"phase_start": 0, "h": [0, bad]}],
+    }
+    with pytest.raises(MalformedInputError, match="finite"):
+        from_json_dict(payload)
+
+
+def test_task_units_stay_below_the_dp_infinity():
+    def payload(tasks, granularity=1):
+        return {"version": 1, "n": 2, "granularity": granularity, "tasks": tasks}
+
+    # Units plus one granularity per step may reach UNIT_LIMIT - 1 ...
+    from_json_dict(payload([[UNIT_LIMIT - 4, 0], [0, 1]]))
+    # ... but not UNIT_LIMIT itself, whether from the units or the moves.
+    for bad in (payload([[UNIT_LIMIT - 3, 0], [0, 1]]),
+                payload([[10**23, 0]]),
+                payload([[0, 0], [0, 0]], granularity=UNIT_LIMIT // 2)):
+        with pytest.raises(MalformedInputError, match="2\\*\\*60"):
+            from_json_dict(bad)
 
 
 def test_load_rejects_invalid_json(tmp_path):

@@ -37,8 +37,8 @@ def test_lowest_index_frozen_run():
     # Process-then-move: the saturating step is still paid at the old state.
     assert [p.processing_units for p in run.phases] == [2 + 1, 2 + 1]
     assert run.suffix_start == 4
-    assert run.suffix_transitions == 0
-    assert run.suffix_processing_units == 1
+    assert run.suffix.transitions == 0
+    assert run.suffix.processing_units == 1
     assert run.total_units == 2 + 3 + 2 + 3 + 1
     assert run.conforming
 
@@ -49,8 +49,8 @@ def test_engine_costs_match_schedule_audit():
     total, movement, processing = schedule_cost(
         seq.tasks, seq.granularity, run.schedule, start_state=0)
     assert run.total_units == total
-    moves_units = sum(p.movement_units for p in run.phases) + run.suffix_movement_units
-    proc_units = sum(p.processing_units for p in run.phases) + run.suffix_processing_units
+    moves_units = sum(p.movement_units for p in run.phases) + run.suffix.movement_units
+    proc_units = sum(p.processing_units for p in run.phases) + run.suffix.processing_units
     assert moves_units == movement
     assert proc_units == processing
 

@@ -3,13 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mtslab.analysis import harmonic_number, max_footrule
+from mtslab.core import TaskSequence, decompose_phases
+from mtslab.engine import run_scheduler
 from mtslab.oracles import (
+    decompose_phases_restart,
     expected_walk_visits_bruteforce,
     max_footrule_bruteforce,
     opt_bruteforce,
 )
+from mtslab.schedulers import LowestIndex
 
 
 @pytest.mark.parametrize("m", range(0, 8))
@@ -61,3 +66,72 @@ def test_opt_bruteforce_free_start_skips_initial_move():
 def test_opt_bruteforce_single_state():
     tasks = [[2], [1]]
     assert opt_bruteforce(tasks, 5) == 3
+
+
+@st.composite
+def task_sequences(draw):
+    n = draw(st.integers(1, 4))
+    granularity = draw(st.integers(1, 3))
+    # Entries up to the threshold make simultaneous saturations common;
+    # all-zero rows are drawn on purpose as well.
+    row = st.one_of(
+        st.just([0] * n),
+        st.lists(st.integers(0, granularity), min_size=n, max_size=n),
+    )
+    tasks = draw(st.lists(row, max_size=14))
+    return TaskSequence(n=n, granularity=granularity, tasks=tasks)
+
+
+class _RecordingWalk(LowestIndex):
+    """Lowest-index walk that records every forced move the engine asks for."""
+
+    name = "recording"
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def on_saturation(self, current, unsaturated, now, h, latest_lv):
+        target = super().on_saturation(current, unsaturated, now, h, latest_lv)
+        self.calls.append((current, list(unsaturated), now, target))
+        return target
+
+
+@settings(max_examples=300, deadline=None)
+@given(task_sequences())
+@example(TaskSequence(n=3, granularity=2, tasks=[]))
+@example(TaskSequence(n=2, granularity=2, tasks=[[0, 0], [2, 2], [0, 0], [1, 0]]))
+def test_single_sum_decomposition_matches_restart_oracle(seq):
+    phases, suffix_start = decompose_phases(seq)
+    assert (phases, suffix_start) == decompose_phases_restart(seq)
+    walk, walk_suffix_start = decompose_phases(seq, include_trailing=True)
+    assert walk_suffix_start == suffix_start
+    assert walk[:len(phases)] == phases
+
+    sched = _RecordingWalk()
+    run = run_scheduler(seq, sched)
+    trailing_calls = [c for c in sched.calls if c[2] >= suffix_start]
+    if suffix_start == len(seq):
+        assert walk == phases and run.suffix is None and not trailing_calls
+        return
+
+    # Topping every state up by a full threshold one step past the end
+    # closes the suffix in the oracle: states that saturate inside the
+    # suffix keep their steps and the rest land on the input length.
+    n, g = seq.n, seq.granularity
+    topped = TaskSequence(n=n, granularity=g, tasks=seq.tasks[suffix_start:] + [[g] * n])
+    closed, _ = decompose_phases_restart(topped)
+    truth = [suffix_start + t for t in closed[0].sat_step]
+    trailing = walk[-1]
+    assert not trailing.complete
+    assert (trailing.start, trailing.end) == (suffix_start, len(seq) - 1)
+    assert list(trailing.sat_step) == truth
+
+    # The engine walks the trailing phase on the same saturation steps.
+    assert (run.suffix.start, run.suffix.end) == (suffix_start, len(seq) - 1)
+    for current, unsaturated, now, _ in trailing_calls:
+        assert now == truth[current]
+        assert unsaturated == [s for s in range(n) if truth[s] > now]
+    # It stops only on a state that never saturates inside the input.
+    final = trailing_calls[-1][3] if trailing_calls else run.schedule[suffix_start]
+    assert truth[final] == len(seq)
