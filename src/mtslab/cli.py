@@ -35,7 +35,7 @@ from .core import (
 from .engine import run_scheduler
 from .errors import ConfigurationError, MalformedInputError
 from .kernels import POLICY_CODES, simulate_family_trials
-from .opt import opt_units
+from .opt import opt_units, phase_opt_units
 from .schedulers import make_scheduler, scheduler_names
 from .verify import SUITE_NAMES, run_suite
 
@@ -145,19 +145,18 @@ def _cmd_simulate(args) -> int:
         raise ConfigurationError(
             f"scheduler {sched.name!r} is deterministic; --trials must be 1"
         )
-    phases, _ = decompose_phases(seq)
-    phase_opts = [
-        opt_units(seq.tasks[p.start : p.end + 1], seq.granularity, free_start=True)
-        for p in phases
-    ]
-    opt_total = opt_units(seq.tasks, seq.granularity, start_state=0)
+    decomposition = decompose_phases(seq, include_trailing=True)
+    phases = [p for p in decomposition[0] if p.complete]
+    arr = seq.task_array()
+    phase_opts = phase_opt_units(arr, seq.granularity, phases)
+    opt_total = opt_units(arr, seq.granularity, start_state=0)
 
     rows = []
     transitions = []
     total_cost = 0
     for trial in range(args.trials):
         res = run_scheduler(seq, make_scheduler(args.algorithm),
-                            seed=args.seed, trial_index=trial)
+                            seed=args.seed, trial_index=trial, phases=decomposition)
         for p, popt in zip(res.phases, phase_opts):
             rows.append((trial, p.index, p.transitions, p.cost_units, popt))
             transitions.append(p.transitions)
@@ -238,7 +237,9 @@ def _load_sweep_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # As in core.load_task_sequence: bad bytes, bad syntax, an integer
+        # past the digit limit, or nesting past the recursion limit.
         raise ConfigurationError(f"sweep config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigurationError("sweep config must be a JSON object")

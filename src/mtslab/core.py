@@ -58,9 +58,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# The offline DP's infinity (kernels._dp_opt, opt.opt_schedule). Inputs
-# whose task units plus one move per step stay below it keep every
-# cumulative sum and DP value exact in int64.
+# The offline DP's infinity (opt.py). Inputs whose task units plus one
+# move per step stay below it keep every cumulative sum and DP value exact
+# in int64.
 UNIT_LIMIT = 1 << 60
 
 
@@ -278,6 +278,29 @@ def _check_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _int_rows(rows, n: int, what: str, minimum: int) -> list:
+    """Copies of the rows of an n-column integer table, every entry >= minimum.
+
+    A well-formed table passes one type scan and one int64 conversion. Any
+    other table goes through the per-entry checks, which name the first bad
+    entry.
+    """
+    if all(isinstance(row, list) and len(row) == n for row in rows) and \
+            {type(v) for row in rows for v in row} <= {int}:
+        try:
+            if np.array(rows, dtype=np.int64).min(initial=minimum) >= minimum:
+                return [list(row) for row in rows]
+        except OverflowError:
+            pass  # an entry past int64: the per-entry checks accept or name it
+    checked = []
+    for t, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            _fail(f"{what}[{t}] must be a list of {n} entries")
+        checked.append([_check_int(v, f"{what}[{t}][{s}]", minimum=minimum)
+                        for s, v in enumerate(row)])
+    return checked
+
+
 def from_json_dict(payload) -> TaskSequence:
     if not isinstance(payload, dict):
         _fail("top-level JSON value must be an object")
@@ -290,13 +313,8 @@ def from_json_dict(payload) -> TaskSequence:
     tasks_raw = payload.get("tasks")
     if not isinstance(tasks_raw, list):
         _fail("tasks must be a list of per-step unit vectors")
-    tasks = []
-    units = 0
-    for t, row in enumerate(tasks_raw):
-        if not isinstance(row, list) or len(row) != n:
-            _fail(f"tasks[{t}] must be a list of {n} entries")
-        tasks.append([_check_int(v, f"tasks[{t}][{s}]", minimum=0) for s, v in enumerate(row)])
-        units += sum(row)
+    tasks = _int_rows(tasks_raw, n, "tasks", minimum=0)
+    units = sum(map(sum, tasks))
     if units + len(tasks) * granularity >= UNIT_LIMIT:
         _fail(f"task units plus granularity per step must stay below 2**60, got "
               f"{units} + {len(tasks)} * {granularity}")
@@ -335,13 +353,7 @@ def from_json_dict(payload) -> TaskSequence:
         rows_raw = lv_raw["next_request"]
         if not isinstance(rows_raw, list) or len(rows_raw) != len(tasks):
             _fail("lv.next_request must have one row per step")
-        lv = []
-        for t, row in enumerate(rows_raw):
-            if not isinstance(row, list) or len(row) != n:
-                _fail(f"lv.next_request[{t}] must be a list of {n} entries")
-            lv.append(
-                [_check_int(v, f"lv.next_request[{t}][{s}]", minimum=-1) for s, v in enumerate(row)]
-            )
+        lv = _int_rows(rows_raw, n, "lv.next_request", minimum=-1)
 
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 
@@ -357,6 +369,8 @@ def load_task_sequence(path) -> TaskSequence:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+        # literals past Python's digit limit; RecursionError, deep nesting.
         raise MalformedInputError(f"not valid UTF-8 JSON: {exc}") from exc
     return from_json_dict(payload)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import TaskSequence, decompose_phases
 from .errors import ConfigurationError, ProtocolError
-from .opt import opt_units
+from .opt import opt_units, phase_opt_units
 from .rng import RandomStream, trial_seed
 from .schedulers import Scheduler, make_scheduler
 
@@ -97,8 +97,14 @@ def _resolve(scheduler) -> Scheduler:
     return make_scheduler(scheduler)
 
 
-def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int = 0) -> RunResult:
-    """Simulate one scheduler over one sequence; exact integer accounting."""
+def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int = 0,
+                  phases=None) -> RunResult:
+    """Simulate one scheduler over one sequence; exact integer accounting.
+
+    ``phases``, when given, must be ``decompose_phases(seq,
+    include_trailing=True)``; callers that run many trials over one
+    sequence decompose it once and pass the result to each.
+    """
     sched = _resolve(scheduler)
     n = seq.n
     threshold = seq.granularity
@@ -112,10 +118,11 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
     stream = RandomStream(trial_seed(seed, trial_index)) if sched.uses_rng else None
     sched.reset(n, threshold, stream)
 
-    phases, suffix_start = decompose_phases(seq, include_trailing=True)
+    if phases is None:
+        phases = decompose_phases(seq, include_trailing=True)
+    phases, suffix_start = phases
     pst_by_start = {block.phase_start: block.h for block in seq.pst or ()}
 
-    arr = seq.task_array()
     schedule = np.zeros(total_steps, dtype=np.int64)
 
     latest_lv = [0] * n
@@ -214,10 +221,9 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         schedule[seg_entry:] = cur
     result.schedule = schedule.tolist()
 
-    if total_steps:
-        per_step = arr[np.arange(total_steps), schedule]
-        for stats in result.all_phases:
-            stats.processing_units = int(per_step[stats.start : stats.end + 1].sum())
+    per_step = [row[s] for row, s in zip(seq.tasks, result.schedule)]
+    for stats in result.all_phases:
+        stats.processing_units = sum(per_step[stats.start : stats.end + 1])
     return result
 
 
@@ -245,9 +251,8 @@ def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) ->
         "total_moves": result.total_moves,
         "phases": [],
     }
-    arr = seq.task_array()
     for stats in result.phases:
-        row = {
+        report["phases"].append({
             "index": stats.index,
             "start": stats.start,
             "end": stats.end,
@@ -257,12 +262,7 @@ def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) ->
             "processing_units": stats.processing_units,
             "cost_units": stats.cost_units,
             "pst_error": stats.pst_error,
-        }
-        if include_opt:
-            row["opt_units"] = opt_units(
-                arr[stats.start : stats.end + 1], seq.granularity, free_start=True
-            )
-        report["phases"].append(row)
+        })
     if result.suffix is not None:
         report["suffix"] = {
             "start": result.suffix.start,
@@ -272,6 +272,10 @@ def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) ->
             "processing_units": result.suffix.processing_units,
         }
     if include_opt:
+        arr = seq.task_array()
+        for row, phase_opt in zip(report["phases"],
+                                  phase_opt_units(arr, seq.granularity, result.phases)):
+            row["opt_units"] = phase_opt
         opt_total = opt_units(arr, seq.granularity, start_state=0)
         report["opt_units"] = opt_total
         report["cost_ratio"] = round_ratio_half_up(result.total_units, opt_total)

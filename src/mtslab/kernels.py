@@ -1,4 +1,4 @@
-"""Hot simulation loops with a compiled and an interpreted backend.
+"""Batched family simulation with a compiled and an interpreted backend.
 
 The same function bodies run either compiled by numba or interpreted as
 plain Python over numpy arrays, selected once at import time:
@@ -17,6 +17,9 @@ The batched simulator runs a scheduling policy over synthetic inputs that
 are described at the event level: per phase only the predicted and the
 realized saturation orders matter for transition counts, so phases are
 walked saturation by saturation instead of step by step.
+
+The offline optimum does not dispatch to a backend: ``dp_opt_units`` is
+``opt.opt_units``, kept under this name for existing callers.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 import numpy as np
 
 from .errors import ConfigurationError
+from .opt import opt_units as dp_opt_units  # re-exported; the optimum is plain numpy
 from .rng import state_rows, trial_seed
 
 __all__ = [
@@ -241,52 +245,3 @@ def simulate_family_trials(policy: str, family: str, n: int, m: int,
                      granularity, phases, threshold, sch, adv, counts, costs)
     return counts, costs
 
-
-# ---- offline optimum ----
-
-def _dp_opt(tasks, move_units, start, free_start):
-    steps, n = tasks.shape
-    big = 1 << 60
-    prev = np.empty(n, np.int64)
-    cur = np.empty(n, np.int64)
-    if free_start:
-        for s in range(n):
-            prev[s] = 0
-    else:
-        for s in range(n):
-            prev[s] = big
-        prev[start] = 0
-    for t in range(steps):
-        mn = prev[0]
-        for s in range(1, n):
-            if prev[s] < mn:
-                mn = prev[s]
-        for s in range(n):
-            stay = prev[s]
-            jump = mn + move_units
-            best = stay if stay < jump else jump
-            cur[s] = best + tasks[t, s]
-        for s in range(n):
-            prev[s] = cur[s]
-    mn = prev[0]
-    for s in range(1, n):
-        if prev[s] < mn:
-            mn = prev[s]
-    return mn
-
-
-_dp_opt = _jit(_dp_opt)
-
-
-def dp_opt_units(tasks, granularity: int, start_state: int = 0, free_start: bool = False) -> int:
-    """Cheapest achievable cost in units over the given task rows.
-
-    With ``free_start`` the schedule may open in any state at no charge;
-    otherwise it opens in ``start_state``. Empty input costs 0.
-    """
-    arr = np.ascontiguousarray(tasks, dtype=np.int64)
-    if arr.size == 0:
-        return 0
-    if arr.ndim != 2:
-        raise ConfigurationError("tasks must be a 2d array of unit entries")
-    return int(_dp_opt(arr, granularity, start_state, free_start))

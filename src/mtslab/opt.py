@@ -1,63 +1,119 @@
 """Exact offline optimum.
 
-Dynamic program over (step, state): the best cost of having processed
-steps 0..t while sitting in state s is the step's task entry plus the
-cheaper of staying (best for s at t-1) or jumping in from the best state
-at t-1 at one unit of movement. ``opt_units`` returns just the value and
-dispatches to the kernel backend; ``opt_schedule`` additionally backtracks
-one witness schedule, preferring to stay and breaking remaining ties
-toward the lowest state index, so witnesses are deterministic.
+One dynamic program over (step, state), vectorized over states: the best
+cost of having processed steps 0..t while sitting in state s is the step's
+task entry plus the cheaper of staying (best for s at t-1) or jumping in
+from the best state at t-1 at one move of ``granularity`` units::
+
+    prev = minimum(prev, prev.min() + granularity) + tasks[t]
+
+``opt_units`` runs it over one sequence. ``phase_opt_units`` runs it over
+many phases at once, one row of a block per phase. ``opt_schedule`` keeps
+the forward table and backtracks one witness schedule, preferring to stay
+and breaking remaining ties toward the lowest state index, so witnesses
+are deterministic. This is plain numpy whichever kernel backend is active.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import UNIT_LIMIT
 from .errors import ConfigurationError
-from .kernels import dp_opt_units
 
-__all__ = ["opt_units", "opt_schedule"]
+__all__ = ["opt_units", "phase_opt_units", "opt_schedule"]
+
+
+def _step(prev, rows, granularity: int, out) -> None:
+    """One step of the recurrence, for one DP row or for every row of a block."""
+    np.minimum(prev, prev.min(axis=-1, keepdims=prev.ndim > 1) + granularity, out=out)
+    out += rows
+
+
+def _forward(tasks, granularity: int, start_state: int, free_start: bool, keep_table: bool):
+    """(int64 task table, forward rows) of the DP; None when there are no tasks.
+
+    The forward rows are the full (steps, n) table with ``keep_table`` and
+    otherwise just the row after the last step.
+    """
+    arr = np.asarray(tasks, dtype=np.int64)
+    if arr.size == 0:
+        return None
+    if arr.ndim != 2:
+        raise ConfigurationError("tasks must be a 2d array of unit entries")
+    steps, n = arr.shape
+    if free_start:
+        prev = np.zeros(n, dtype=np.int64)
+    elif 0 <= start_state < n:
+        prev = np.full(n, UNIT_LIMIT, dtype=np.int64)
+        prev[start_state] = 0
+    else:
+        raise ConfigurationError("start_state out of range")
+    if keep_table:
+        table = np.empty((steps, n), dtype=np.int64)
+        for t in range(steps):
+            _step(prev, arr[t], granularity, table[t])
+            prev = table[t]
+        return arr, table
+    for row in arr:
+        _step(prev, row, granularity, prev)
+    return arr, prev
 
 
 def opt_units(tasks, granularity: int, start_state: int = 0, free_start: bool = False) -> int:
-    return dp_opt_units(tasks, granularity, start_state=start_state, free_start=free_start)
+    """Cheapest achievable cost in units over the given task rows.
+
+    With ``free_start`` the schedule may open in any state at no charge;
+    otherwise it opens in ``start_state``. Empty input costs 0.
+    """
+    forward = _forward(tasks, granularity, start_state, free_start, keep_table=False)
+    return 0 if forward is None else int(forward[1].min())
+
+
+def phase_opt_units(arr, granularity: int, phases) -> list:
+    """Free-start optimum of ``arr[p.start : p.end + 1]`` for every phase p.
+
+    ``arr`` is the (steps, n) int64 task table and each phase needs only
+    ``start`` and ``end``. All phases advance in lockstep, one row of a
+    (phases, n) block each, longest first: step k advances only the prefix
+    of phases longer than k, so the work is one DP step per covered step
+    and the loop runs as often as the longest phase is long.
+    """
+    if not phases:
+        return []
+    starts = np.array([p.start for p in phases], dtype=np.int64)
+    lengths = np.array([p.end + 1 - p.start for p in phases], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    starts = starts[order]
+    # active[k]: how many phases are longer than k.
+    steps = np.arange(lengths.max())
+    active = len(phases) - np.searchsorted(np.sort(lengths), steps, side="right")
+    block = np.zeros((len(phases), arr.shape[1]), dtype=np.int64)
+    for k, count in enumerate(active.tolist()):
+        live = block[:count]
+        _step(live, arr[starts[:count] + k], granularity, live)
+    best = np.empty(len(phases), dtype=np.int64)
+    best[order] = block.min(axis=1)
+    return best.tolist()
 
 
 def opt_schedule(tasks, granularity: int, start_state: int = 0, free_start: bool = False):
     """(cost_units, schedule) for one optimal schedule."""
-    steps = len(tasks)
-    if steps == 0:
+    forward = _forward(tasks, granularity, start_state, free_start, keep_table=True)
+    if forward is None:
         return 0, []
-    n = len(tasks[0])
-    if not free_start and not 0 <= start_state < n:
-        raise ConfigurationError("start_state out of range")
-    big = 1 << 60
-
-    best = np.empty((steps, n), dtype=np.int64)
-    prev = np.full(n, big, dtype=np.int64)
-    if free_start:
-        prev[:] = 0
-    else:
-        prev[start_state] = 0
-    for t in range(steps):
-        mn = int(prev.min())
-        for s in range(n):
-            stay = int(prev[s])
-            jump = mn + granularity
-            best[t, s] = min(stay, jump) + tasks[t][s]
-        prev = best[t].copy()
-
-    cost = int(best[steps - 1].min())
-    state = int(np.argmin(best[steps - 1]))
+    arr, best = forward
+    steps = len(arr)
+    state = int(np.argmin(best[-1]))
+    cost = int(best[-1, state])
     schedule = [0] * steps
-    schedule[steps - 1] = state
+    schedule[-1] = state
     for t in range(steps - 1, 0, -1):
-        here = best[t, schedule[t]] - tasks[t][schedule[t]]
-        candidates = []
-        for p in range(n):
-            charge = 0 if p == schedule[t] else granularity
-            if best[t - 1, p] + charge == here:
-                candidates.append(p)
-        stay = schedule[t]
-        schedule[t - 1] = stay if stay in candidates else min(candidates)
+        here = best[t, state] - arr[t, state]
+        if best[t - 1, state] != here:
+            # Jumped in: the lowest other state one move away.
+            came = best[t - 1] + granularity == here
+            came[state] = False
+            state = int(np.argmax(came))
+        schedule[t - 1] = state
     return cost, schedule

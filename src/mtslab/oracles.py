@@ -17,6 +17,7 @@ __all__ = [
     "decompose_phases_restart",
     "max_footrule_bruteforce",
     "opt_bruteforce",
+    "opt_units_scalar",
     "expected_walk_visits_bruteforce",
 ]
 
@@ -77,6 +78,31 @@ def opt_bruteforce(tasks, granularity: int, start_state: int = 0, free_start: bo
         if best is None or total < best:
             best = total
     return best
+
+
+def opt_units_scalar(tasks, granularity: int, start_state: int = 0,
+                     free_start: bool = False) -> int:
+    """The optimum DP of ``opt.opt_units``, one state at a time.
+
+    Costs O(steps * n) interpreted steps; ``opt.opt_units`` computes the
+    same recurrence vectorized over states.
+    """
+    if len(tasks) == 0:
+        return 0
+    n = len(tasks[0])
+    big = 1 << 60
+    prev = [0] * n if free_start else [big] * n
+    if not free_start:
+        prev[start_state] = 0
+    for row in tasks:
+        mn = min(prev)
+        cur = []
+        for s in range(n):
+            stay = prev[s]
+            jump = mn + granularity
+            cur.append((stay if stay < jump else jump) + int(row[s]))
+        prev = cur
+    return min(prev)
 
 
 def expected_walk_visits_bruteforce(m: int) -> Fraction:

@@ -322,3 +322,30 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("mtslab ")
+
+
+_HOSTILE_JSON = {
+    # Past the interpreter's 4,300-digit limit, json raises ValueError.
+    "long-integer": '{"version": 1, "n": 1, "granularity": 1, "tasks": [[' + "9" * 5000 + "]]}",
+    # Past the recursion limit, json raises RecursionError.
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("text", _HOSTILE_JSON.values(), ids=_HOSTILE_JSON.keys())
+def test_hostile_json_input_is_malformed(tmp_path, capsys, text):
+    inp = tmp_path / "input.json"
+    inp.write_text(text)
+    rc = main(["simulate", "--input", str(inp), "--algorithm", "lps"])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", _HOSTILE_JSON.values(), ids=_HOSTILE_JSON.keys())
+def test_hostile_json_sweep_config_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

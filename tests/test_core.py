@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mtslab.core import (
     UNIT_LIMIT,
+    _check_int,
+    _int_rows,
     PhasePrediction,
     TaskSequence,
     decompose_phases,
@@ -188,3 +191,61 @@ def test_to_json_dict_shape():
     seq = TaskSequence(n=1, granularity=1, tasks=[[1]])
     payload = to_json_dict(seq)
     assert payload == {"version": 1, "n": 1, "granularity": 1, "tasks": [[1]]}
+
+
+def _int_rows_per_entry(rows, n, what, minimum):
+    """The per-entry table check, without the one-pass fast path."""
+    checked = []
+    for t, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise MalformedInputError(f"{what}[{t}] must be a list of {n} entries")
+        checked.append([_check_int(v, f"{what}[{t}][{s}]", minimum=minimum)
+                        for s, v in enumerate(row)])
+    return checked
+
+
+def _outcome(check, rows, n, what, minimum):
+    try:
+        return check(rows, n, what, minimum)
+    except MalformedInputError as exc:
+        return str(exc)
+
+
+_GOOD = st.integers(0, 5)
+_ODD = st.one_of(
+    st.integers(-3, -1),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.integers(2**63 - 2, 2**70),
+    st.none(),
+    st.lists(_GOOD, max_size=2),
+)
+
+
+@st.composite
+def int_tables(draw):
+    n = draw(st.integers(1, 3))
+    # Mostly well-formed tables, so the fast path runs; the odd entries
+    # and rows make the per-entry checks run as well.
+    entry = draw(st.sampled_from([_GOOD, st.one_of(_GOOD, _ODD)]))
+    row = st.one_of(
+        st.lists(entry, min_size=n, max_size=n),
+        st.lists(entry, max_size=4),
+        _GOOD,
+    )
+    return n, draw(st.lists(row, max_size=6)), draw(st.sampled_from([0, -1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_tables())
+@example((2, [], 0))
+@example((2, [[1, 2], [3, True]], 0))
+@example((1, [[2**63]], 0))
+@example((1, [[-1], [-2]], -1))
+def test_table_fast_path_matches_per_entry_checks(case):
+    n, rows, minimum = case
+    want = _outcome(_int_rows_per_entry, rows, n, "tasks", minimum)
+    got = _outcome(_int_rows, rows, n, "tasks", minimum)
+    assert got == want
+    if isinstance(got, list):
+        assert all(copy is not row for copy, row in zip(got, rows))

@@ -1,18 +1,22 @@
 """Reference enumerations agree with the closed forms they certify."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mtslab.analysis import harmonic_number, max_footrule
-from mtslab.core import TaskSequence, decompose_phases
+from mtslab.core import TaskSequence, decompose_phases, schedule_cost
 from mtslab.engine import run_scheduler
+from mtslab.opt import opt_schedule, opt_units, phase_opt_units
 from mtslab.oracles import (
     decompose_phases_restart,
     expected_walk_visits_bruteforce,
     max_footrule_bruteforce,
     opt_bruteforce,
+    opt_units_scalar,
 )
 from mtslab.schedulers import LowestIndex
 
@@ -135,3 +139,54 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
     # It stops only on a state that never saturates inside the input.
     final = trailing_calls[-1][3] if trailing_calls else run.schedule[suffix_start]
     assert truth[final] == len(seq)
+
+
+def _span(start, end):
+    return SimpleNamespace(start=start, end=end)
+
+
+@st.composite
+def opt_cases(draw):
+    n = draw(st.integers(1, 5))
+    granularity = draw(st.integers(1, 4))
+    row = st.one_of(
+        st.just([0] * n),
+        st.lists(st.integers(0, 2 * granularity), min_size=n, max_size=n),
+    )
+    tasks = draw(st.lists(row, max_size=16))
+    spans = []
+    if tasks:
+        for start in draw(st.lists(st.integers(0, len(tasks) - 1), max_size=8)):
+            spans.append(_span(start, draw(st.integers(start, len(tasks) - 1))))
+    return n, granularity, tasks, spans
+
+
+# One long phase followed by many one-step phases: the lockstep block
+# shrinks to a single row after the first step.
+_SKEWED = (2, 3, [[1, 0], [0, 2], [3, 3]] * 10 + [[2, 1]] * 12,
+           [_span(0, 29)] + [_span(t, t) for t in range(30, 42)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(opt_cases())
+@example((3, 2, [], []))
+@example((1, 2, [[2], [0], [5]], [_span(0, 2), _span(1, 1)]))
+@example((3, 1, [[0, 0, 0]] * 5, [_span(0, 4), _span(2, 3)]))
+@example(_SKEWED)
+def test_vectorized_optimum_matches_scalar_oracle(case):
+    n, g, tasks, spans = case
+    for start_state in range(n):
+        assert opt_units(tasks, g, start_state=start_state) == \
+            opt_units_scalar(tasks, g, start_state=start_state)
+    assert opt_units(tasks, g, free_start=True) == opt_units_scalar(tasks, g, free_start=True)
+
+    arr = np.asarray(tasks, dtype=np.int64).reshape(len(tasks), n)
+    assert phase_opt_units(arr, g, spans) == [
+        opt_units_scalar(tasks[p.start : p.end + 1], g, free_start=True) for p in spans
+    ]
+
+    for free_start in (False, True):
+        cost, schedule = opt_schedule(tasks, g, free_start=free_start)
+        assert cost == opt_units_scalar(tasks, g, free_start=free_start)
+        opening = schedule[0] if free_start and schedule else 0
+        assert schedule_cost(tasks, g, schedule, start_state=opening)[0] == cost
