@@ -1,10 +1,10 @@
-"""Benchmark the batched kernels under the active backend.
+"""Benchmark the batched kernels.
 
-Runs the family simulation kernel and the offline-optimum DP on fixed
-workloads, printing wall times and a checksum of every result. With
---compare, re-runs itself in a subprocess with MTSLAB_NUMBA=0 and reports
-the speedup; the checksums must match exactly, since both backends execute
-the same integer arithmetic.
+Runs the lockstep family simulation kernel and the offline-optimum DP on
+fixed workloads, printing wall times and a checksum of every result. With
+--compare, also runs every family row through the per-trial reference
+``oracles.simulate_family_scalar`` in the same process, prints the
+kernel's speedup over it, and exits 1 if any checksum differs.
 
 Usage: python bench/bench_kernels.py [--compare] [--trials N] [--phases N]
 """
@@ -12,9 +12,6 @@ Usage: python bench/bench_kernels.py [--compare] [--trials N] [--phases N]
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import time
 
@@ -22,20 +19,18 @@ import numpy as np
 
 from mtslab.analysis import max_forcible_transitions, robustness_threshold
 from mtslab.kernels import backend_name, dp_opt_units, simulate_family_trials
+from mtslab.oracles import simulate_family_scalar
 from mtslab.rng import RandomStream, trial_seed
 
 
-def bench_family(trials: int, phases: int) -> dict:
+def bench_family(trials: int, phases: int, simulate=simulate_family_trials) -> dict:
     n, eta0, gran = 64, 128, 64
     m = min(max_forcible_transitions(eta0), n)
-    # Warm-up so a jit compile is not billed to the first timed row.
-    simulate_family_trials("oblivious", "reversal", n, m, 2, 2,
-                           threshold=robustness_threshold(n), granularity=gran)
     results = {}
     for policy in ("oblivious", "lps", "robust-lps", "lowest-index"):
         for family in ("reversal", "rand-lb"):
             start = time.perf_counter()
-            counts, costs = simulate_family_trials(
+            counts, costs = simulate(
                 policy, family, n, m, phases, trials,
                 threshold=robustness_threshold(n), granularity=gran,
                 scheduler_seed=1, adversary_seed=2,
@@ -77,42 +72,25 @@ def run(trials: int, phases: int, instances: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--compare", action="store_true",
-                        help="also run the pure-python backend and diff")
+                        help="also run the per-trial oracle and diff the checksums")
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--phases", type=int, default=64)
     parser.add_argument("--opt-instances", type=int, default=20)
-    parser.add_argument("--emit-json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     results = run(args.trials, args.phases, args.opt_instances)
-    if args.emit_json:
-        print(json.dumps(results, sort_keys=True))
-        return 0
-
-    backend = backend_name()
-    print(f"backend: {backend}")
+    print(f"backend: {backend_name()}")
     for key in sorted(results):
         row = results[key]
         print(f"  {key:32s} {row['seconds']*1000:10.2f} ms  checksum {row['checksum']}")
-
     if not args.compare:
         return 0
-    if backend == "python":
-        print("already on the pure-python backend; nothing to compare against")
-        return 0
 
-    env = dict(os.environ, MTSLAB_NUMBA="0")
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--emit-json",
-         "--trials", str(args.trials), "--phases", str(args.phases),
-         "--opt-instances", str(args.opt_instances)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    other = json.loads(proc.stdout)
-    print("backend: python (subprocess)")
+    oracle = bench_family(args.trials, args.phases, simulate=simulate_family_scalar)
+    print("oracle: oracles.simulate_family_scalar")
     mismatches = 0
-    for key in sorted(other):
-        row = other[key]
+    for key in sorted(oracle):
+        row = oracle[key]
         fast = results[key]
         same = row["checksum"] == fast["checksum"]
         mismatches += 0 if same else 1
@@ -121,9 +99,9 @@ def main() -> int:
         print(f"  {key:32s} {row['seconds']*1000:10.2f} ms  "
               f"speedup {speedup:8.1f}x  checksum {mark}")
     if mismatches:
-        print(f"{mismatches} checksum mismatches between backends")
+        print(f"{mismatches} checksum mismatches between the kernel and the oracle")
         return 1
-    print("all checksums identical across backends")
+    print("all checksums identical to the oracle's")
     return 0
 
 

@@ -27,6 +27,7 @@ from .analysis import (
     round_ratio_half_up,
 )
 from .core import (
+    UNIT_LIMIT,
     decompose_phases,
     load_task_sequence,
     pst_error_per_phase,
@@ -221,6 +222,14 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
+# Sweep config bounds, checked before anything is written. The largest n
+# keeps robustness_threshold's exact harmonic sum cheap; the cell cap bounds
+# the (trials, phases) count block and the (trials, n) walk blocks; and a
+# trial costs at most 2 * n * granularity units per phase, so the unit
+# bound keeps every cost sum in int64.
+SWEEP_MAX_N = 1 << 12
+SWEEP_CELL_CAP = 1 << 24
+
 _SWEEP_KEYS = {
     "n": list,
     "eta0": list,
@@ -274,6 +283,17 @@ def _load_sweep_config(path: str) -> dict:
         raise ConfigurationError("phases and trials must be >= 1")
     if config["granularity"] < max(config["n"]):
         raise ConfigurationError("granularity must be >= every swept n")
+    n_max, trials, phases = max(config["n"]), config["trials"], config["phases"]
+    if n_max > SWEEP_MAX_N:
+        raise ConfigurationError(f"every n must be <= {SWEEP_MAX_N}")
+    if trials * phases > SWEEP_CELL_CAP or trials * n_max > SWEEP_CELL_CAP:
+        raise ConfigurationError(
+            f"trials * phases and trials * n must each be <= {SWEEP_CELL_CAP}"
+        )
+    if trials * phases * 2 * n_max * config["granularity"] >= UNIT_LIMIT:
+        raise ConfigurationError(
+            f"trials * phases * 2 * n * granularity must be < {UNIT_LIMIT}"
+        )
     return config
 
 
@@ -291,26 +311,31 @@ def _cmd_sweep(args) -> int:
     trials = config["trials"]
 
     os.makedirs(args.out, exist_ok=True)
+    # Every state collects exactly one threshold of units per phase, so
+    # parking in any single state is offline-optimal.
+    opt_total = trials * phases * gran
     written = {}
     for algorithm in config["algorithms"]:
+        # A cell depends on eta0 only through m, and seeds, phases, trials
+        # and granularity are fixed per sweep: one kernel call per (n, m).
+        cells = {}
         records = []
         for n in config["n"]:
             threshold = robustness_threshold(n)
             for eta0 in config["eta0"]:
                 m = min(max_forcible_transitions(eta0), n)
-                counts, costs = simulate_family_trials(
-                    algorithm, family, n, m, phases, trials,
-                    threshold=threshold, granularity=gran,
-                    scheduler_seed=seed,
-                    adversary_seed=seed + ADVERSARY_SEED_OFFSET,
-                )
-                # Every state collects exactly one threshold of units per
-                # phase, so parking in any single state is offline-optimal.
-                opt_total = trials * phases * gran
+                if (n, m) not in cells:
+                    counts, costs = simulate_family_trials(
+                        algorithm, family, n, m, phases, trials,
+                        threshold=threshold, granularity=gran,
+                        scheduler_seed=seed,
+                        adversary_seed=seed + ADVERSARY_SEED_OFFSET,
+                    )
+                    cells[n, m] = counts.tolist(), int(costs.sum())
+                counts, total = cells[n, m]
                 records.append(SweepRecord.from_counts(
                     n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed,
-                    phases=phases, counts=counts.tolist(),
-                    total_cost_units=int(costs.sum()),
+                    phases=phases, counts=counts, total_cost_units=total,
                     opt_cost_units=opt_total,
                 ))
         path = os.path.join(args.out, f"{algorithm}.csv")

@@ -1,36 +1,37 @@
-"""Batched family simulation with a compiled and an interpreted backend.
-
-The same function bodies run either compiled by numba or interpreted as
-plain Python over numpy arrays, selected once at import time:
-
-* ``MTSLAB_NUMBA`` unset or ``"1"``: compile with numba when it is
-  importable, otherwise fall back silently,
-* ``MTSLAB_NUMBA=0``: force the interpreted path.
-
-Because both paths execute identical statements on int64 values, results
-and random draws are bit-identical; the compiled path is just faster.
-``backend_name()`` reports which one is active. All randomness comes from
-the package's own xorshift streams (see rng.py), carried through the
-kernels as rows of an int64 state array so each trial owns one stream.
+"""Batched family simulation: every trial of a call walked in lockstep.
 
 The batched simulator runs a scheduling policy over synthetic inputs that
 are described at the event level: per phase only the predicted and the
 realized saturation orders matter for transition counts, so phases are
-walked saturation by saturation instead of step by step.
+walked saturation by saturation instead of step by step. Every trial
+therefore runs the same walk on different random draws, and the kernel
+advances all trials of a call together, phase by phase, as numpy
+operations over (trials, n) blocks:
 
-The offline optimum does not dispatch to a backend: ``dp_opt_units`` is
-``opt.opt_units``, kept under this name for existing callers.
+* each trial owns one xorshift stream per side (see rng.py); the four
+  words of every stream are stored word-major, shape (4, trials), so a
+  draw on every stream is a few whole-array operations, and a rejected
+  draw is redrawn on its own stream only (``_randbelow``);
+* the rand-lb tail shuffle draws bound i + 1 on every trial at once;
+* a phase walk keeps a shrinking index of the trials still walking and
+  takes at most n steps.
+
+Every stream is consumed in the order of the per-trial walk, so results
+are identical to ``oracles.simulate_family_scalar``, the scalar reference
+that shares no random-number code with this module. There is one backend,
+interpreted numpy; ``backend_name()`` reports it.
+
+The offline optimum is ``opt.opt_units``, re-exported as ``dp_opt_units``
+for existing callers.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .opt import opt_units as dp_opt_units  # re-exported; the optimum is plain numpy
-from .rng import state_rows, trial_seed
+from .rng import MASK32, state_rows, trial_seed
 
 __all__ = [
     "backend_name",
@@ -40,27 +41,10 @@ __all__ = [
     "dp_opt_units",
 ]
 
-_flag = os.environ.get("MTSLAB_NUMBA", "1").strip()
-if _flag == "0":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit as _njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-    def _jit(fn):
-        return _njit(cache=True)(fn)
-else:
-    def _jit(fn):
-        return fn
-
 
 def backend_name() -> str:
-    return "numba" if _HAVE_NUMBA else "python"
+    """The only backend: numpy, interpreted."""
+    return "python"
 
 
 POLICY_CODES = {
@@ -76,131 +60,135 @@ FAMILY_CODES = {
 }
 
 
-# ---- random stream core (mirrors rng.RandomStream draw for draw) ----
+# ---- lockstep random draws: one xorshift stream per column ----
 
-def _rng_next(state, row):
-    x = state[row, 0]
-    t = (x ^ ((x << 11) & 0xFFFFFFFF)) & 0xFFFFFFFF
-    state[row, 0] = state[row, 1]
-    state[row, 1] = state[row, 2]
-    state[row, 2] = state[row, 3]
-    w = state[row, 3]
+_TWO32 = 1 << 32
+
+
+def _next_u32(words, rows):
+    """Advance the streams ``rows`` (an index array or a slice) by one word."""
+    x = words[0, rows]
+    t = x ^ ((x << 11) & MASK32)
+    w = words[3, rows]
+    words[:3, rows] = words[1:, rows]
     w = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
-    state[row, 3] = w
+    words[3, rows] = w
     return w
 
 
-def _rng_randbelow(state, row, bound):
-    if bound <= 1:
-        return 0
-    lim = (4294967296 // bound) * bound
-    while True:
-        v = _rng_next(state, row)
-        if v < lim:
-            return v % bound
+def _randbelow(words, rows, bounds):
+    """``RandomStream.randbelow(bounds[i])`` on stream ``rows[i]`` for every i.
 
-
-_rng_next = _jit(_rng_next)
-_rng_randbelow = _jit(_rng_randbelow)
+    ``words`` holds the four xorshift words word-major, shape (4, streams),
+    and ``rows`` are strictly increasing stream indices, so a draw on every
+    stream is a few whole-array operations. A bound of 1 draws nothing,
+    and a rejected draw is redrawn on its own stream only: every stream
+    sees exactly the draws its scalar ``RandomStream`` would.
+    """
+    out = np.zeros(len(rows), np.int64)
+    todo = np.flatnonzero(bounds > 1)
+    while todo.size:
+        b = bounds[todo]
+        sel = rows[todo]
+        v = _next_u32(words, slice(None) if sel.size == words.shape[1] else sel)
+        ok = v < _TWO32 // b * b
+        if ok.all():
+            out[todo] = v % b
+            break
+        out[todo[ok]] = v[ok] % b[ok]
+        todo = todo[~ok]
+    return out
 
 
 # ---- batched policy simulation over synthetic phase families ----
 
-def _simulate_family(policy, family, n, m, gran, phases, threshold,
-                     sch_state, adv_state, counts, costs):
-    trials = counts.shape[0]
-    pred_state = np.empty(n, np.int64)
-    true_state = np.empty(n, np.int64)
-    pred_rank = np.empty(n, np.int64)
-    true_rank = np.empty(n, np.int64)
-    for trial in range(trials):
-        cur = 0
-        for p in range(phases):
-            # Relabel cyclically so the top predicted slot is never the
-            # state the policy parked in at the end of the previous phase.
-            head = (cur + 1) % n
-            delta = (head + 1) % n
-            for j in range(n):
-                pred_state[j] = (j + delta) % n
-            for j in range(n - m):
-                true_state[j] = pred_state[j]
-            if family == 0:
-                for i in range(m):
-                    true_state[n - m + i] = pred_state[n - 1 - i]
+def _follow(order, true_state, slots, act, r):
+    """lps: among the states saturating after slot r, the one predicted last."""
+    later = np.where(slots > r[:, None], order[act], -1)
+    return true_state[act, later.argmax(1)]
+
+
+def _uniform_later(words, true_rank, act, r):
+    """A uniform draw among the states saturating after slot r, by state index."""
+    n = true_rank.shape[1]
+    pick = _randbelow(words, act, n - 1 - r)
+    seen = np.cumsum(true_rank[act] > r[:, None], axis=1)
+    return (seen > pick[:, None]).argmax(1)
+
+
+def _simulate_family(policy, family, n, m, gran, phases, threshold, sch, adv):
+    """Every trial at once, phase by phase; each trial owns one column of
+    ``sch`` and ``adv`` and consumes it in the order a scalar walk would."""
+    trials = sch.shape[1]
+    rows = np.arange(trials)
+    slots = np.arange(n)
+    counts = np.zeros((trials, phases), np.int64)
+    costs = np.zeros(trials, np.int64)
+    # order[t, j]: the predicted slot of the state that saturates at slot j.
+    order = np.tile(slots, (trials, 1))
+    tail = order[:, n - m:]
+    if family == 0:
+        tail[:] = slots[n - m:][::-1]
+    true_rank = np.empty((trials, n), np.int64)
+    # bounds[b]: the draw bound b for every trial.
+    bounds = np.repeat(np.arange(n + 1), trials).reshape(n + 1, trials)
+    cur = np.zeros(trials, np.int64)
+    for p in range(phases):
+        if family == 1:
+            tail[:] = slots[n - m:]
+            for i in range(m - 1, 0, -1):
+                j = _randbelow(adv, rows, bounds[i + 1])
+                swap = tail[rows, j]
+                tail[rows, j] = tail[:, i]
+                tail[:, i] = swap
+        # Relabel cyclically so the top predicted slot is never the state
+        # the policy parked in at the end of the previous phase.
+        true_state = (order + ((cur + 2) % n)[:, None]) % n
+        true_rank[rows[:, None], true_state] = slots
+
+        if policy == 0:
+            tgt = _randbelow(sch, rows, bounds[n])
+            cnt = np.ones(trials, np.int64)
+        elif policy == 3:
+            tgt = cur
+            cnt = np.zeros(trials, np.int64)
+        else:
+            tgt = (cur + 1) % n  # the top predicted slot
+            cnt = (tgt != cur).astype(np.int64)
+        # Spike realization: a state saturating at slot j collects one unit
+        # in each earlier slot and gran - j at slot j, so a policy that
+        # enters it after the state at slot r saturates processes exactly
+        # gran - r - 1 units there (gran when present from the start). A
+        # phase costs its opening move, gran in the first state, and
+        # gran + gran - r - 1 per forced move out of slot r.
+        units = gran * (tgt != cur) + gran
+        cur = tgt
+        act = rows
+        r = true_rank[rows, cur]
+        while True:
+            live = r < n - 1
+            act, r = act[live], r[live]
+            if not act.size:
+                break
+            if policy == 3:
+                nxt = (true_rank[act] > r[:, None]).argmax(1)
+            elif policy == 1:
+                nxt = _follow(order, true_state, slots, act, r)
+            elif policy == 0:
+                nxt = _uniform_later(sch, true_rank, act, r)
             else:
-                for i in range(m):
-                    true_state[n - m + i] = pred_state[n - m + i]
-                for i in range(m - 1, 0, -1):
-                    j = _rng_randbelow(adv_state, trial, i + 1)
-                    tmp = true_state[n - m + i]
-                    true_state[n - m + i] = true_state[n - m + j]
-                    true_state[n - m + j] = tmp
-            for j in range(n):
-                pred_rank[pred_state[j]] = j
-                true_rank[true_state[j]] = j
-
-            # Spike realization: a state saturating at slot j collects one
-            # unit in each earlier slot and gran - j at slot j, so a policy
-            # occupying it from slot e + 1 through its saturation processes
-            # exactly gran - e - 1 units (gran when present from the start).
-            mov = 0
-            proc = 0
-            entry = -1
-            cnt = 0
-            if policy == 0:
-                tgt = _rng_randbelow(sch_state, trial, n)
-                if tgt != cur:
-                    cur = tgt
-                    mov += gran
-                cnt = 1
-            elif policy == 1 or policy == 2:
-                tgt = pred_state[n - 1]
-                if tgt != cur:
-                    cur = tgt
-                    mov += gran
-                    cnt = 1
-            while True:
-                r = true_rank[cur]
-                if entry < 0:
-                    proc += gran
-                else:
-                    proc += gran - entry - 1
-                if r == n - 1:
-                    break
-                if policy == 3:
-                    nxt = -1
-                    for s in range(n):
-                        if true_rank[s] > r:
-                            nxt = s
-                            break
-                elif policy == 1 or (policy == 2 and cnt + 1 <= threshold):
-                    bj = r + 1
-                    bp = pred_rank[true_state[r + 1]]
-                    for j in range(r + 2, n):
-                        pr = pred_rank[true_state[j]]
-                        if pr > bp:
-                            bp = pr
-                            bj = j
-                    nxt = true_state[bj]
-                else:
-                    pick = _rng_randbelow(sch_state, trial, n - 1 - r)
-                    nxt = -1
-                    seen = -1
-                    for s in range(n):
-                        if true_rank[s] > r:
-                            seen += 1
-                            if seen == pick:
-                                nxt = s
-                                break
-                mov += gran
-                entry = r
-                cur = nxt
-                cnt += 1
-            counts[trial, p] = cnt
-            costs[trial] += mov + proc
-
-
-_simulate_family = _jit(_simulate_family)
+                follow = cnt[act] < threshold
+                rest = ~follow
+                nxt = np.empty(act.size, np.int64)
+                nxt[follow] = _follow(order, true_state, slots, act[follow], r[follow])
+                nxt[rest] = _uniform_later(sch, true_rank, act[rest], r[rest])
+            units[act] += 2 * gran - 1 - r
+            cnt[act] += 1
+            cur[act] = nxt
+            r = true_rank[act, nxt]
+        counts[:, p] = cnt
+        costs += units
+    return counts, costs
 
 
 def simulate_family_trials(policy: str, family: str, n: int, m: int,
@@ -237,11 +225,11 @@ def simulate_family_trials(policy: str, family: str, n: int, m: int,
         granularity = n
     if granularity < n:
         raise ConfigurationError("granularity must be >= n to realize an order")
-    sch = state_rows([trial_seed(scheduler_seed, t) for t in range(trials)])
-    adv = state_rows([trial_seed(adversary_seed, t) for t in range(trials)])
-    counts = np.zeros((trials, phases), dtype=np.int64)
-    costs = np.zeros(trials, dtype=np.int64)
-    _simulate_family(POLICY_CODES[policy], FAMILY_CODES[family], n, m,
-                     granularity, phases, threshold, sch, adv, counts, costs)
+    # Word-major: row k holds word k of every trial's stream.
+    sch = state_rows([trial_seed(scheduler_seed, t) for t in range(trials)]).T.copy()
+    adv = state_rows([trial_seed(adversary_seed, t) for t in range(trials)]).T.copy()
+    counts, costs = _simulate_family(
+        POLICY_CODES[policy], FAMILY_CODES[family], n, m, granularity,
+        phases, threshold, sch, adv)
     return counts, costs
 

@@ -1,7 +1,10 @@
 """Slow, independent reference computations.
 
 Nothing here is used on a hot path. Each function recomputes a quantity by
-direct enumeration so the fast implementations can be checked against it.
+direct enumeration, or by the plain loop a fast implementation replaced, so
+the fast implementations can be checked against it. The per-trial family
+walk (``simulate_family_scalar``) draws from ``rng.RandomStream`` over
+Python lists and shares no code with the lockstep kernel it checks.
 """
 
 from __future__ import annotations
@@ -12,12 +15,14 @@ from itertools import permutations, product
 import numpy as np
 
 from .core import Phase, TaskSequence, schedule_cost
+from .rng import RandomStream, trial_seed
 
 __all__ = [
     "decompose_phases_restart",
     "max_footrule_bruteforce",
     "opt_bruteforce",
     "opt_units_scalar",
+    "simulate_family_scalar",
     "expected_walk_visits_bruteforce",
 ]
 
@@ -103,6 +108,86 @@ def opt_units_scalar(tasks, granularity: int, start_state: int = 0,
             cur.append((stay if stay < jump else jump) + int(row[s]))
         prev = cur
     return min(prev)
+
+
+def simulate_family_scalar(policy: str, family: str, n: int, m: int,
+                           phases: int, trials: int, threshold: int = 0,
+                           granularity: int | None = None,
+                           scheduler_seed: int = 0, adversary_seed: int = 0):
+    """``kernels.simulate_family_trials``, one trial and one state at a time.
+
+    Same arguments and return value; arguments are not validated. Each
+    trial draws from its own ``RandomStream(trial_seed(seed, trial))`` on
+    both sides, so this shares no random-number code with the kernel.
+    """
+    gran = n if granularity is None else granularity
+    counts = []
+    costs = []
+    for trial in range(trials):
+        sch = RandomStream(trial_seed(scheduler_seed, trial))
+        adv = RandomStream(trial_seed(adversary_seed, trial))
+        trial_counts = []
+        total = 0
+        cur = 0
+        for _ in range(phases):
+            # Relabel cyclically so the top predicted slot is never the
+            # state the policy parked in at the end of the previous phase.
+            delta = (cur + 2) % n
+            pred_state = [(j + delta) % n for j in range(n)]
+            tail = pred_state[n - m:]
+            if family == "reversal":
+                tail.reverse()
+            else:
+                for i in range(m - 1, 0, -1):
+                    j = adv.randbelow(i + 1)
+                    tail[i], tail[j] = tail[j], tail[i]
+            true_state = pred_state[:n - m] + tail
+            pred_rank = [0] * n
+            true_rank = [0] * n
+            for j in range(n):
+                pred_rank[pred_state[j]] = j
+                true_rank[true_state[j]] = j
+
+            # Spike realization: a state saturating at slot j collects one
+            # unit in each earlier slot and gran - j at slot j, so a policy
+            # occupying it from slot e + 1 through its saturation processes
+            # exactly gran - e - 1 units (gran when present from the start).
+            units = 0
+            cnt = 0
+            if policy == "oblivious":
+                tgt = sch.randbelow(n)
+                cnt = 1
+            elif policy in ("lps", "robust-lps"):
+                tgt = pred_state[n - 1]
+                cnt = int(tgt != cur)
+            else:
+                tgt = cur
+            if tgt != cur:
+                cur = tgt
+                units += gran
+            entry = -1
+            while True:
+                r = true_rank[cur]
+                units += gran - entry - 1
+                if r == n - 1:
+                    break
+                later = [s for s in range(n) if true_rank[s] > r]
+                if policy == "lowest-index":
+                    nxt = later[0]
+                elif policy == "lps" or (policy == "robust-lps" and cnt + 1 <= threshold):
+                    nxt = max(true_state[r + 1:], key=lambda s: pred_rank[s])
+                else:
+                    nxt = later[sch.randbelow(n - 1 - r)]
+                units += gran
+                entry = r
+                cur = nxt
+                cnt += 1
+            trial_counts.append(cnt)
+            total += units
+        counts.append(trial_counts)
+        costs.append(total)
+    return (np.array(counts, dtype=np.int64).reshape(trials, phases),
+            np.array(costs, dtype=np.int64))
 
 
 def expected_walk_visits_bruteforce(m: int) -> Fraction:

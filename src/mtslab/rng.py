@@ -1,14 +1,14 @@
-"""Deterministic random streams shared by every simulation backend.
+"""Deterministic random streams shared by the engine and the batched kernel.
 
-The reference engine runs in pure Python, the hot kernels run either as
-compiled numba code or as the same code interpreted. All three must see
-bit-identical draws so that a run is reproducible no matter which backend
-executed it. numpy's generators cannot be stepped identically from inside a
-compiled kernel, so the package carries its own small generator:
+The reference engine draws from one Python stream per trial; the batched
+kernel steps the same streams for every trial at once as int64 numpy
+columns. Both must see bit-identical draws so that a run is reproducible
+whichever path executed it, so the package carries its own small generator
+rather than numpy's:
 
 * core generator: xorshift128 over four 32-bit words (shifts and xors only,
-  safe in signed 64-bit arithmetic, so the compiled and interpreted kernels
-  produce the same values),
+  safe in signed 64-bit arithmetic, so whole int64 arrays of streams step
+  exactly like the Python-int reference),
 * seeding and per-trial derivation: a splitmix64-style mixer kept in pure
   Python where 64-bit multiplication is exact.
 
@@ -93,8 +93,8 @@ class RandomStream:
         """Uniform integer in [0, bound).
 
         Uses rejection sampling so the distribution is exact. A bound of 1
-        consumes nothing from the stream; every backend follows the same
-        convention.
+        consumes nothing from the stream; the batched kernel follows the
+        same convention.
         """
         if bound <= 0:
             raise ValueError("bound must be positive")

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from mtslab.cli import main
-from mtslab.core import load_task_sequence
+from mtslab.analysis import max_forcible_transitions
+from mtslab.cli import SWEEP_MAX_N, main
+from mtslab.core import UNIT_LIMIT, load_task_sequence
+from mtslab.oracles import simulate_family_scalar
 from mtslab.verify import VerifyResult
 
 
@@ -246,22 +248,89 @@ def test_sweep_reruns_byte_identical(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_sweep_matches_interpreted_backend(tmp_path, capsys):
-    cfg = _write_config(tmp_path, n=[5], eta0=[0, 4], trials=2, phases=3,
-                        granularity=5)
-    fast = tmp_path / "fast"
-    slow = tmp_path / "slow"
-    assert main(["sweep", "--config", str(cfg), "--out", str(fast)]) == 0
+CACHE_CONFIG = dict(SWEEP_CONFIG, n=[3, 5], eta0=[0, 1, 2, 3, 4, 8, 12, 40],
+                    algorithms=["oblivious", "lps", "robust-lps", "lowest-index"],
+                    adversary="rand-lb", trials=3, phases=2, granularity=6)
+
+
+def _sweep_rows(out_dir, algorithm):
+    return (out_dir / f"{algorithm}.csv").read_text().splitlines()
+
+
+def test_sweep_runs_the_kernel_once_per_distinct_cell(tmp_path, capsys, monkeypatch):
+    import mtslab.cli as cli
+
+    calls = []
+    kernel = cli.simulate_family_trials
+
+    def counted(algorithm, family, n, m, *args, **kwargs):
+        calls.append((n, m, algorithm))
+        return kernel(algorithm, family, n, m, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_family_trials", counted)
+    cfg = _write_config(tmp_path, **CACHE_CONFIG)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
-    env = dict(os.environ, MTSLAB_NUMBA="0")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mtslab", "sweep", "--config", str(cfg),
-         "--out", str(slow)],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    for name in ("lps.csv", "oblivious.csv"):
-        assert (fast / name).read_bytes() == (slow / name).read_bytes()
+    distinct = {(n, min(max_forcible_transitions(e), n))
+                for n in CACHE_CONFIG["n"] for e in CACHE_CONFIG["eta0"]}
+    assert len(distinct) < len(CACHE_CONFIG["n"]) * len(CACHE_CONFIG["eta0"])
+    assert len(calls) == len(set(calls)) == len(distinct) * len(CACHE_CONFIG["algorithms"])
+
+
+def test_sweep_cache_matches_one_oracle_run_per_cell(tmp_path, capsys, monkeypatch):
+    import mtslab.cli as cli
+
+    cfg = _write_config(tmp_path, **CACHE_CONFIG)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "fast")]) == 0
+    # The reference sweeps one (n, eta0) cell per run, so no cell can reuse
+    # another's result, and each runs the per-trial oracle.
+    monkeypatch.setattr(cli, "simulate_family_trials", simulate_family_scalar)
+    expected = {a: [] for a in CACHE_CONFIG["algorithms"]}
+    for n in CACHE_CONFIG["n"]:
+        for eta0 in CACHE_CONFIG["eta0"]:
+            cell_cfg = _write_config(tmp_path, **dict(CACHE_CONFIG, n=[n], eta0=[eta0]))
+            out = tmp_path / f"cell-{n}-{eta0}"
+            assert main(["sweep", "--config", str(cell_cfg), "--out", str(out)]) == 0
+            for algorithm, rows in expected.items():
+                header, row = _sweep_rows(out, algorithm)
+                rows.append(row)
+    capsys.readouterr()
+    for algorithm, rows in expected.items():
+        assert _sweep_rows(tmp_path / "fast", algorithm) == [header, *rows]
+
+
+_TOO_BIG = {
+    "n": {"n": [SWEEP_MAX_N + 1], "granularity": SWEEP_MAX_N + 1},
+    "n-of-20-digits": {"n": [10**20], "granularity": 10**20},
+    "trials-x-phases": {"trials": 1 << 12, "phases": (1 << 12) + 1},
+    "phases-of-22-digits": {"phases": 10**21},
+    "trials-x-n": {"n": [1 << 12], "granularity": 1 << 12, "trials": (1 << 12) + 1,
+                   "phases": 1},
+    "units": {"granularity": 1 << 50, "trials": 1 << 4, "phases": 1 << 4},
+}
+
+
+@pytest.mark.parametrize("overrides", _TOO_BIG.values(), ids=_TOO_BIG.keys())
+def test_oversized_sweep_is_rejected_before_writing(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    out_dir = tmp_path / "o"
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_largest_unit_total_below_the_limit_is_accepted(tmp_path, capsys):
+    # 2 * n * granularity * trials * phases = UNIT_LIMIT - 2**35, just under
+    # the bound, so the sweep runs and its cost sum stays exact.
+    gran = (UNIT_LIMIT >> 5) - (1 << 30)
+    cfg = _write_config(tmp_path, n=[4], eta0=[2], algorithms=["lps"],
+                        granularity=gran, trials=2, phases=2)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    row = _sweep_rows(tmp_path / "o", "lps")[1].split(",")
+    assert int(row[9]) == 2 * 2 * gran
+    assert 2 * 2 * gran < int(row[8]) < 2 * 4 * gran * 2 * 2
 
 
 @pytest.mark.parametrize("overrides", [
