@@ -1,0 +1,167 @@
+"""Byte-identity pins for generated inputs, simulate outputs and reports.
+
+Each input below is written to a file, then replayed through every
+scheduler with ``mtslab simulate`` in both formats, and its in-memory run
+is reported with ``summarize``. Every artifact is hashed, and the hashes
+are pinned: any change to an emitted byte, or a numpy scalar leaking into
+a report (``json.dumps`` raises on ``np.int64``), fails this test.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from mtslab.adversaries import build_family, noisy_pst, random_unit_sequence
+from mtslab.cli import main
+from mtslab.core import TaskSequence, load_task_sequence, save_task_sequence
+from mtslab.engine import run_scheduler, summarize
+from mtslab.errors import ConfigurationError
+from mtslab.schedulers import make_scheduler, scheduler_names
+
+FAMILIES = {
+    "reversal": ["--adversary", "reversal", "--n", "5", "--eta0", "3", "--phases", "3"],
+    "rand-lb": ["--adversary", "rand-lb", "--n", "6", "--k", "4", "--phases", "3",
+                "--seed", "2"],
+    "lv": ["--adversary", "lv", "--n", "4", "--phases", "2",
+           "--scheduler", "lv-greedy", "--seed", "1"],
+    "force-det": ["--adversary", "force-det", "--n", "5", "--eta0", "4", "--phases", "2",
+                  "--scheduler", "lv-greedy", "--seed", "3"],
+}
+
+PINNED = {
+    "reversal/gen":
+        "1cca36f8f0076ace6ddc8ace64342ef93d04b9300456c012e93b323a4e11723c",
+    "reversal/lowest-index":
+        "8b724189d5c0c188f3fb1a89738b6bbb20c040adf2edffc468caec67b5c04bd5",
+    "reversal/lps":
+        "bc9f3979a5e9f8a684c175e540ab61df796609297e8d0683322b7f79669b7e1b",
+    "reversal/lv-greedy":
+        "d026410a71ea966535f179748a6eb14820e07b39b2502a5fe315039a2ce0a1dc",
+    "reversal/oblivious":
+        "517d72234e46e0b9c33a41f3094155cb6047f58d61688b48c33fb5009bf6fa52",
+    "reversal/robust-lps":
+        "747dc6a4763b717cba2f599884ce422153b132e8f6c9e0362ddd9e36619a0790",
+    "reversal/stay-put":
+        "2ab23684e8af3d42a45edbd28626e583fa66a6ae6e446688eb0cad6282075d74",
+    "rand-lb/gen":
+        "c9801e3689b7624bd2df49c3e74b49beacdc83ed9fe76ee1272b9135a695dc7c",
+    "rand-lb/lowest-index":
+        "42f283227056d047e4d3dba99d72ef355bc0e9ce395259621428826d8986016c",
+    "rand-lb/lps":
+        "f003057935fc93678c688aa84df4bce5c35faef2cca93d94436c080e7532b57d",
+    "rand-lb/lv-greedy":
+        "d026410a71ea966535f179748a6eb14820e07b39b2502a5fe315039a2ce0a1dc",
+    "rand-lb/oblivious":
+        "fa742a84b7e62ce5c202286fdaf339acf2fccd8c02f5e66685b7b5f5106519fe",
+    "rand-lb/robust-lps":
+        "ea4cad32f5deb3d48d0612b9561cb1ee3b214a921c68bf4d31b9c2e5ab20c04e",
+    "rand-lb/stay-put":
+        "d0e942b846d9860758248ee913da395dc7b6373683dbc53ff214dc49264be271",
+    "lv/gen":
+        "6ccf7261e464d395915456a9c678b6764e7c2bc6b82156d378c75a8c870da269",
+    "lv/lowest-index":
+        "382250fc107105804a97961d64809031c1640b5b1a769c3450a29fe591f557af",
+    "lv/lps":
+        "503da9bf588ea8b13a92365db73355eb1b44dd231a29983e157ce369507b1ada",
+    "lv/lv-greedy":
+        "3c530b99e096857d519d9ae3e1dd5f7490b7b7efa7c1f9889cb3de9f503cc96c",
+    "lv/oblivious":
+        "bac6f2ca1b122fd88a976c58d0bbde3d5bbe981d49d42310ca9b5d99f11cfb31",
+    "lv/robust-lps":
+        "513f022bda3886c9439a94dcc4efb1a8ebb66c20fb7e270a73aeb2d8d83b8d66",
+    "lv/stay-put":
+        "39fcd544986b0dbe357b78cab2d16dd74e10d08766f50f746f8943fe36808d6f",
+    "force-det/gen":
+        "17fdb1a222f332281417d00f6d0509ed904dce4ca94aadb1d731c5a4a16914c3",
+    "force-det/lowest-index":
+        "07bff692dbb25cd3245aa7b8c19689b01ae590402e2bc2a5db1a197895d05264",
+    "force-det/lps":
+        "3e04dc0348763dfd5520032057ed49bd1d0f4bbbbfe012aa45a67177ae4c84b0",
+    "force-det/lv-greedy":
+        "cba6e926589b8e5e328c8e4990ab27299c5e74d8968604225b7ea41c2ebb3e81",
+    "force-det/oblivious":
+        "f0f336fc66e4360ed8d5e38f248a0328a9f4e863d40d77b98aeff61319bba24a",
+    "force-det/robust-lps":
+        "973b5f0e548813dfd192ba8cc1f87a2598e9627185396e1568ef56b33019fd59",
+    "force-det/stay-put":
+        "fe01de1168755770488483727d380578d544a559488d4311ab3026fdddcf5ba1",
+    "random-cut/gen":
+        "718db88f34a7f1f691f1f4a4a17e9ff96095a223a5bf1d4a172804aa34c20932",
+    "random-cut/lowest-index":
+        "9d5d14a9b47bfcb1d462a21deef041e0f82aafddfc7285778715565303bbce52",
+    "random-cut/lps":
+        "69d099d77119b3732a1f63efa8a066686ffba0bad047475c85c8ba2652ad0d6a",
+    "random-cut/lv-greedy":
+        "afc6c88a93893da70899612efa366cc169fd8ec00ffbda586a2a050dc147871c",
+    "random-cut/oblivious":
+        "9f0b347f61beef6c413feb1f518060898cf6bc9a179c8ed0d7b21b33cd3e5789",
+    "random-cut/robust-lps":
+        "8f8049ef0302a84374033395a429ab7be67d5f601e11f2b343c520b98ec3dca1",
+    "random-cut/stay-put":
+        "b6a2eeffccb6db83534b5ddebb096d16c67d9280577dbb7c94ff10107649775e",
+}
+
+
+def _sha(*parts: bytes) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(len(part).to_bytes(8, "little"))
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return str(rc).encode(), out.getvalue().encode(), err.getvalue().encode()
+
+
+def _cut_random_input(path) -> None:
+    """Random unit demands with noisy predictions, cut inside the last phase."""
+    base = noisy_pst(random_unit_sequence(4, 3, 3, seed=5), 3, seed=1)
+    last_start = base.pst[-1].phase_start
+    cut = last_start + 3
+    seq = TaskSequence(
+        n=base.n, granularity=base.granularity, tasks=base.tasks[:cut],
+        pst=[b for b in base.pst if b.phase_start < cut], lv=base.lv[:cut],
+    )
+    save_task_sequence(seq, path)
+
+
+def _digests(name, tmp_path) -> dict:
+    path = tmp_path / f"{name}.json"
+    digests = {}
+    if name in FAMILIES:
+        rc, out, err = _cli(["adversary-gen", *FAMILIES[name], "--out", str(path)])
+        out = out.replace(str(path).encode(), b"<out>")
+        digests[f"{name}/gen"] = _sha(rc, out, err, path.read_bytes())
+    else:
+        _cut_random_input(path)
+        digests[f"{name}/gen"] = _sha(path.read_bytes())
+    seq = load_task_sequence(str(path))
+    for algorithm in scheduler_names():
+        randomized = make_scheduler(algorithm).uses_rng
+        trials = ["--trials", "3"] if randomized else []
+        parts = []
+        for fmt in ("csv", "json"):
+            parts.extend(_cli(["simulate", "--input", str(path), "--algorithm", algorithm,
+                               "--format", fmt, *trials]))
+        try:
+            run = run_scheduler(seq, algorithm)
+        except ConfigurationError as exc:
+            parts.append(str(exc).encode())
+        else:
+            parts.append(json.dumps(summarize(seq, run), sort_keys=True).encode())
+        digests[f"{name}/{algorithm}"] = _sha(*parts)
+    return digests
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "random-cut"])
+def test_outputs_match_pinned_bytes(name, tmp_path):
+    got = _digests(name, tmp_path)
+    want = {k: v for k, v in PINNED.items() if k.startswith(f"{name}/")}
+    assert got == want
