@@ -18,6 +18,10 @@ so a prediction-following scheduler's phase-opening move is always real.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+
 from .analysis import max_forcible_transitions
 from .core import PhasePrediction, TaskSequence, decompose_phases
 from .errors import ConfigurationError, ProtocolError
@@ -54,20 +58,9 @@ def realize_saturation_order(n: int, granularity: int, order) -> list:
         raise ConfigurationError("order must be a permutation of the states")
     if granularity < n:
         raise ConfigurationError("granularity must be >= n to realize an order")
-    position = [0] * n
-    for j, state in enumerate(order):
-        position[state] = j
-    tasks = []
-    for j in range(n):
-        row = [0] * n
-        for state in range(n):
-            pos = position[state]
-            if pos == j:
-                row[state] = granularity - j
-            elif pos > j:
-                row[state] = 1
-        tasks.append(row)
-    return tasks
+    position = np.argsort(order)  # the step at which each state saturates
+    step = np.arange(n)[:, None]
+    return np.where(position == step, granularity - step, position > step).tolist()
 
 
 def pinned_prediction_order(n: int, carryover: int) -> list:
@@ -98,18 +91,8 @@ def reversal_sequence(n: int, granularity: int, eta0: int, phases: int) -> TaskS
     opening move plus m - 1 forced moves, every phase.
     """
     _check_family_geometry(n, granularity, eta0, phases)
-    m = _clamped_m(n, eta0)
-    tasks: list = []
-    pst: list = []
-    carry = 0
-    for _ in range(phases):
-        offset = len(tasks)
-        pred_state = pinned_prediction_order(n, carry)
-        true_state = pred_state[: n - m] + pred_state[n - m :][::-1]
-        tasks.extend(realize_saturation_order(n, granularity, true_state))
-        pst.append(_prediction_block(offset, pred_state))
-        carry = true_state[-1]
-    return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst)
+    return _permuted_tail_sequence(n, granularity, _clamped_m(n, eta0), phases,
+                                   lambda tail: tail[::-1])
 
 
 def shuffled_tail_sequence(n: int, granularity: int, tail_size: int, phases: int,
@@ -125,19 +108,32 @@ def shuffled_tail_sequence(n: int, granularity: int, tail_size: int, phases: int
     if tail_size < 1:
         raise ConfigurationError("tail size must be >= 1")
     _check_family_geometry(n, granularity, 0, phases)
-    m = min(tail_size, n)
     stream = RandomStream(trial_seed(seed, 0))
+
+    def shuffle(tail: list) -> list:
+        for i in range(len(tail) - 1, 0, -1):
+            j = stream.randbelow(i + 1)
+            tail[i], tail[j] = tail[j], tail[i]
+        return tail
+
+    return _permuted_tail_sequence(n, granularity, min(tail_size, n), phases, shuffle)
+
+
+def _permuted_tail_sequence(n: int, granularity: int, m: int, phases: int,
+                            permute_tail) -> TaskSequence:
+    """Phases that saturate the predicted order with its last m slots permuted.
+
+    Each phase pins the predicted order to the carryover, realizes it with
+    ``permute_tail`` applied to the last m predicted slots, and records the
+    unpermuted order as the phase's prediction block.
+    """
     tasks: list = []
     pst: list = []
     carry = 0
     for _ in range(phases):
         offset = len(tasks)
         pred_state = pinned_prediction_order(n, carry)
-        tail = pred_state[n - m :]
-        for i in range(m - 1, 0, -1):
-            j = stream.randbelow(i + 1)
-            tail[i], tail[j] = tail[j], tail[i]
-        true_state = pred_state[: n - m] + tail
+        true_state = pred_state[: n - m] + permute_tail(pred_state[n - m :])
         tasks.extend(realize_saturation_order(n, granularity, true_state))
         pst.append(_prediction_block(offset, pred_state))
         carry = true_state[-1]
@@ -359,47 +355,40 @@ def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0,
     if n < 1 or granularity < 1 or phases < 1:
         raise ConfigurationError("n, granularity and phases must be >= 1")
     stream = RandomStream(trial_seed(seed, 0))
-    tasks: list = []
+    requested: list = []
     cum = [0] * n
     complete = 0
     boundary = 0
     cap = 1000 * n * granularity * phases + 1000
     while complete < phases:
-        if len(tasks) > cap:
+        if len(requested) > cap:
             raise ConfigurationError("random stream failed to close enough phases")
         s = stream.randbelow(n)
-        row = [0] * n
-        row[s] = 1
-        tasks.append(row)
+        requested.append(s)
         cum[s] += 1
         if min(cum) >= granularity:
             complete += 1
-            boundary = len(tasks)
+            boundary = len(requested)
             cum = [0] * n
-    tasks = tasks[:boundary]
+    requested = requested[:boundary]
+    tasks = np.eye(n, dtype=np.int64)[requested]
 
-    seq = TaskSequence(n=n, granularity=granularity, tasks=tasks)
+    pst = lv = None
     if with_pst:
-        found, _ = decompose_phases(seq)
-        seq.pst = [
-            PhasePrediction(phase_start=ph.start, h=tuple(ph.sat_step)) for ph in found
-        ]
+        found, _ = decompose_phases(TaskSequence(n=n, granularity=granularity, tasks=tasks))
+        pst = [PhasePrediction(phase_start=ph.start, h=ph.sat_step) for ph in found]
     if with_lv:
-        horizon = len(tasks)
         upcoming = [-1] * n
-        rows: list = [None] * horizon
-        for t in range(horizon - 1, -1, -1):
-            requested = next(s for s in range(n) if tasks[t][s] > 0)
-            row = [0] * n
-            row[requested] = upcoming[requested]
-            rows[t] = row
-            upcoming[requested] = t
-        seq.lv = rows
-    return seq
+        following = [0] * boundary
+        for t in range(boundary - 1, -1, -1):
+            following[t] = upcoming[requested[t]]
+            upcoming[requested[t]] = t
+        lv = tasks * np.array(following)[:, None]
+    return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 
 
 def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
-    """Copy of ``seq`` whose prediction blocks are perturbed within budget.
+    """``seq`` with its prediction blocks perturbed within budget; tables shared.
 
     Per phase, signed integer offsets are drawn in [-eta0, eta0], shrunk
     (largest magnitude first) until their total magnitude fits the budget,
@@ -442,13 +431,7 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
                 h=tuple(true[i] + deltas[i] for i in range(n)),
             )
         )
-    return TaskSequence(
-        n=seq.n,
-        granularity=seq.granularity,
-        tasks=[list(row) for row in seq.tasks],
-        pst=blocks,
-        lv=None if seq.lv is None else [list(row) for row in seq.lv],
-    )
+    return replace(seq, pst=blocks)
 
 
 FAMILY_NAMES = ("reversal", "lv", "force-det", "rand-lb")

@@ -30,7 +30,6 @@ from .core import (
     UNIT_LIMIT,
     decompose_phases,
     load_task_sequence,
-    pst_error_per_phase,
     save_task_sequence,
 )
 from .engine import run_scheduler
@@ -130,10 +129,11 @@ def _cmd_adversary_gen(args) -> int:
         print(f"m = {info['m']}")
     else:
         print(f"r = {info['r']}")
-    if seq.pst is not None:
-        for phase, err in zip(phases, pst_error_per_phase(seq)):
-            if err is not None:
-                print(f"phase {phase.index}: realized error {err}")
+    by_start = {block.phase_start: block.h for block in seq.pst or ()}
+    for phase in phases:
+        err = phase.pst_error(by_start.get(phase.start))
+        if err is not None:
+            print(f"phase {phase.index}: realized error {err}")
     return 0
 
 
@@ -148,9 +148,8 @@ def _cmd_simulate(args) -> int:
         )
     decomposition = decompose_phases(seq, include_trailing=True)
     phases = [p for p in decomposition[0] if p.complete]
-    arr = seq.task_array()
-    phase_opts = phase_opt_units(arr, seq.granularity, phases)
-    opt_total = opt_units(arr, seq.granularity, start_state=0)
+    phase_opts = phase_opt_units(seq.tasks, seq.granularity, phases)
+    opt_total = opt_units(seq.tasks, seq.granularity, start_state=0)
 
     rows = []
     transitions = []

@@ -82,17 +82,37 @@ class PhasePrediction:
 
 @dataclass
 class TaskSequence:
+    """One input; ``tasks`` and ``lv`` are C-contiguous int64 (steps, n) tables.
+
+    Lists passed in are converted once, here; an int64 array is not copied.
+    """
+
     n: int
     granularity: int
-    tasks: list
+    tasks: np.ndarray
     pst: list | None = None
-    lv: list | None = None
+    lv: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.tasks = _table(self.tasks, self.n)
+        if self.lv is not None:
+            self.lv = _table(self.lv, self.n)
 
     def __len__(self) -> int:
         return len(self.tasks)
 
-    def task_array(self) -> np.ndarray:
-        return np.asarray(self.tasks, dtype=np.int64).reshape(len(self.tasks), self.n)
+    def __eq__(self, other) -> bool:
+        """Equal when the canonical JSON forms are equal."""
+        if not isinstance(other, TaskSequence):
+            return NotImplemented
+        return to_json_dict(self) == to_json_dict(other)
+
+
+def _table(rows, n: int) -> np.ndarray:
+    # A safe cast: a float entry raises instead of being truncated.
+    table = np.asarray(rows if len(rows) else np.empty((0, n), dtype=np.int64))
+    table = table.astype(np.int64, casting="safe", copy=False)
+    return np.ascontiguousarray(table).reshape(len(rows), n)
 
 
 @dataclass(frozen=True)
@@ -137,14 +157,13 @@ def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
     With ``include_trailing`` the suffix, when there is one, closes the
     list as the trailing partial phase.
     """
-    arr = seq.task_array()
-    total, n = arr.shape
+    total, n = seq.tasks.shape
     threshold = seq.granularity
     # cum[s, t] is the demand state s receives before step t, so state s
     # saturates in the phase opening at `start` on the step before the
     # first t with cum[s, t] >= cum[s, start] + threshold.
     cum = np.zeros((n, total + 1), dtype=np.int64)
-    np.cumsum(arr.T, axis=1, out=cum[:, 1:])
+    np.cumsum(seq.tasks.T, axis=1, out=cum[:, 1:])
     phases: list[Phase] = []
     start = 0
     while start < total:
@@ -177,10 +196,11 @@ def schedule_cost(tasks, granularity: int, schedule: Sequence[int], start_state:
     """
     if len(schedule) != len(tasks):
         raise ValueError("schedule must assign a state to every step")
+    rows = tasks.tolist() if isinstance(tasks, np.ndarray) else tasks
     transition_units = 0
     processing_units = 0
     prev = start_state
-    for task, state in zip(tasks, schedule):
+    for task, state in zip(rows, schedule):
         if state != prev:
             transition_units += granularity
         processing_units += task[state]
@@ -196,13 +216,8 @@ def unit_task(n: int, state: int, units: int = 1) -> list:
 
 def requested_state(task) -> int | None:
     """Index of the single positive entry of a task, if there is exactly one."""
-    found = None
-    for s, v in enumerate(task):
-        if v > 0:
-            if found is not None:
-                return None
-            found = s
-    return found
+    positive = np.flatnonzero(np.asarray(task) > 0)
+    return int(positive[0]) if len(positive) == 1 else None
 
 
 def pst_error_per_phase(seq: TaskSequence):
@@ -226,25 +241,14 @@ def lv_loss(seq: TaskSequence) -> int:
     """
     if seq.lv is None:
         return 0
-    total_steps = len(seq.tasks)
-    horizon = total_steps
-
-    next_request = [[horizon] * seq.n for _ in range(total_steps)]
-    upcoming = [horizon] * seq.n
-    for t in range(total_steps - 1, -1, -1):
-        next_request[t] = list(upcoming)
-        for s in range(seq.n):
-            if seq.tasks[t][s] > 0:
-                upcoming[s] = t
-
-    loss = 0
-    for t, row in enumerate(seq.lv):
-        for s, predicted in enumerate(row):
-            if predicted == 0:
-                continue
-            claim = horizon if predicted == -1 else predicted
-            loss += abs(claim - next_request[t][s])
-    return loss
+    steps = len(seq)
+    # upcoming[t, s]: the first step after t at which s receives demand, or steps.
+    demanded = np.where(seq.tasks > 0, np.arange(steps)[:, None], steps)
+    upcoming = np.full_like(demanded, steps)
+    upcoming[:-1] = np.minimum.accumulate(demanded[::-1], axis=0)[::-1][1:]
+    claim = np.where(seq.lv == -1, steps, seq.lv)
+    # Summed as Python ints: an int64 sum of large claims could wrap.
+    return sum(np.abs(claim - upcoming)[seq.lv != 0].tolist())
 
 
 # ---- serialization ----
@@ -254,7 +258,7 @@ def to_json_dict(seq: TaskSequence) -> dict:
         "version": SCHEMA_VERSION,
         "n": seq.n,
         "granularity": seq.granularity,
-        "tasks": [list(row) for row in seq.tasks],
+        "tasks": seq.tasks.tolist(),
     }
     if seq.pst is not None:
         payload["pst"] = [
@@ -262,7 +266,7 @@ def to_json_dict(seq: TaskSequence) -> dict:
             for block in seq.pst
         ]
     if seq.lv is not None:
-        payload["lv"] = {"next_request": [list(row) for row in seq.lv]}
+        payload["lv"] = {"next_request": seq.lv.tolist()}
     return payload
 
 
@@ -278,27 +282,28 @@ def _check_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
-def _int_rows(rows, n: int, what: str, minimum: int) -> list:
-    """Copies of the rows of an n-column integer table, every entry >= minimum.
+def _int_rows(rows, n: int, what: str, minimum: int) -> np.ndarray:
+    """The (len(rows), n) array of an integer table, every entry >= minimum.
 
     A well-formed table passes one type scan and one int64 conversion. Any
     other table goes through the per-entry checks, which name the first bad
-    entry.
+    entry; if it passes them, an entry is past int64 and the array holds
+    Python ints.
     """
     if all(isinstance(row, list) and len(row) == n for row in rows) and \
             {type(v) for row in rows for v in row} <= {int}:
         try:
-            if np.array(rows, dtype=np.int64).min(initial=minimum) >= minimum:
-                return [list(row) for row in rows]
+            table = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+            if table.min(initial=minimum) >= minimum:
+                return table
         except OverflowError:
             pass  # an entry past int64: the per-entry checks accept or name it
-    checked = []
     for t, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             _fail(f"{what}[{t}] must be a list of {n} entries")
-        checked.append([_check_int(v, f"{what}[{t}][{s}]", minimum=minimum)
-                        for s, v in enumerate(row)])
-    return checked
+        for s, v in enumerate(row):
+            _check_int(v, f"{what}[{t}][{s}]", minimum=minimum)
+    return np.array(rows, dtype=object).reshape(len(rows), n)
 
 
 def from_json_dict(payload) -> TaskSequence:
@@ -314,7 +319,9 @@ def from_json_dict(payload) -> TaskSequence:
     if not isinstance(tasks_raw, list):
         _fail("tasks must be a list of per-step unit vectors")
     tasks = _int_rows(tasks_raw, n, "tasks", minimum=0)
-    units = sum(map(sum, tasks))
+    # Exact: the int64 sum runs only where no partial sum can reach 2**63.
+    units = (int(tasks.sum()) if int(tasks.max(initial=0)) * tasks.size < 1 << 63
+             else sum(tasks.ravel().tolist()))
     if units + len(tasks) * granularity >= UNIT_LIMIT:
         _fail(f"task units plus granularity per step must stay below 2**60, got "
               f"{units} + {len(tasks)} * {granularity}")
@@ -354,6 +361,8 @@ def from_json_dict(payload) -> TaskSequence:
         if not isinstance(rows_raw, list) or len(rows_raw) != len(tasks):
             _fail("lv.next_request must have one row per step")
         lv = _int_rows(rows_raw, n, "lv.next_request", minimum=-1)
+        if lv.dtype != np.int64:
+            _fail("lv.next_request entries must be below 2**63")
 
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 

@@ -122,22 +122,9 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         phases = decompose_phases(seq, include_trailing=True)
     phases, suffix_start = phases
     pst_by_start = {block.phase_start: block.h for block in seq.pst or ()}
+    latest_lv = _latest_next_request(seq)
 
     schedule = np.zeros(total_steps, dtype=np.int64)
-
-    latest_lv = [0] * n
-    lv_done = -1
-
-    def advance_lv(upto: int) -> None:
-        nonlocal lv_done
-        if seq.lv is None:
-            return
-        while lv_done < upto:
-            lv_done += 1
-            row = seq.lv[lv_done]
-            for s in range(n):
-                if row[s] != 0:
-                    latest_lv[s] = row[s]
 
     def check_target(target, allowed) -> int:
         if not isinstance(target, (int, np.integer)) or not 0 <= target < n:
@@ -195,8 +182,7 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
             unsat = [s for s in range(n) if phase.sat_step[s] > tau]
             if not unsat or not sched.conforming:
                 break
-            advance_lv(tau)
-            target = sched.on_saturation(cur, unsat, tau, h, latest_lv)
+            target = sched.on_saturation(cur, unsat, tau, h, latest_lv[tau])
             target = check_target(target, set(unsat))
             open_segment_move(target, tau + 1)
             transitions += 1
@@ -221,10 +207,20 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         schedule[seg_entry:] = cur
     result.schedule = schedule.tolist()
 
-    per_step = [row[s] for row, s in zip(seq.tasks, result.schedule)]
+    per_step = seq.tasks[np.arange(total_steps), schedule].tolist()
     for stats in result.all_phases:
         stats.processing_units = sum(per_step[stats.start : stats.end + 1])
     return result
+
+
+def _latest_next_request(seq: TaskSequence) -> np.ndarray:
+    """Row tau: per state, the last nonzero ``lv`` entry at or before step tau, else 0."""
+    if seq.lv is None:
+        return np.broadcast_to(np.zeros(seq.n, dtype=np.int64), seq.tasks.shape)
+    # The step of that entry; a state with none points at row 0, where it is 0.
+    issued = np.where(seq.lv != 0, np.arange(len(seq))[:, None], 0)
+    np.maximum.accumulate(issued, axis=0, out=issued)
+    return np.take_along_axis(seq.lv, issued, axis=0)
 
 
 def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) -> dict:
@@ -272,11 +268,10 @@ def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) ->
             "processing_units": result.suffix.processing_units,
         }
     if include_opt:
-        arr = seq.task_array()
         for row, phase_opt in zip(report["phases"],
-                                  phase_opt_units(arr, seq.granularity, result.phases)):
+                                  phase_opt_units(seq.tasks, seq.granularity, result.phases)):
             row["opt_units"] = phase_opt
-        opt_total = opt_units(arr, seq.granularity, start_state=0)
+        opt_total = opt_units(seq.tasks, seq.granularity, start_state=0)
         report["opt_units"] = opt_total
         report["cost_ratio"] = round_ratio_half_up(result.total_units, opt_total)
     return report

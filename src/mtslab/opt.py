@@ -11,7 +11,7 @@ from the best state at t-1 at one move of ``granularity`` units::
 many phases at once, one row of a block per phase. ``opt_schedule`` keeps
 the forward table and backtracks one witness schedule, preferring to stay
 and breaking remaining ties toward the lowest state index, so witnesses
-are deterministic. This is plain numpy whichever kernel backend is active.
+are deterministic.
 """
 
 from __future__ import annotations

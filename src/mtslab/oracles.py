@@ -19,6 +19,7 @@ from .rng import RandomStream, trial_seed
 
 __all__ = [
     "decompose_phases_restart",
+    "latest_next_request_scalar",
     "max_footrule_bruteforce",
     "opt_bruteforce",
     "opt_units_scalar",
@@ -33,13 +34,12 @@ def decompose_phases_restart(seq: TaskSequence):
     Costs O(phases * steps * n); ``core.decompose_phases`` computes the same
     split from one cumulative sum.
     """
-    arr = seq.task_array()
-    total, n = arr.shape
+    total, n = seq.tasks.shape
     threshold = seq.granularity
     phases: list[Phase] = []
     start = 0
     while start < total:
-        cum = np.cumsum(arr[start:], axis=0)
+        cum = np.cumsum(seq.tasks[start:], axis=0)
         if int(cum[-1].min()) < threshold:
             break
         sat = tuple(
@@ -53,6 +53,19 @@ def decompose_phases_restart(seq: TaskSequence):
         )
         start = end + 1
     return phases, start
+
+
+def latest_next_request_scalar(lv, t: int) -> list:
+    """Per state, the last nonzero entry of ``lv`` rows 0..t, or 0 if none.
+
+    Replays a list-of-lists table row by row; the engine forward-fills it.
+    """
+    latest = [0] * len(lv[0])
+    for row in lv[: t + 1]:
+        for s, value in enumerate(row):
+            if value != 0:
+                latest[s] = value
+    return latest
 
 
 def max_footrule_bruteforce(m: int) -> int:

@@ -18,7 +18,7 @@ from .analysis import (
     max_forcible_transitions,
     robustness_threshold,
 )
-from .core import TaskSequence, decompose_phases, lv_loss, pst_error_per_phase, schedule_cost
+from .core import TaskSequence, decompose_phases, lv_loss, schedule_cost
 from .engine import RunResult, run_scheduler
 from .errors import ConfigurationError
 from .opt import opt_units
@@ -77,8 +77,8 @@ def verify_sequence(seq: TaskSequence, scheduler: str | Scheduler | None = None,
         if suffix_steps:
             starts.add(suffix_start)
         stray = [b.phase_start for b in seq.pst if b.phase_start not in starts]
-        covered = {b.phase_start for b in seq.pst}
-        missing = [p.start for p in phases if p.start not in covered]
+        by_start = {b.phase_start: b.h for b in seq.pst}
+        missing = [p.start for p in phases if p.start not in by_start]
         result.add(
             "pst-alignment",
             not stray and not missing,
@@ -87,7 +87,7 @@ def verify_sequence(seq: TaskSequence, scheduler: str | Scheduler | None = None,
             if not stray and not missing
             else f"stray block starts {stray}, uncovered phase starts {missing}",
         )
-        errors = pst_error_per_phase(seq)
+        errors = [p.pst_error(by_start.get(p.start)) for p in phases]
         known = [e for e in errors if e is not None]
         if eta0 is not None:
             over = [

@@ -1,5 +1,6 @@
 """Input generators: geometry, error budgets, steering guarantees."""
 
+import numpy as np
 import pytest
 
 from mtslab.adversaries import (
@@ -82,13 +83,13 @@ def test_shuffled_tail_respects_budget_and_geometry():
         assert err <= max_footrule(3)
     # Distinct seeds shuffle differently somewhere in five phases.
     other = shuffled_tail_sequence(6, 6, 3, 5, seed=3)
-    assert seq.tasks != other.tasks
+    assert not np.array_equal(seq.tasks, other.tasks)
 
 
 def test_shuffled_tail_is_deterministic_per_seed():
     a = shuffled_tail_sequence(5, 7, 4, 3, seed=11)
     b = shuffled_tail_sequence(5, 7, 4, 3, seed=11)
-    assert a.tasks == b.tasks and a.pst == b.pst
+    assert np.array_equal(a.tasks, b.tasks) and a.pst == b.pst
 
 
 FORCING_EXPECTATIONS = [
@@ -157,7 +158,7 @@ def test_random_unit_sequence_is_trim_and_truthful():
 def test_noisy_pst_respects_budget_and_distinctness():
     base = random_unit_sequence(4, 5, 4, seed=6)
     noisy = noisy_pst(base, 5, seed=3)
-    assert noisy.tasks == base.tasks
+    assert np.array_equal(noisy.tasks, base.tasks)
     errors = pst_error_per_phase(noisy)
     assert len(errors) == 4
     for block, err in zip(noisy.pst, errors):

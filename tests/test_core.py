@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -193,6 +194,38 @@ def test_to_json_dict_shape():
     assert payload == {"version": 1, "n": 1, "granularity": 1, "tasks": [[1]]}
 
 
+def test_unit_total_is_exact_past_int64():
+    # 2**63 does not fit int64, and four entries of 2**62 wrap an int64
+    # sum to 0: both must still meet the unit limit, with exact totals.
+    for tasks, units in (([[2**63, 0]], 2**63), ([[2**62, 2**62]] * 2, 2**64)):
+        payload = {"version": 1, "n": 2, "granularity": 1, "tasks": tasks}
+        with pytest.raises(MalformedInputError, match=f"got {units} \\+ "):
+            from_json_dict(payload)
+
+
+def test_next_requests_past_int64_are_malformed():
+    payload = {"version": 1, "n": 2, "granularity": 1, "tasks": [[1, 1]],
+               "lv": {"next_request": [[0, 2**63]]}}
+    with pytest.raises(MalformedInputError, match="below 2\\*\\*63"):
+        from_json_dict(payload)
+
+
+def test_tables_are_int64_arrays_converted_once():
+    seq = TaskSequence(n=2, granularity=1, tasks=[[1, 0], [0, 1]], lv=[[2, 0], [0, -1]])
+    for table in (seq.tasks, seq.lv):
+        assert table.dtype == np.int64 and table.shape == (2, 2)
+        assert table.flags.c_contiguous
+    kept = TaskSequence(n=2, granularity=1, tasks=seq.tasks, lv=seq.lv)
+    assert np.shares_memory(kept.tasks, seq.tasks) and np.shares_memory(kept.lv, seq.lv)
+    assert TaskSequence(n=3, granularity=1, tasks=[]).tasks.shape == (0, 3)
+    with pytest.raises(TypeError):
+        TaskSequence(n=1, granularity=1, tasks=[[1.5]])
+    loaded = from_json_dict(to_json_dict(seq))
+    assert loaded.tasks.dtype == np.int64 and loaded.lv.tolist() == [[2, 0], [0, -1]]
+    assert loaded == seq and kept == seq
+    assert loaded != TaskSequence(n=2, granularity=1, tasks=seq.tasks)
+
+
 def _int_rows_per_entry(rows, n, what, minimum):
     """The per-entry table check, without the one-pass fast path."""
     checked = []
@@ -206,9 +239,10 @@ def _int_rows_per_entry(rows, n, what, minimum):
 
 def _outcome(check, rows, n, what, minimum):
     try:
-        return check(rows, n, what, minimum)
+        table = check(rows, n, what, minimum)
     except MalformedInputError as exc:
         return str(exc)
+    return table.tolist() if isinstance(table, np.ndarray) else table
 
 
 _GOOD = st.integers(0, 5)

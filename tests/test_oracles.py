@@ -14,11 +14,12 @@ from mtslab.opt import opt_schedule, opt_units, phase_opt_units
 from mtslab.oracles import (
     decompose_phases_restart,
     expected_walk_visits_bruteforce,
+    latest_next_request_scalar,
     max_footrule_bruteforce,
     opt_bruteforce,
     opt_units_scalar,
 )
-from mtslab.schedulers import LowestIndex
+from mtslab.schedulers import LowestIndex, NextRequestGreedy
 
 
 @pytest.mark.parametrize("m", range(0, 8))
@@ -123,7 +124,7 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
     # closes the suffix in the oracle: states that saturate inside the
     # suffix keep their steps and the rest land on the input length.
     n, g = seq.n, seq.granularity
-    topped = TaskSequence(n=n, granularity=g, tasks=seq.tasks[suffix_start:] + [[g] * n])
+    topped = TaskSequence(n=n, granularity=g, tasks=seq.tasks[suffix_start:].tolist() + [[g] * n])
     closed, _ = decompose_phases_restart(topped)
     truth = [suffix_start + t for t in closed[0].sat_step]
     trailing = walk[-1]
@@ -139,6 +140,49 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
     # It stops only on a state that never saturates inside the input.
     final = trailing_calls[-1][3] if trailing_calls else run.schedule[suffix_start]
     assert truth[final] == len(seq)
+
+
+class _RecordingGreedy(NextRequestGreedy):
+    """lv-greedy that records the next-request row of every forced move."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def on_saturation(self, current, unsaturated, now, h, latest_lv):
+        self.rows.append((now, [int(v) for v in latest_lv]))
+        return super().on_saturation(current, unsaturated, now, h, latest_lv)
+
+
+@st.composite
+def lv_sequences(draw):
+    n = draw(st.integers(1, 4))
+    granularity = draw(st.integers(1, 3))
+    steps = draw(st.integers(1, 16))
+    # Entries up to the threshold saturate states from step 0 on, and an
+    # input cut anywhere usually ends inside a trailing phase.
+    tasks = draw(st.lists(st.lists(st.integers(0, granularity), min_size=n, max_size=n),
+                          min_size=steps, max_size=steps))
+    # Mostly no prediction, often "never", and steps that repeat across
+    # rows and states.
+    entry = st.one_of(st.just(0), st.just(-1), st.integers(1, 4), st.integers(0, steps + 2))
+    lv = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                       min_size=steps, max_size=steps))
+    return TaskSequence(n=n, granularity=granularity, tasks=tasks, lv=lv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lv_sequences())
+@example(TaskSequence(n=2, granularity=1, tasks=[[1, 0], [0, 1], [0, 1]],
+                      lv=[[-1, 3], [0, 0], [2, 0]]))
+@example(TaskSequence(n=3, granularity=2, tasks=[[2, 1, 0], [0, 1, 1], [0, 2, 2], [0, 0, 2]],
+                      lv=[[0, -1, 0], [5, 0, -1], [0, 0, 0], [-1, 3, 3]]))
+def test_forward_filled_next_requests_match_replay_oracle(seq):
+    sched = _RecordingGreedy()
+    run_scheduler(seq, sched)
+    lv = seq.lv.tolist()
+    for now, row in sched.rows:
+        assert row == latest_next_request_scalar(lv, now)
 
 
 def _span(start, end):
