@@ -20,6 +20,7 @@ from mtslab.analysis import max_footrule
 from mtslab.core import decompose_phases, lv_loss, pst_error_per_phase
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
+from mtslab.schedulers import SCHEDULERS
 
 
 def test_realize_order_frozen_example():
@@ -209,3 +210,53 @@ def test_build_family_reports_geometry():
     seq, info = build_family(
         "force-det", n=4, eta0=4, phases=2, scheduler="lps")
     assert info == {"family": "force-det", "m": 3}
+
+
+def _as_ints(values):
+    return None if values is None else tuple(int(v) for v in values)
+
+
+def _logged(cls):
+    """``cls`` with every hook call and its answer appended to ``self.log``."""
+
+    class Logged(cls):
+        def reset(self, n, granularity, stream):
+            super().reset(n, granularity, stream)
+            self.log = []
+
+        def phase_start(self, current, h):
+            answer = super().phase_start(current, h)
+            self.log.append(("open", current, _as_ints(h), answer))
+            return answer
+
+        def on_saturation(self, current, unsaturated, now, h, latest_lv):
+            target = super().on_saturation(current, unsaturated, now, h, latest_lv)
+            entry = ("forced", now, current, tuple(unsaturated), _as_ints(h), target)
+            # forcing_sequence hands every scheduler a table of now + 1, but
+            # writes it into the file only for the schedulers that read it.
+            if self.needs_lv:
+                entry += (_as_ints(latest_lv),)
+            self.log.append(entry)
+            return target
+
+    return Logged
+
+
+_FORCE_DET = [name for name, cls in SCHEDULERS.items() if cls.conforming]
+_LV = [name for name in _FORCE_DET if not SCHEDULERS[name].needs_pst]
+
+
+@pytest.mark.parametrize("family,name", [("force-det", name) for name in _FORCE_DET]
+                         + [("lv", name) for name in _LV])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_replay_matches_generation_move_for_move(family, name, n):
+    for seed in range(4):
+        live = _logged(SCHEDULERS[name])()
+        if family == "force-det":
+            seq = forcing_sequence(n, n, 6, 3, live, seed=seed)
+        else:
+            seq = repeat_block_sequence(n, 3, live, seed=seed)
+        replay = _logged(SCHEDULERS[name])()
+        run_scheduler(seq, replay, seed=seed)
+        assert any(entry[0] == "forced" for entry in live.log)
+        assert replay.log == live.log, (family, name, n, seed)
