@@ -3,9 +3,9 @@
 Four families of task sequences, plus helpers for fabricating prediction
 tables. Two families are closed-form streams written out directly; the
 other two are interactive: they drive a live scheduler instance through
-the exact protocol the engine uses and record a stream tailored to the
-observed behavior, so replaying the file through the engine (same
-scheduler, same seed) reproduces the interaction.
+the engine's protocol (one ``schedulers.Walk``) and record a stream
+tailored to the observed behavior, so replaying the file through the
+engine (same scheduler, same seed) reproduces the interaction.
 
 Shared geometry: a phase realizes a saturation order, one state per step.
 Prediction blocks assign each state a predicted saturation step; the
@@ -24,9 +24,9 @@ import numpy as np
 
 from .analysis import max_forcible_transitions
 from .core import PhasePrediction, TaskSequence, decompose_phases
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 from .rng import RandomStream, trial_seed
-from .schedulers import Scheduler, make_scheduler
+from .schedulers import Scheduler, Walk
 
 __all__ = [
     "realize_saturation_order",
@@ -152,8 +152,9 @@ def _check_family_geometry(n: int, granularity: int, eta0: int, phases: int) -> 
 
 
 def _live_scheduler(scheduler: str | Scheduler, n: int, granularity: int,
-                    seed: int, allow_pst: bool = True) -> Scheduler:
-    sched = scheduler if isinstance(scheduler, Scheduler) else make_scheduler(scheduler)
+                    seed: int, allow_pst: bool = True) -> Walk:
+    walk = Walk(scheduler, n, granularity, seed=seed)
+    sched = walk.scheduler
     if not sched.conforming:
         raise ConfigurationError(
             f"scheduler {sched.name!r} is not conforming and cannot be steered"
@@ -163,18 +164,7 @@ def _live_scheduler(scheduler: str | Scheduler, n: int, granularity: int,
             f"scheduler {sched.name!r} needs saturation predictions, which this "
             f"family does not produce"
         )
-    stream = RandomStream(trial_seed(seed, 0)) if sched.uses_rng else None
-    sched.reset(n, granularity, stream)
-    return sched
-
-
-def _apply_phase_start(sched: Scheduler, cur: int, h) -> int:
-    target, _ = sched.phase_start(cur, h)
-    if target is None:
-        return cur
-    if not 0 <= target < sched.n:
-        raise ProtocolError(f"scheduler {sched.name!r} chose invalid state {target!r}")
-    return target
+    return walk
 
 
 def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
@@ -204,41 +194,33 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
     if eta0 < 0:
         raise ConfigurationError("eta0 must be >= 0")
     m = _clamped_m(n, eta0)
-    sched = _live_scheduler(scheduler, n, granularity, seed)
+    walk = _live_scheduler(scheduler, n, granularity, seed)
 
     tasks: list = []
     pst: list = []
-    lv_rows: list = [] if sched.needs_lv else None
-    cur = 0
+    lv_rows: list = [] if walk.scheduler.needs_lv else None
     for _ in range(phases):
         offset = len(tasks)
-        pred_state = [cur] + [s for s in range(n) if s != cur]
+        pred_state = [walk.state] + [s for s in range(n) if s != walk.state]
         block = _prediction_block(offset, pred_state)
         pst.append(block)
 
-        cur = _apply_phase_start(sched, cur, block.h)
+        walk.open(offset, block.h)
         unsat = set(range(n))
         for pos in range(n):
             now = offset + pos
             if pos < n - m:
                 victim = next(s for s in pred_state if s in unsat)
             else:
-                victim = cur
+                victim = walk.state
             row = [0] * n
             row[victim] = granularity
             tasks.append(row)
             if lv_rows is not None:
                 lv_rows.append([now + 1] * n)
             unsat.discard(victim)
-            if victim == cur and unsat:
-                choices = sorted(unsat)
-                latest = [now + 1] * n
-                target = sched.on_saturation(cur, choices, now, block.h, latest)
-                if target not in unsat:
-                    raise ProtocolError(
-                        f"scheduler {sched.name!r} moved into a saturated state"
-                    )
-                cur = target
+            if victim == walk.state and unsat:
+                walk.forced(now, sorted(unsat), block.h, [now + 1] * n)
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv_rows)
 
 
@@ -275,18 +257,17 @@ def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
         raise ConfigurationError("repeat must be >= n + 1 so sweeps never saturate")
     if phases < 1:
         raise ConfigurationError("phases must be >= 1")
-    sched = _live_scheduler(scheduler, n, repeat, seed, allow_pst=False)
+    walk = _live_scheduler(scheduler, n, repeat, seed, allow_pst=False)
 
     tasks: list = []
     lv_rows: list = []
-    cur = 0
     for phase_index in range(phases):
         last_phase = phase_index == phases - 1
-        cur = _apply_phase_start(sched, cur, None)
+        walk.open(len(tasks), None)
         saturated: set = set()
         latest = _LatestTable(n, lv_rows)
         for q in range(1, n + 1):
-            sigma = cur
+            sigma = walk.state
             sweep_start = len(tasks)
             block_start = sweep_start + n
             next_sweep_start = block_start + (repeat - q)
@@ -315,14 +296,8 @@ def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
                 latest.emit(sigma, prediction)
             saturated.add(sigma)
             if q < n:
-                choices = sorted(s for s in range(n) if s not in saturated)
-                now = next_sweep_start - 1
-                target = sched.on_saturation(cur, choices, now, None, latest.values)
-                if target not in choices:
-                    raise ProtocolError(
-                        f"scheduler {sched.name!r} moved into a saturated state"
-                    )
-                cur = target
+                choices = [s for s in range(n) if s not in saturated]
+                walk.forced(next_sweep_start - 1, choices, None, latest.values)
     return TaskSequence(n=n, granularity=repeat, tasks=tasks, pst=None, lv=lv_rows)
 
 

@@ -278,6 +278,9 @@ def _load_sweep_config(path: str) -> dict:
                 f"no batched kernel for algorithm {algorithm!r}; "
                 f"choose from {', '.join(POLICY_CODES)}"
             )
+    repeated = sorted({a for a in config["algorithms"] if config["algorithms"].count(a) > 1})
+    if repeated:
+        raise ConfigurationError(f"sweep config lists algorithms more than once: {repeated}")
     if config["phases"] < 1 or config["trials"] < 1:
         raise ConfigurationError("phases and trials must be >= 1")
     if config["granularity"] < max(config["n"]):

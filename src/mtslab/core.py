@@ -310,7 +310,8 @@ def from_json_dict(payload) -> TaskSequence:
     if not isinstance(payload, dict):
         _fail("top-level JSON value must be an object")
     version = payload.get("version")
-    if version != SCHEMA_VERSION:
+    # Compared as an int that is not a bool: True == 1 and 1.0 == 1 in Python.
+    if type(version) is not int or version != SCHEMA_VERSION:
         _fail(f"unsupported version {version!r}, expected {SCHEMA_VERSION}")
     n = _check_int(payload.get("n"), "n", minimum=1)
     granularity = _check_int(payload.get("granularity"), "granularity", minimum=1)

@@ -1,11 +1,11 @@
 """Reference simulator.
 
-Drives one scheduler over one task sequence, phase by phase, enforcing the
-movement protocol and producing exact integer accounting. This is the
-slow, obviously-correct counterpart to the batched kernels: it walks real
-task streams step-indexed, materializes the full schedule (the state
-occupied at every step), and recomputes costs from that schedule so the
-numbers can be audited independently.
+Drives one scheduler over one task sequence, phase by phase, through the
+movement protocol of ``schedulers.Walk``, with exact integer accounting.
+This is the slow, obviously-correct counterpart to the batched kernels: it
+walks real task streams step-indexed, materializes the full schedule (the
+state occupied at every step), and recomputes costs from that schedule so
+the numbers can be audited independently.
 
 Runs always open in state 0. Randomized schedulers draw from the stream
 seeded with trial_seed(seed, trial_index), the same derivation the batched
@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TaskSequence, decompose_phases
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError
 from .opt import opt_units, phase_opt_units
-from .rng import RandomStream, trial_seed
-from .schedulers import Scheduler, make_scheduler
+from .schedulers import Walk
 
 __all__ = ["PhaseStats", "RunResult", "run_scheduler", "summarize"]
 
@@ -91,12 +90,6 @@ class RunResult:
         return sum(p.cost_units for p in self.all_phases)
 
 
-def _resolve(scheduler) -> Scheduler:
-    if isinstance(scheduler, Scheduler):
-        return scheduler
-    return make_scheduler(scheduler)
-
-
 def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int = 0,
                   phases=None) -> RunResult:
     """Simulate one scheduler over one sequence; exact integer accounting.
@@ -105,35 +98,22 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
     include_trailing=True)``; callers that run many trials over one
     sequence decompose it once and pass the result to each.
     """
-    sched = _resolve(scheduler)
     n = seq.n
     threshold = seq.granularity
     total_steps = len(seq.tasks)
+    walk = Walk(scheduler, n, threshold, seed=seed, trial_index=trial_index)
+    sched = walk.scheduler
 
     if sched.needs_lv and seq.lv is None:
         raise ConfigurationError(
             f"scheduler {sched.name!r} needs next-request predictions and the input has none"
         )
 
-    stream = RandomStream(trial_seed(seed, trial_index)) if sched.uses_rng else None
-    sched.reset(n, threshold, stream)
-
     if phases is None:
         phases = decompose_phases(seq, include_trailing=True)
     phases, suffix_start = phases
     pst_by_start = {block.phase_start: block.h for block in seq.pst or ()}
     latest_lv = _latest_next_request(seq)
-
-    schedule = np.zeros(total_steps, dtype=np.int64)
-
-    def check_target(target, allowed) -> int:
-        if not isinstance(target, (int, np.integer)) or not 0 <= target < n:
-            raise ProtocolError(f"scheduler {sched.name!r} chose invalid state {target!r}")
-        if allowed is not None and target not in allowed:
-            raise ProtocolError(
-                f"scheduler {sched.name!r} moved into a saturated state ({int(target)})"
-            )
-        return int(target)
 
     result = RunResult(
         scheduler=sched.name,
@@ -145,17 +125,6 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         conforming=sched.conforming,
     )
 
-    cur = 0
-    seg_entry = 0
-
-    def open_segment_move(target: int, boundary: int) -> None:
-        # The move takes effect before step `boundary` is processed.
-        nonlocal cur, seg_entry
-        if boundary > seg_entry:
-            schedule[seg_entry:boundary] = cur
-        cur = target
-        seg_entry = boundary
-
     for phase in phases:
         h = pst_by_start.get(phase.start)
         if sched.needs_pst and h is None:
@@ -163,30 +132,16 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
                 f"scheduler {sched.name!r} needs a prediction block for the phase "
                 f"starting at step {phase.start} and the input has none"
             )
-        transitions = 0
-        moves = 0
-        target, count_even_if_stay = sched.phase_start(cur, h)
-        if target is not None:
-            target = check_target(target, None)
-            if target != cur:
-                open_segment_move(target, phase.start)
-                transitions += 1
-                moves += 1
-            elif count_even_if_stay:
-                transitions += 1
-        elif count_even_if_stay:
-            transitions += 1
-
-        while True:
-            tau = phase.sat_step[cur]
+        moved = len(walk.moves)
+        transitions = walk.open(phase.start, h)
+        while sched.conforming:
+            tau = phase.sat_step[walk.state]
             unsat = [s for s in range(n) if phase.sat_step[s] > tau]
-            if not unsat or not sched.conforming:
+            if not unsat:
                 break
-            target = sched.on_saturation(cur, unsat, tau, h, latest_lv[tau])
-            target = check_target(target, set(unsat))
-            open_segment_move(target, tau + 1)
+            walk.forced(tau, unsat, h, latest_lv[tau])
             transitions += 1
-            moves += 1
+        moves = len(walk.moves) - moved
 
         stats = PhaseStats(
             index=phase.index,
@@ -203,8 +158,9 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         else:
             result.suffix = stats
 
-    if total_steps > seg_entry:
-        schedule[seg_entry:] = cur
+    # Segment i runs from its entry step to the next one, in states[i].
+    entries, states = zip((0, 0), *walk.moves)
+    schedule = np.repeat(states, np.diff(entries, append=total_steps))
     result.schedule = schedule.tolist()
 
     per_step = seq.tasks[np.arange(total_steps), schedule].tolist()

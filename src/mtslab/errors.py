@@ -29,8 +29,8 @@ class MalformedInputError(MTSLabError):
 class ProtocolError(MTSLabError):
     """A scheduler violated the movement rules it declared.
 
-    Raised when a conforming scheduler tries to enter a saturated state or
-    returns a target outside the state range.
+    Raised, by ``schedulers.Walk`` only, when a conforming scheduler tries
+    to enter a saturated state or returns a target that is not a state.
     """
 
 

@@ -4,8 +4,10 @@ A scheduler occupies one state at a time, pays each step's task entry at
 its current state, and pays one full cost unit (granularity units) per
 state change. Conforming schedulers move only under two circumstances:
 optionally once when a phase opens, and forcedly when their current state
-saturates, in which case they must pick a still-unsaturated state. The
-engine enforces this protocol; schedulers only pick targets.
+saturates, in which case they must pick a still-unsaturated state.
+Schedulers only pick targets; ``Walk`` is the one place that seeds them,
+applies their answers and enforces this protocol, for the engine and for
+the interactive input generators alike.
 
 Transition counting convention: a real state change always counts. The
 uniform-restart scheduler additionally counts its phase-opening draw even
@@ -20,12 +22,15 @@ batched kernels draw for draw.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .analysis import robustness_threshold
-from .errors import ConfigurationError
-from .rng import RandomStream
+from .errors import ConfigurationError, ProtocolError
+from .rng import RandomStream, trial_seed
 
 __all__ = [
     "Scheduler",
+    "Walk",
     "StayPut",
     "UniformRestart",
     "LatestPredictedSaturation",
@@ -78,6 +83,52 @@ class Scheduler:
         for state s (0 when none was ever issued, -1 for "never again").
         """
         raise NotImplementedError
+
+
+class Walk:
+    """One scheduler steered through the movement protocol from state 0.
+
+    ``scheduler`` is a registered name or an instance; a randomized one
+    draws from the stream seeded with trial_seed(seed, trial_index).
+    ``moves`` logs every move as (effective step, target): the target is
+    occupied from that step on.
+    """
+
+    def __init__(self, scheduler, n: int, granularity: int, seed: int = 0,
+                 trial_index: int = 0) -> None:
+        sched = scheduler if isinstance(scheduler, Scheduler) else make_scheduler(scheduler)
+        stream = RandomStream(trial_seed(seed, trial_index)) if sched.uses_rng else None
+        sched.reset(n, granularity, stream)
+        self.scheduler = sched
+        self.n = n
+        self.state = 0
+        self.moves: list = []
+
+    def open(self, step: int, h) -> int:
+        """Apply the phase-opening move before ``step``; return the transitions charged."""
+        target, count_even_if_stay = self.scheduler.phase_start(self.state, h)
+        moved = target is not None and self._move(step, target, None)
+        return 1 if moved or count_even_if_stay else 0
+
+    def forced(self, step: int, candidates, h, latest_lv) -> None:
+        """Move off the state that saturated at ``step`` to one of ``candidates``."""
+        target = self.scheduler.on_saturation(self.state, candidates, step, h, latest_lv)
+        self._move(step + 1, target, candidates)
+
+    def _move(self, step: int, target, candidates) -> bool:
+        """Occupy a valid ``target`` from ``step`` on; False if already there."""
+        name = self.scheduler.name
+        if not isinstance(target, (int, np.integer)) or not 0 <= target < self.n:
+            raise ProtocolError(f"scheduler {name!r} chose invalid state {target!r}")
+        if candidates is not None and target not in candidates:
+            raise ProtocolError(
+                f"scheduler {name!r} moved into a saturated state ({int(target)})"
+            )
+        if target == self.state:
+            return False
+        self.state = int(target)
+        self.moves.append((step, self.state))
+        return True
 
 
 class StayPut(Scheduler):

@@ -19,7 +19,7 @@ from .analysis import (
     robustness_threshold,
 )
 from .core import TaskSequence, decompose_phases, lv_loss, schedule_cost
-from .engine import RunResult, run_scheduler
+from .engine import run_scheduler
 from .errors import ConfigurationError
 from .opt import opt_units
 from .oracles import max_footrule_bruteforce, opt_bruteforce
@@ -59,11 +59,24 @@ def verify_sequence(seq: TaskSequence, scheduler: str | Scheduler | None = None,
                     seed: int = 0, trial_index: int = 0, eta0: int | None = None,
                     expect_transitions: int | None = None,
                     expect_min_transitions: int | None = None,
-                    expect_lv_loss: int | None = None,
-                    include_opt: bool = True) -> VerifyResult:
+                    expect_lv_loss: int | None = None) -> VerifyResult:
     """Run every applicable check; attach a scheduler run when one is named."""
     result = VerifyResult()
-    phases, suffix_start = decompose_phases(seq)
+    decomposed = decompose_phases(seq, include_trailing=True)
+    _check_sequence(result, seq, decomposed, eta0=eta0, expect_lv_loss=expect_lv_loss)
+    if scheduler is not None:
+        _check_run(result, seq, decomposed, scheduler, _offline_sandwich(seq, decomposed),
+                   seed=seed, trial_index=trial_index,
+                   expect_transitions=expect_transitions,
+                   expect_min_transitions=expect_min_transitions)
+    return result
+
+
+def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed, *,
+                    eta0: int | None = None, expect_lv_loss: int | None = None) -> None:
+    """The checks that read the input alone, not a run over it."""
+    found, suffix_start = decomposed
+    phases = [p for p in found if p.complete]
     suffix_steps = len(seq) - suffix_start
     result.add(
         "phase-structure",
@@ -115,21 +128,32 @@ def verify_sequence(seq: TaskSequence, scheduler: str | Scheduler | None = None,
         else:
             result.add("next-request-loss", True, f"total loss {loss}")
 
-    if scheduler is None:
-        return result
 
-    run = run_scheduler(seq, scheduler, seed=seed, trial_index=trial_index)
-    _check_run(result, seq, run, phases,
-               expect_transitions=expect_transitions,
-               expect_min_transitions=expect_min_transitions,
-               include_opt=include_opt)
-    return result
+def _offline_sandwich(seq: TaskSequence, decomposed) -> CheckResult | None:
+    """The offline optimum over the complete phases against its k*g..2k*g band."""
+    phases = [p for p in decomposed[0] if p.complete]
+    if not phases:
+        return None
+    opt = opt_units(seq.tasks[: phases[-1].end + 1], seq.granularity, start_state=0)
+    count = len(phases)
+    lo, hi = count * seq.granularity, 2 * count * seq.granularity
+    ok = lo <= opt <= hi
+    return CheckResult(
+        "offline-sandwich",
+        ok,
+        f"offline optimum {opt} within [{lo}, {hi}] over {count} complete phases"
+        if ok
+        else f"offline optimum {opt} outside [{lo}, {hi}]",
+    )
 
 
-def _check_run(result: VerifyResult, seq: TaskSequence, run: RunResult, phases, *,
-               expect_transitions: int | None,
-               expect_min_transitions: int | None,
-               include_opt: bool) -> None:
+def _check_run(result: VerifyResult, seq: TaskSequence, decomposed, scheduler,
+               sandwich: CheckResult | None, *, seed: int, trial_index: int = 0,
+               expect_transitions: int | None = None,
+               expect_min_transitions: int | None = None) -> None:
+    """Run ``scheduler`` and check the run; ``sandwich`` closes the list."""
+    run = run_scheduler(seq, scheduler, seed=seed, trial_index=trial_index,
+                        phases=decomposed)
     audit_total, audit_move, audit_proc = schedule_cost(
         seq.tasks, seq.granularity, run.schedule, start_state=0
     )
@@ -144,8 +168,7 @@ def _check_run(result: VerifyResult, seq: TaskSequence, run: RunResult, phases, 
         else f"audit ({audit_move}, {audit_proc}) != engine ({engine_move}, {engine_proc})",
     )
 
-    conforming = run.conforming
-    if conforming:
+    if run.conforming:
         gran = seq.granularity
         bad = []
         for p in run.phases:
@@ -189,20 +212,8 @@ def _check_run(result: VerifyResult, seq: TaskSequence, run: RunResult, phases, 
             else f"floor {expect_min_transitions} violated in {off}",
         )
 
-    if include_opt and phases:
-        prefix_end = phases[-1].end + 1
-        opt = opt_units(seq.tasks[:prefix_end], seq.granularity, start_state=0)
-        count = len(phases)
-        gran = seq.granularity
-        lo, hi = count * gran, 2 * count * gran
-        ok = lo <= opt <= hi
-        result.add(
-            "offline-sandwich",
-            ok,
-            f"offline optimum {opt} within [{lo}, {hi}] over {count} complete phases"
-            if ok
-            else f"offline optimum {opt} outside [{lo}, {hi}]",
-        )
+    if sandwich is not None:
+        result.checks.append(sandwich)
 
 
 # ---- self-contained property suites (command line `verify`) ----
@@ -324,16 +335,21 @@ def invariants_suite(inputs: int = 60, seed: int = 0, max_n: int = 8) -> VerifyR
         gran = 2 + stream.randbelow(9)
         phase_count = 1 + stream.randbelow(2)
         seq = random_unit_sequence(n, gran, phase_count, seed=trial_seed(seed, i))
+        # The input's own checks and its optimum are the same for every run.
+        decomposed = decompose_phases(seq, include_trailing=True)
+        shared = VerifyResult()
+        _check_sequence(shared, seq, decomposed)
+        sandwich = _offline_sandwich(seq, decomposed)
         for name in sorted(SCHEDULERS):
-            sub = verify_sequence(seq, name, seed=seed)
+            sub = VerifyResult(list(shared.checks))
+            _check_run(sub, seq, decomposed, name, sandwich, seed=seed)
             runs += 1
-            if not sub.passed:
-                for check in sub.checks:
-                    if not check.passed:
-                        failures.append(
-                            f"input {i} (n={n}, g={gran}, phases={phase_count}), "
-                            f"scheduler {name}: {check.name}: {check.detail}"
-                        )
+            for check in sub.checks:
+                if not check.passed:
+                    failures.append(
+                        f"input {i} (n={n}, g={gran}, phases={phase_count}), "
+                        f"scheduler {name}: {check.name}: {check.detail}"
+                    )
     result.add(
         "random-input-conformance",
         not failures,

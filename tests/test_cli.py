@@ -133,6 +133,12 @@ def test_simulate_malformed_input_exit_code(tmp_path, capsys):
     broken.write_text('{"version": 99}')
     rc = main(["simulate", "--input", str(broken), "--algorithm", "lps"])
     assert rc == 3
+    # true == 1 and 1.0 == 1 in Python; neither is schema version 1.
+    for version in ("true", "1.0"):
+        broken.write_text('{"version": %s, "n": 1, "granularity": 1, "tasks": [[1]]}'
+                          % version)
+        rc = main(["simulate", "--input", str(broken), "--algorithm", "lowest-index"])
+        assert rc == 3
     not_json = tmp_path / "not.json"
     not_json.write_text("not json at all")
     rc = main(["simulate", "--input", str(not_json), "--algorithm", "lps"])
@@ -344,12 +350,14 @@ def test_largest_unit_total_below_the_limit_is_accepted(tmp_path, capsys):
     {"algorithms": []},
     {"n": None},
     {"extra_key": 1},
+    {"algorithms": ["lps", "lps"]},
 ])
 def test_sweep_config_validation(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides)
     rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_without_kernel_for_an_algorithm_writes_nothing(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mtslab.adversaries import forcing_sequence, repeat_block_sequence
 from mtslab.analysis import robustness_threshold
 from mtslab.core import TaskSequence, PhasePrediction
 from mtslab.engine import run_scheduler
@@ -137,9 +138,36 @@ class _OutOfRange(LowestIndex):
         return self.n
 
 
+class _FloatTarget(LowestIndex):
+    name = "float-target"
+
+    def on_saturation(self, current, unsaturated, now, h, latest_lv):
+        return float(unsaturated[0])
+
+
+class _FloatOpening(LowestIndex):
+    name = "float-opening"
+
+    def phase_start(self, current, h):
+        return 1.0, False
+
+
 def test_engine_rejects_protocol_violations():
+    # The engine and both interactive generators steer a scheduler through
+    # the same protocol, so each violation is the same error everywhere.
     seq = TaskSequence(n=2, granularity=2, tasks=[[2, 1], [0, 1]])
-    with pytest.raises(ProtocolError):
-        run_scheduler(seq, _Defector())
-    with pytest.raises(ProtocolError):
-        run_scheduler(seq, _OutOfRange())
+    entry_points = [
+        lambda sched: run_scheduler(seq, sched),
+        lambda sched: forcing_sequence(2, 2, 4, 1, sched),
+        lambda sched: repeat_block_sequence(2, 1, sched),
+    ]
+    violations = [
+        (_Defector, r"moved into a saturated state \(0\)"),
+        (_OutOfRange, "chose invalid state 2$"),
+        (_FloatTarget, r"chose invalid state 1\.0"),
+        (_FloatOpening, r"chose invalid state 1\.0"),
+    ]
+    for run in entry_points:
+        for cls, message in violations:
+            with pytest.raises(ProtocolError, match=message):
+                run(cls())
