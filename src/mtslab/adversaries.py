@@ -10,10 +10,13 @@ engine (same scheduler, same seed) reproduces the interaction.
 Shared geometry: a phase realizes a saturation order, one state per step.
 Prediction blocks assign each state a predicted saturation step; the
 per-phase prediction error is the footrule distance between the predicted
-and the realized order. Cyclic relabeling pins the top predicted slot of
-each phase to (carryover + 1) mod n, where the carryover is the state any
-conforming scheduler necessarily occupies when the previous phase closes,
-so a prediction-following scheduler's phase-opening move is always real.
+and the realized order. The two tail families, reversal and rand-lb, are
+defined once, by ``tail_orders``: the file generators write out its trial
+0, and the batched kernel (kernels.py) walks every trial of it. Cyclic
+relabeling pins the top predicted state of each phase to
+(carryover + 1) mod n, where the carryover is the state any conforming
+scheduler necessarily occupies when the previous phase closes, so a
+prediction-following scheduler's phase-opening move is always real.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ import numpy as np
 from .analysis import max_forcible_transitions
 from .core import PhasePrediction, TaskSequence, decompose_phases
 from .errors import ConfigurationError
-from .rng import RandomStream, trial_seed
+from .rng import RandomStream, _randbelow, state_rows, trial_seed
 from .schedulers import Scheduler, Walk
 
 __all__ = [
     "realize_saturation_order",
-    "pinned_prediction_order",
     "reversal_sequence",
     "shuffled_tail_sequence",
+    "tail_orders",
     "forcing_sequence",
     "repeat_block_sequence",
     "random_unit_sequence",
@@ -63,13 +66,6 @@ def realize_saturation_order(n: int, granularity: int, order) -> list:
     return np.where(position == step, granularity - step, position > step).tolist()
 
 
-def pinned_prediction_order(n: int, carryover: int) -> list:
-    """Cyclic state order whose last (top predicted) slot avoids carryover."""
-    head = (carryover + 1) % n
-    delta = (head + 1) % n
-    return [(j + delta) % n for j in range(n)]
-
-
 def _prediction_block(offset: int, pred_state) -> PhasePrediction:
     h = [0] * len(pred_state)
     for j, state in enumerate(pred_state):
@@ -91,8 +87,7 @@ def reversal_sequence(n: int, granularity: int, eta0: int, phases: int) -> TaskS
     opening move plus m - 1 forced moves, every phase.
     """
     _check_family_geometry(n, granularity, eta0, phases)
-    return _permuted_tail_sequence(n, granularity, _clamped_m(n, eta0), phases,
-                                   lambda tail: tail[::-1])
+    return _tail_sequence("reversal", n, granularity, _clamped_m(n, eta0), phases, 0)
 
 
 def shuffled_tail_sequence(n: int, granularity: int, tail_size: int, phases: int,
@@ -108,35 +103,63 @@ def shuffled_tail_sequence(n: int, granularity: int, tail_size: int, phases: int
     if tail_size < 1:
         raise ConfigurationError("tail size must be >= 1")
     _check_family_geometry(n, granularity, 0, phases)
-    stream = RandomStream(trial_seed(seed, 0))
-
-    def shuffle(tail: list) -> list:
-        for i in range(len(tail) - 1, 0, -1):
-            j = stream.randbelow(i + 1)
-            tail[i], tail[j] = tail[j], tail[i]
-        return tail
-
-    return _permuted_tail_sequence(n, granularity, min(tail_size, n), phases, shuffle)
+    return _tail_sequence("rand-lb", n, granularity, min(tail_size, n), phases, seed)
 
 
-def _permuted_tail_sequence(n: int, granularity: int, m: int, phases: int,
-                            permute_tail) -> TaskSequence:
-    """Phases that saturate the predicted order with its last m slots permuted.
+def tail_orders(family: str, n: int, m: int, phases: int, words):
+    """Phase by phase, the saturation orders of every trial of a tail family.
 
-    Each phase pins the predicted order to the carryover, realizes it with
-    ``permute_tail`` applied to the last m predicted slots, and records the
-    unpermuted order as the phase's prediction block.
+    ``words`` holds one adversary stream per trial, word-major (see
+    ``rng._randbelow``). Each phase yields (order, true), two new
+    (trials, n) int64 tables: ``true[t, j]`` is the state that saturates
+    at slot j of trial t, and ``order[t, j]`` is that state's predicted
+    slot. The last m predicted slots saturate in reverse ("reversal") or
+    in a Fisher-Yates shuffle drawn on the trial's stream ("rand-lb").
+    Predicted slot k holds state (k + carry + 2) mod n, where the carry
+    is the state that saturated last in the previous phase (state 0
+    before the first), so the top predicted state is never the carry
+    when n > 1.
+    """
+    trials = words.shape[1]
+    rows = np.arange(trials)
+    slots = np.arange(n)
+    base = np.tile(slots, (trials, 1))
+    if family == "reversal":
+        base[:, n - m:] = slots[n - m:][::-1]
+    # bounds[b]: the draw bound b for every trial.
+    bounds = np.arange(m + 1)[:, None].repeat(trials, 1)
+    carry = np.zeros(trials, np.int64)
+    for _ in range(phases):
+        order = base.copy()
+        if family != "reversal":
+            tail = order[:, n - m:]
+            for i in range(m - 1, 0, -1):
+                j = _randbelow(words, rows, bounds[i + 1])
+                swap = tail[rows, j]
+                tail[rows, j] = tail[:, i]
+                tail[:, i] = swap
+        true = (order + (carry + 2)[:, None]) % n
+        yield order, true
+        carry = true[:, -1]
+
+
+def _tail_sequence(family: str, n: int, granularity: int, m: int, phases: int,
+                   seed: int) -> TaskSequence:
+    """Trial 0 of ``tail_orders`` on the stream trial_seed(seed, 0), written out.
+
+    Each phase realizes ``true[0]`` and records ``order[0]`` as its
+    prediction block: the state at slot j is predicted to saturate at the
+    phase's step ``order[0, j]``.
     """
     tasks: list = []
     pst: list = []
-    carry = 0
-    for _ in range(phases):
+    words = state_rows([trial_seed(seed, 0)]).T.copy()
+    for order, true in tail_orders(family, n, m, phases, words):
         offset = len(tasks)
-        pred_state = pinned_prediction_order(n, carry)
-        true_state = pred_state[: n - m] + permute_tail(pred_state[n - m :])
-        tasks.extend(realize_saturation_order(n, granularity, true_state))
-        pst.append(_prediction_block(offset, pred_state))
-        carry = true_state[-1]
+        tasks.extend(realize_saturation_order(n, granularity, true[0].tolist()))
+        pred_state = np.empty(n, np.int64)
+        pred_state[order[0]] = true[0]
+        pst.append(_prediction_block(offset, pred_state.tolist()))
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst)
 
 
@@ -316,49 +339,45 @@ class _LatestTable:
         self.values[state] = prediction
 
 
-def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0,
-                         with_pst: bool = True, with_lv: bool = True) -> TaskSequence:
-    """Uniformly random single-state demands, trimmed to complete phases.
+def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -> TaskSequence:
+    """Uniformly random single-state demands, in complete phases only.
 
     Draws one requested state per step until the wanted number of phases
-    has closed, then cuts the stream at the last phase boundary, so there
-    is no incomplete suffix. Saturation is always exact (units arrive one
-    at a time) and tie-free (one state per step). Optionally attaches
-    truthful prediction tables: saturation steps per phase, and the true
-    next request per demand (zero loss by construction).
+    has closed, so the stream ends on a phase boundary and there is no
+    incomplete suffix. Saturation is always exact (units arrive one at a
+    time) and tie-free (one state per step). Attaches truthful prediction
+    tables: saturation steps per phase, recorded while drawing, and the
+    true next request per demand (zero loss by construction).
     """
     if n < 1 or granularity < 1 or phases < 1:
         raise ConfigurationError("n, granularity and phases must be >= 1")
     stream = RandomStream(trial_seed(seed, 0))
     requested: list = []
-    cum = [0] * n
-    complete = 0
-    boundary = 0
+    pst: list = []
     cap = 1000 * n * granularity * phases + 1000
-    while complete < phases:
-        if len(requested) > cap:
-            raise ConfigurationError("random stream failed to close enough phases")
-        s = stream.randbelow(n)
-        requested.append(s)
-        cum[s] += 1
-        if min(cum) >= granularity:
-            complete += 1
-            boundary = len(requested)
-            cum = [0] * n
-    requested = requested[:boundary]
+    while len(pst) < phases:
+        start = len(requested)
+        cum = [0] * n
+        sat = [0] * n
+        waiting = n
+        while waiting:
+            if len(requested) > cap:
+                raise ConfigurationError("random stream failed to close enough phases")
+            s = stream.randbelow(n)
+            cum[s] += 1
+            if cum[s] == granularity:
+                sat[s] = len(requested)
+                waiting -= 1
+            requested.append(s)
+        pst.append(PhasePrediction(phase_start=start, h=tuple(sat)))
     tasks = np.eye(n, dtype=np.int64)[requested]
 
-    pst = lv = None
-    if with_pst:
-        found, _ = decompose_phases(TaskSequence(n=n, granularity=granularity, tasks=tasks))
-        pst = [PhasePrediction(phase_start=ph.start, h=ph.sat_step) for ph in found]
-    if with_lv:
-        upcoming = [-1] * n
-        following = [0] * boundary
-        for t in range(boundary - 1, -1, -1):
-            following[t] = upcoming[requested[t]]
-            upcoming[requested[t]] = t
-        lv = tasks * np.array(following)[:, None]
+    upcoming = [-1] * n
+    following = [0] * len(requested)
+    for t in range(len(requested) - 1, -1, -1):
+        following[t] = upcoming[requested[t]]
+        upcoming[requested[t]] = t
+    lv = tasks * np.array(following)[:, None]
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 
 

@@ -34,7 +34,7 @@ from .core import (
 )
 from .engine import run_scheduler
 from .errors import ConfigurationError, MalformedInputError
-from .kernels import POLICY_CODES, simulate_family_trials
+from .kernels import POLICIES, simulate_family_trials
 from .opt import opt_units, phase_opt_units
 from .schedulers import make_scheduler, scheduler_names
 from .verify import SUITE_NAMES, run_suite
@@ -273,10 +273,10 @@ def _load_sweep_config(path: str) -> dict:
     if not config["algorithms"]:
         raise ConfigurationError("sweep config key 'algorithms' must be non-empty")
     for algorithm in config["algorithms"]:
-        if not isinstance(algorithm, str) or algorithm not in POLICY_CODES:
+        if not isinstance(algorithm, str) or algorithm not in POLICIES:
             raise ConfigurationError(
                 f"no batched kernel for algorithm {algorithm!r}; "
-                f"choose from {', '.join(POLICY_CODES)}"
+                f"choose from {', '.join(POLICIES)}"
             )
     repeated = sorted({a for a in config["algorithms"] if config["algorithms"].count(a) > 1})
     if repeated:

@@ -71,14 +71,6 @@ class PhasePrediction:
     phase_start: int
     h: tuple
 
-    def argmax(self) -> int:
-        """State with the latest predicted saturation (ties: lowest index)."""
-        best = 0
-        for s in range(1, len(self.h)):
-            if self.h[s] > self.h[best]:
-                best = s
-        return best
-
 
 @dataclass
 class TaskSequence:
@@ -129,8 +121,12 @@ class Phase:
     start: int
     end: int
     sat_step: tuple
-    order: tuple
     complete: bool = True
+
+    @property
+    def order(self) -> tuple:
+        """The states by (sat_step, index)."""
+        return tuple(sorted(range(len(self.sat_step)), key=self.sat_step.__getitem__))
 
     @property
     def last_saturated(self) -> int:
@@ -153,9 +149,8 @@ def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
     covered by a complete phase (== len(tasks) when there is none). The
     split depends only on the tasks, never on any scheduler. Within a
     phase, sat_step[s] is the first step at which state s reaches the
-    saturation threshold and ``order`` lists states by (sat_step, index).
-    With ``include_trailing`` the suffix, when there is one, closes the
-    list as the trailing partial phase.
+    saturation threshold. With ``include_trailing`` the suffix, when there
+    is one, closes the list as the trailing partial phase.
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity
@@ -172,15 +167,12 @@ def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
             for s in range(n)
         )
         end = max(sat)
-        order = tuple(sorted(range(n), key=lambda s: (sat[s], s)))
         if end == total:
             if include_trailing:
                 phases.append(Phase(index=len(phases), start=start, end=total - 1,
-                                    sat_step=sat, order=order, complete=False))
+                                    sat_step=sat, complete=False))
             break
-        phases.append(
-            Phase(index=len(phases), start=start, end=end, sat_step=sat, order=order)
-        )
+        phases.append(Phase(index=len(phases), start=start, end=end, sat_step=sat))
         start = end + 1
     return phases, start
 

@@ -8,18 +8,19 @@ therefore runs the same walk on different random draws, and the kernel
 advances all trials of a call together, phase by phase, as numpy
 operations over (trials, n) blocks:
 
-* each trial owns one xorshift stream per side (see rng.py); the four
-  words of every stream are stored word-major, shape (4, trials), so a
-  draw on every stream is a few whole-array operations, and a rejected
-  draw is redrawn on its own stream only (``_randbelow``);
-* the rand-lb tail shuffle draws bound i + 1 on every trial at once;
+* each trial owns one xorshift stream per side; the four words of every
+  stream are stored word-major, shape (4, trials), and drawn on with
+  ``rng._randbelow``;
+* the phase orders come from ``adversaries.tail_orders``, the one
+  definition of the reversal and rand-lb families (the file generators
+  read it too), which draws the rand-lb shuffles on the adversary streams;
 * a phase walk keeps a shrinking index of the trials still walking and
   takes at most n steps.
 
 Every stream is consumed in the order of the per-trial walk, so results
 are identical to ``oracles.simulate_family_scalar``, the scalar reference
-that shares no random-number code with this module. There is one backend,
-interpreted numpy; ``backend_name()`` reports it.
+that shares no random-number or geometry code with this module. There is
+one backend, interpreted numpy; ``backend_name()`` reports it.
 
 The offline optimum is ``opt.opt_units``, re-exported as ``dp_opt_units``
 for existing callers.
@@ -29,14 +30,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .adversaries import tail_orders
 from .errors import ConfigurationError
 from .opt import opt_units as dp_opt_units  # re-exported; the optimum is plain numpy
-from .rng import MASK32, state_rows, trial_seed
+from .rng import _randbelow, state_rows, trial_seed
 
 __all__ = [
     "backend_name",
-    "POLICY_CODES",
-    "FAMILY_CODES",
+    "POLICIES",
+    "FAMILIES",
     "simulate_family_trials",
     "dp_opt_units",
 ]
@@ -47,57 +49,9 @@ def backend_name() -> str:
     return "python"
 
 
-POLICY_CODES = {
-    "oblivious": 0,
-    "lps": 1,
-    "robust-lps": 2,
-    "lowest-index": 3,
-}
+POLICIES = ("oblivious", "lps", "robust-lps", "lowest-index")
 
-FAMILY_CODES = {
-    "reversal": 0,
-    "rand-lb": 1,
-}
-
-
-# ---- lockstep random draws: one xorshift stream per column ----
-
-_TWO32 = 1 << 32
-
-
-def _next_u32(words, rows):
-    """Advance the streams ``rows`` (an index array or a slice) by one word."""
-    x = words[0, rows]
-    t = x ^ ((x << 11) & MASK32)
-    w = words[3, rows]
-    words[:3, rows] = words[1:, rows]
-    w = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
-    words[3, rows] = w
-    return w
-
-
-def _randbelow(words, rows, bounds):
-    """``RandomStream.randbelow(bounds[i])`` on stream ``rows[i]`` for every i.
-
-    ``words`` holds the four xorshift words word-major, shape (4, streams),
-    and ``rows`` are strictly increasing stream indices, so a draw on every
-    stream is a few whole-array operations. A bound of 1 draws nothing,
-    and a rejected draw is redrawn on its own stream only: every stream
-    sees exactly the draws its scalar ``RandomStream`` would.
-    """
-    out = np.zeros(len(rows), np.int64)
-    todo = np.flatnonzero(bounds > 1)
-    while todo.size:
-        b = bounds[todo]
-        sel = rows[todo]
-        v = _next_u32(words, slice(None) if sel.size == words.shape[1] else sel)
-        ok = v < _TWO32 // b * b
-        if ok.all():
-            out[todo] = v % b
-            break
-        out[todo[ok]] = v[ok] % b[ok]
-        todo = todo[~ok]
-    return out
+FAMILIES = ("reversal", "rand-lb")
 
 
 # ---- batched policy simulation over synthetic phase families ----
@@ -124,36 +78,19 @@ def _simulate_family(policy, family, n, m, gran, phases, threshold, sch, adv):
     slots = np.arange(n)
     counts = np.zeros((trials, phases), np.int64)
     costs = np.zeros(trials, np.int64)
-    # order[t, j]: the predicted slot of the state that saturates at slot j.
-    order = np.tile(slots, (trials, 1))
-    tail = order[:, n - m:]
-    if family == 0:
-        tail[:] = slots[n - m:][::-1]
     true_rank = np.empty((trials, n), np.int64)
-    # bounds[b]: the draw bound b for every trial.
-    bounds = np.repeat(np.arange(n + 1), trials).reshape(n + 1, trials)
     cur = np.zeros(trials, np.int64)
-    for p in range(phases):
-        if family == 1:
-            tail[:] = slots[n - m:]
-            for i in range(m - 1, 0, -1):
-                j = _randbelow(adv, rows, bounds[i + 1])
-                swap = tail[rows, j]
-                tail[rows, j] = tail[:, i]
-                tail[:, i] = swap
-        # Relabel cyclically so the top predicted slot is never the state
-        # the policy parked in at the end of the previous phase.
-        true_state = (order + ((cur + 2) % n)[:, None]) % n
+    for p, (order, true_state) in enumerate(tail_orders(family, n, m, phases, adv)):
         true_rank[rows[:, None], true_state] = slots
 
-        if policy == 0:
-            tgt = _randbelow(sch, rows, bounds[n])
+        if policy == "oblivious":
+            tgt = _randbelow(sch, rows, np.full(trials, n))
             cnt = np.ones(trials, np.int64)
-        elif policy == 3:
+        elif policy == "lowest-index":
             tgt = cur
             cnt = np.zeros(trials, np.int64)
         else:
-            tgt = (cur + 1) % n  # the top predicted slot
+            tgt = true_state[rows, order.argmax(1)]  # the top predicted state
             cnt = (tgt != cur).astype(np.int64)
         # Spike realization: a state saturating at slot j collects one unit
         # in each earlier slot and gran - j at slot j, so a policy that
@@ -170,11 +107,11 @@ def _simulate_family(policy, family, n, m, gran, phases, threshold, sch, adv):
             act, r = act[live], r[live]
             if not act.size:
                 break
-            if policy == 3:
+            if policy == "lowest-index":
                 nxt = (true_rank[act] > r[:, None]).argmax(1)
-            elif policy == 1:
+            elif policy == "lps":
                 nxt = _follow(order, true_state, slots, act, r)
-            elif policy == 0:
+            elif policy == "oblivious":
                 nxt = _uniform_later(sch, true_rank, act, r)
             else:
                 follow = cnt[act] < threshold
@@ -209,9 +146,9 @@ def simulate_family_trials(policy: str, family: str, n: int, m: int,
     int64 array of shape (trials, phases), and total movement plus
     processing units per trial as an int64 array of shape (trials,).
     """
-    if policy not in POLICY_CODES:
+    if policy not in POLICIES:
         raise ConfigurationError(f"no batched kernel for policy {policy!r}")
-    if family not in FAMILY_CODES:
+    if family not in FAMILIES:
         raise ConfigurationError(f"unknown input family {family!r}")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
@@ -228,8 +165,6 @@ def simulate_family_trials(policy: str, family: str, n: int, m: int,
     # Word-major: row k holds word k of every trial's stream.
     sch = state_rows([trial_seed(scheduler_seed, t) for t in range(trials)]).T.copy()
     adv = state_rows([trial_seed(adversary_seed, t) for t in range(trials)]).T.copy()
-    counts, costs = _simulate_family(
-        POLICY_CODES[policy], FAMILY_CODES[family], n, m, granularity,
-        phases, threshold, sch, adv)
-    return counts, costs
+    return _simulate_family(policy, family, n, m, granularity, phases, threshold,
+                            sch, adv)
 

@@ -47,10 +47,7 @@ def decompose_phases_restart(seq: TaskSequence):
             for s in range(n)
         )
         end = max(sat)
-        order = tuple(sorted(range(n), key=lambda s: (sat[s], s)))
-        phases.append(
-            Phase(index=len(phases), start=start, end=end, sat_step=sat, order=order)
-        )
+        phases.append(Phase(index=len(phases), start=start, end=end, sat_step=sat))
         start = end + 1
     return phases, start
 

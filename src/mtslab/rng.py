@@ -1,10 +1,12 @@
 """Deterministic random streams shared by the engine and the batched kernel.
 
-The reference engine draws from one Python stream per trial; the batched
-kernel steps the same streams for every trial at once as int64 numpy
-columns. Both must see bit-identical draws so that a run is reproducible
-whichever path executed it, so the package carries its own small generator
-rather than numpy's:
+The reference engine draws from one Python stream per trial
+(``RandomStream``); the lockstep draws (``_randbelow``) step the same
+streams for every trial at once as int64 numpy columns, for the batched
+kernel's scheduler draws and for the family shuffles of
+``adversaries.tail_orders``. Both must see bit-identical draws so that a
+run is reproducible whichever path executed it, so the package carries its
+own small generator rather than numpy's:
 
 * core generator: xorshift128 over four 32-bit words (shifts and xors only,
   safe in signed 64-bit arithmetic, so whole int64 arrays of streams step
@@ -105,3 +107,43 @@ class RandomStream:
             v = self.next_u32()
             if v < lim:
                 return v % bound
+
+
+# ---- lockstep random draws: one xorshift stream per column ----
+
+_TWO32 = 1 << 32
+
+
+def _next_u32(words, rows):
+    """Advance the streams ``rows`` (an index array or a slice) by one word."""
+    x = words[0, rows]
+    t = x ^ ((x << 11) & MASK32)
+    w = words[3, rows]
+    words[:3, rows] = words[1:, rows]
+    w = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
+    words[3, rows] = w
+    return w
+
+
+def _randbelow(words, rows, bounds):
+    """``RandomStream.randbelow(bounds[i])`` on stream ``rows[i]`` for every i.
+
+    ``words`` holds the four xorshift words word-major, shape (4, streams),
+    and ``rows`` are strictly increasing stream indices, so a draw on every
+    stream is a few whole-array operations. A bound of 1 draws nothing,
+    and a rejected draw is redrawn on its own stream only: every stream
+    sees exactly the draws its scalar ``RandomStream`` would.
+    """
+    out = np.zeros(len(rows), np.int64)
+    todo = np.flatnonzero(bounds > 1)
+    while todo.size:
+        b = bounds[todo]
+        sel = rows[todo]
+        v = _next_u32(words, slice(None) if sel.size == words.shape[1] else sel)
+        ok = v < _TWO32 // b * b
+        if ok.all():
+            out[todo] = v % b
+            break
+        out[todo[ok]] = v[ok] % b[ok]
+        todo = todo[~ok]
+    return out

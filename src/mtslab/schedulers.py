@@ -156,11 +156,7 @@ class UniformRestart(Scheduler):
 
 
 def _latest_predicted(candidates, h):
-    best = candidates[0]
-    for s in candidates[1:]:
-        if h[s] > h[best]:
-            best = s
-    return best
+    return max(candidates, key=h.__getitem__)  # ties: the first, lowest index
 
 
 class LatestPredictedSaturation(Scheduler):
@@ -175,7 +171,7 @@ class LatestPredictedSaturation(Scheduler):
     needs_pst = True
 
     def phase_start(self, current, h):
-        return _latest_predicted(list(range(self.n)), h), False
+        return _latest_predicted(range(self.n), h), False
 
     def on_saturation(self, current, unsaturated, now, h, latest_lv):
         return _latest_predicted(unsaturated, h)
@@ -205,7 +201,7 @@ class RobustLatestPredicted(Scheduler):
 
     def phase_start(self, current, h):
         self._count = 0
-        target = _latest_predicted(list(range(self.n)), h)
+        target = _latest_predicted(range(self.n), h)
         if target != current:
             self._count = 1
         return target, False
@@ -240,14 +236,7 @@ class NextRequestGreedy(Scheduler):
         return value
 
     def on_saturation(self, current, unsaturated, now, h, latest_lv):
-        best = unsaturated[0]
-        best_rank = self._rank(latest_lv[best])
-        for s in unsaturated[1:]:
-            rank = self._rank(latest_lv[s])
-            if rank > best_rank:
-                best = s
-                best_rank = rank
-        return best
+        return max(unsaturated, key=lambda s: self._rank(latest_lv[s]))
 
 
 class LowestIndex(Scheduler):

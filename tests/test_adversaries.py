@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtslab.adversaries import (
     FAMILY_NAMES,
@@ -9,17 +10,18 @@ from mtslab.adversaries import (
     canonical_family,
     forcing_sequence,
     noisy_pst,
-    pinned_prediction_order,
     random_unit_sequence,
     realize_saturation_order,
     repeat_block_sequence,
     reversal_sequence,
     shuffled_tail_sequence,
+    tail_orders,
 )
 from mtslab.analysis import max_footrule
 from mtslab.core import decompose_phases, lv_loss, pst_error_per_phase
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
+from mtslab.rng import state_rows, trial_seed
 from mtslab.schedulers import SCHEDULERS
 
 
@@ -51,12 +53,58 @@ def test_realize_order_validation():
         realize_saturation_order(3, 2, [0, 1, 2])
 
 
-@pytest.mark.parametrize("n", [2, 5, 8])
-def test_pinned_order_is_a_permutation_avoiding_carryover(n):
-    for carry in range(n):
-        order = pinned_prediction_order(n, carry)
-        assert sorted(order) == list(range(n))
-        assert order[-1] != carry
+def _tail_tables(family, n, m, phases, seeds):
+    words = state_rows(seeds).T.copy()
+    return list(tail_orders(family, n, m, phases, words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["reversal", "rand-lb"]),
+    n=st.integers(1, 12),
+    data=st.data(),
+    phases=st.integers(1, 5),
+    trials=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_tail_orders_are_one_geometry_for_kernel_and_files(family, n, data, phases,
+                                                          trials, seed):
+    m = data.draw(st.integers(1, n), label="m")
+    tables = _tail_tables(family, n, m, phases, [trial_seed(seed, t) for t in range(trials)])
+    assert len(tables) == phases
+    # Each trial's row is what a one-column call on its own stream yields.
+    for t in range(trials):
+        alone = _tail_tables(family, n, m, phases, [trial_seed(seed, t)])
+        assert [(o[t].tolist(), s[t].tolist()) for o, s in tables] == \
+            [(o[0].tolist(), s[0].tolist()) for o, s in alone]
+
+    head = list(range(n - m))
+    carry = np.zeros(trials, np.int64)
+    for order, true in tables:
+        assert order.shape == true.shape == (trials, n)
+        for t in range(trials):
+            assert sorted(true[t].tolist()) == list(range(n))
+            assert order[t, : n - m].tolist() == head
+            tail = order[t, n - m :].tolist()
+            assert sorted(tail) == list(range(n - m, n))
+            if family == "reversal":
+                assert tail == list(range(n - m, n))[::-1]
+        # The top predicted state is never where the previous phase ended.
+        top = true[np.arange(trials), order.argmax(1)]
+        if n > 1:
+            assert (top != carry).all()
+        carry = true[:, -1]
+
+    if family == "reversal":
+        seq = reversal_sequence(n, n, max_footrule(m), phases)
+    else:
+        seq = shuffled_tail_sequence(n, n, m, phases, seed=seed)
+    found, suffix_start = decompose_phases(seq)
+    assert suffix_start == len(seq.tasks) and len(found) == phases
+    for phase, block, (order, true) in zip(found, seq.pst, tables):
+        assert phase.order == tuple(true[0].tolist())
+        assert block.phase_start == phase.start
+        assert [block.h[s] - phase.start for s in true[0].tolist()] == order[0].tolist()
 
 
 def test_reversal_walks_prediction_follower_through_m_states():

@@ -1,10 +1,21 @@
 """Reference engine accounting on small frozen inputs."""
 
-import pytest
+import copy
 
-from mtslab.core import PhasePrediction, TaskSequence, schedule_cost
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mtslab.core import (
+    PhasePrediction,
+    TaskSequence,
+    decompose_phases,
+    from_json_dict,
+    schedule_cost,
+    to_json_dict,
+)
 from mtslab.engine import run_scheduler, summarize
-from mtslab.errors import ConfigurationError
+from mtslab.errors import ConfigurationError, MalformedInputError
+from mtslab.schedulers import scheduler_names
 
 
 def _two_phase_sequence():
@@ -114,3 +125,68 @@ def test_summarize_report_shape():
     no_opt = summarize(seq, run, include_opt=False)
     assert "opt_units" not in no_opt
     assert "cost_ratio" not in no_opt
+
+
+# Small integers fit most fields, so a good share of spliced payloads load
+# and reach the schedulers; the rest probe the input checks.
+_JSON_VALUES = st.integers(-2, 16) | st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _valid_payloads(draw):
+    """A loadable payload with truthful pst blocks and an lv table; n <= 4, <= 12 steps."""
+    n = draw(st.integers(1, 4))
+    steps = draw(st.integers(0, 12))
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    seq = TaskSequence(n=n, granularity=draw(st.integers(1, 4)),
+                       tasks=draw(st.lists(row, min_size=steps, max_size=steps)))
+    phases, _ = decompose_phases(seq, include_trailing=True)
+    payload = to_json_dict(seq)
+    payload["pst"] = [{"phase_start": ph.start, "h": list(ph.sat_step)} for ph in phases]
+    lv_row = st.lists(st.integers(-1, steps + 2), min_size=n, max_size=n)
+    payload["lv"] = {"next_request": draw(st.lists(lv_row, min_size=steps, max_size=steps))}
+    return payload
+
+
+def _fields(value, path=()):
+    """Every position in a JSON value, the value itself included."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _fields(child, path + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_valid_payloads(), data=st.data(), value=_JSON_VALUES)
+def test_spliced_payloads_load_and_run_or_fail_cleanly(payload, data, value):
+    """Any JSON value in any field: MalformedInputError, or every built-in
+    scheduler runs (or refuses the input with ConfigurationError)."""
+    path = data.draw(st.sampled_from(list(_fields(payload))), label="path")
+    if path:
+        payload = copy.deepcopy(payload)
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        payload = value
+    try:
+        seq = from_json_dict(payload)
+    except MalformedInputError:
+        return
+    for name in scheduler_names():
+        try:
+            run_scheduler(seq, name, seed=0)
+        except ConfigurationError:
+            pass

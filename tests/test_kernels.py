@@ -9,8 +9,8 @@ from mtslab.analysis import max_footrule, robustness_threshold
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
 from mtslab.kernels import (
-    FAMILY_CODES,
-    POLICY_CODES,
+    FAMILIES,
+    POLICIES,
     _randbelow,
     backend_name,
     dp_opt_units,
@@ -36,8 +36,8 @@ def _file_sequence(family, n, m, gran, phases, adversary_seed):
     return shuffled_tail_sequence(n, gran, m, phases, seed=adversary_seed)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_CODES))
-@pytest.mark.parametrize("policy", sorted(POLICY_CODES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("n,m,gran,phases", GEOMETRIES)
 def test_kernel_matches_engine_trial_zero(family, policy, n, m, gran, phases):
     scheduler_seed = 11
@@ -94,8 +94,8 @@ def test_kernel_rejects_bad_arguments(kwargs):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    policy=st.sampled_from(sorted(POLICY_CODES)),
-    family=st.sampled_from(sorted(FAMILY_CODES)),
+    policy=st.sampled_from(sorted(POLICIES)),
+    family=st.sampled_from(sorted(FAMILIES)),
     n=st.integers(1, 12),
     data=st.data(),
     phases=st.integers(1, 6),
