@@ -58,6 +58,25 @@ def _tail_tables(family, n, m, phases, seeds):
     return list(tail_orders(family, n, m, phases, words))
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_pinned_order_is_a_permutation_avoiding_carryover(n):
+    trials = 64
+    tables = _tail_tables("rand-lb", n, n, 4, [trial_seed(7, t) for t in range(trials)])
+    rows = np.arange(trials)[:, None]
+    carry = np.zeros(trials, np.int64)
+    seen = set()
+    for order, true in tables:
+        # pinned[t, k]: the state predicted at slot k of trial t.
+        pinned = np.empty_like(true)
+        pinned[rows, order] = true
+        for t in range(trials):
+            assert sorted(pinned[t].tolist()) == list(range(n))
+        assert (pinned[:, -1] != carry).all()
+        seen.update(carry.tolist())
+        carry = true[:, -1]
+    assert seen == set(range(n))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     family=st.sampled_from(["reversal", "rand-lb"]),
