@@ -29,6 +29,12 @@ FAMILIES = {
            "--scheduler", "lv-greedy", "--seed", "1"],
     "force-det": ["--adversary", "force-det", "--n", "5", "--eta0", "4", "--phases", "2",
                   "--scheduler", "lv-greedy", "--seed", "3"],
+    # The generator branches the entries above miss: force-det steering a
+    # scheduler that reads no lv table, and lv steering lowest-index.
+    "force-det-lps": ["--adversary", "force-det", "--n", "5", "--eta0", "4", "--phases", "2",
+                      "--granularity", "7", "--scheduler", "lps", "--seed", "3"],
+    "lv-lowest-index": ["--adversary", "lv", "--n", "3", "--r", "6", "--phases", "2",
+                        "--scheduler", "lowest-index", "--seed", "1"],
 }
 
 PINNED = {
@@ -102,6 +108,35 @@ PINNED = {
         "8f8049ef0302a84374033395a429ab7be67d5f601e11f2b343c520b98ec3dca1",
     "random-cut/stay-put":
         "b6a2eeffccb6db83534b5ddebb096d16c67d9280577dbb7c94ff10107649775e",
+    "force-det-lps/gen":
+        "23866ba1f59a500f1bc6c9257fc9775f3a55a324aef550e92f64c69f95c607e9",
+    "force-det-lps/lowest-index":
+        "f8a2bb7c6531b048f26eb03ae6b28edc8c4050a92ed7a43ceb379a42c84002aa",
+    "force-det-lps/lps":
+        "1ec62b22a2958003a4ea8e37a8ce7c8d0de73f88d15c263c88ed3d6aba534469",
+    "force-det-lps/lv-greedy":
+        "d026410a71ea966535f179748a6eb14820e07b39b2502a5fe315039a2ce0a1dc",
+    "force-det-lps/oblivious":
+        "02d165a4c171786f79ccb83291632846ba07aaedd03d36dda06117bf7781cf71",
+    "force-det-lps/robust-lps":
+        "c6b1a88f9219527dd7f8fd3fa4f06126b3b605b0e9d28c325ee8e26ddb69d849",
+    "force-det-lps/stay-put":
+        "99181f627417030c6b087747ac06aff0ff2f1faf5549ab599d2749236a7e1d7a",
+    "lv-lowest-index/gen":
+        "33a5047cbd1235594833ee46c8893fb2b2c08a7f6b781e94934c4267e9598b99",
+    "lv-lowest-index/lowest-index":
+        "152bf0ccf65188c3832d0583f6f6ecd2a6394433df4502c4aa80368fc9b2817c",
+    "lv-lowest-index/lps":
+        "503da9bf588ea8b13a92365db73355eb1b44dd231a29983e157ce369507b1ada",
+    "lv-lowest-index/lv-greedy":
+        "0158a71862aa76246d3573a0c078ef493bc52f88c52174a2549962616f594d1d",
+    "lv-lowest-index/oblivious":
+        "6a83c727e65665dd7782d2b15a7836b32798f772957bfc9d629023d9d9ffd6a9",
+    "lv-lowest-index/robust-lps":
+        "513f022bda3886c9439a94dcc4efb1a8ebb66c20fb7e270a73aeb2d8d83b8d66",
+    "lv-lowest-index/stay-put":
+        "fe0169d9f8b88ca9086081739fceac9ae2eff26e91450bb05307f5ecc2cb6f70",
+
 }
 
 
