@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from mtslab.analysis import max_forcible_transitions, robustness_threshold
-from mtslab.kernels import backend_name, dp_opt_units, simulate_family_trials
+from mtslab.kernels import backend_name, simulate_family_trials
+from mtslab.opt import opt_units
 from mtslab.oracles import simulate_family_scalar
 from mtslab.rng import RandomStream, trial_seed
 
@@ -46,7 +47,7 @@ def bench_family(trials: int, phases: int, simulate=simulate_family_trials) -> d
 
 def bench_opt(instances: int) -> dict:
     stream = RandomStream(trial_seed(9, 0))
-    dp_opt_units(np.ones((4, 3), dtype=np.int64), 2)
+    opt_units(np.ones((4, 3), dtype=np.int64), 2)
     total = 0
     start = time.perf_counter()
     for _ in range(instances):
@@ -57,7 +58,7 @@ def bench_opt(instances: int) -> dict:
         for t in range(steps):
             for s in range(n):
                 tasks[t, s] = stream.randbelow(3)
-        total += dp_opt_units(tasks, gran)
+        total += opt_units(tasks, gran)
     elapsed = time.perf_counter() - start
     return {"opt/dp": {"seconds": elapsed, "checksum": total}}
 

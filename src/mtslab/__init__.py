@@ -46,7 +46,7 @@ from .errors import (
     ProtocolError,
     VerificationError,
 )
-from .kernels import backend_name, dp_opt_units, simulate_family_trials
+from .kernels import backend_name, simulate_family_trials
 from .opt import opt_schedule, opt_units
 from .rng import RandomStream, seed_words, trial_seed
 from .schedulers import SCHEDULERS, Scheduler, make_scheduler, scheduler_names
@@ -88,7 +88,6 @@ __all__ = [
     "ProtocolError",
     "VerificationError",
     "backend_name",
-    "dp_opt_units",
     "simulate_family_trials",
     "opt_schedule",
     "opt_units",

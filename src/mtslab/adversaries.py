@@ -5,7 +5,11 @@ tables. Two families are closed-form streams written out directly; the
 other two are interactive: they drive a live scheduler instance through
 the engine's protocol (one ``schedulers.Walk``) and record a stream
 tailored to the observed behavior, so replaying the file through the
-engine (same scheduler, same seed) reproduces the interaction.
+engine (same scheduler, same seed) reproduces the interaction. Each
+generator builds its task and next-request tables once, as int64 arrays:
+the interactive ones record one demanded state per step and expand the
+record into a one-hot table at the end. ``build_family`` bounds the size
+of the output from closed forms before anything is generated.
 
 Shared geometry: a phase realizes a saturation order, one state per step.
 Prediction blocks assign each state a predicted saturation step; the
@@ -26,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import max_forcible_transitions
-from .core import PhasePrediction, TaskSequence, decompose_phases
+from .core import UNIT_LIMIT, PhasePrediction, TaskSequence, decompose_phases
 from .errors import ConfigurationError
 from .rng import RandomStream, _randbelow, state_rows, trial_seed
 from .schedulers import Scheduler, Walk
@@ -61,9 +65,14 @@ def realize_saturation_order(n: int, granularity: int, order) -> list:
         raise ConfigurationError("order must be a permutation of the states")
     if granularity < n:
         raise ConfigurationError("granularity must be >= n to realize an order")
+    return _spike_rows(granularity, np.asarray(order, np.int64)).tolist()
+
+
+def _spike_rows(granularity: int, order: np.ndarray) -> np.ndarray:
+    """The (n, n) int64 table of ``realize_saturation_order``, unchecked."""
     position = np.argsort(order)  # the step at which each state saturates
-    step = np.arange(n)[:, None]
-    return np.where(position == step, granularity - step, position > step).tolist()
+    step = np.arange(len(order))[:, None]
+    return np.where(position == step, granularity - step, position > step)
 
 
 def _prediction_block(offset: int, pred_state) -> PhasePrediction:
@@ -151,15 +160,15 @@ def _tail_sequence(family: str, n: int, granularity: int, m: int, phases: int,
     prediction block: the state at slot j is predicted to saturate at the
     phase's step ``order[0, j]``.
     """
-    tasks: list = []
+    tasks = np.empty((phases * n, n), np.int64)
     pst: list = []
+    h = np.empty(n, np.int64)
     words = state_rows([trial_seed(seed, 0)]).T.copy()
-    for order, true in tail_orders(family, n, m, phases, words):
-        offset = len(tasks)
-        tasks.extend(realize_saturation_order(n, granularity, true[0].tolist()))
-        pred_state = np.empty(n, np.int64)
-        pred_state[order[0]] = true[0]
-        pst.append(_prediction_block(offset, pred_state.tolist()))
+    for p, (order, true) in enumerate(tail_orders(family, n, m, phases, words)):
+        offset = p * n
+        tasks[offset:offset + n] = _spike_rows(granularity, true[0])
+        h[true[0]] = offset + order[0]
+        pst.append(PhasePrediction(phase_start=offset, h=tuple(h.tolist())))
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst)
 
 
@@ -219,11 +228,10 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
     m = _clamped_m(n, eta0)
     walk = _live_scheduler(scheduler, n, granularity, seed)
 
-    tasks: list = []
+    victims: list = []
     pst: list = []
-    lv_rows: list = [] if walk.scheduler.needs_lv else None
     for _ in range(phases):
-        offset = len(tasks)
+        offset = len(victims)
         pred_state = [walk.state] + [s for s in range(n) if s != walk.state]
         block = _prediction_block(offset, pred_state)
         pst.append(block)
@@ -232,19 +240,16 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
         unsat = set(range(n))
         for pos in range(n):
             now = offset + pos
-            if pos < n - m:
-                victim = next(s for s in pred_state if s in unsat)
-            else:
-                victim = walk.state
-            row = [0] * n
-            row[victim] = granularity
-            tasks.append(row)
-            if lv_rows is not None:
-                lv_rows.append([now + 1] * n)
+            victim = pred_state[pos] if pos < n - m else walk.state
+            victims.append(victim)
             unsat.discard(victim)
             if victim == walk.state and unsat:
                 walk.forced(now, sorted(unsat), block.h, [now + 1] * n)
-    return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv_rows)
+    tasks = granularity * np.eye(n, dtype=np.int64)[victims]
+    lv = None
+    if walk.scheduler.needs_lv:
+        lv = np.repeat(np.arange(1, len(victims) + 1), n).reshape(-1, n)
+    return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 
 
 def _check_interactive_geometry(n: int, granularity: int, phases: int) -> None:
@@ -282,61 +287,37 @@ def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
         raise ConfigurationError("phases must be >= 1")
     walk = _live_scheduler(scheduler, n, repeat, seed, allow_pst=False)
 
-    tasks: list = []
-    lv_rows: list = []
+    # The demanded state and the next-request prediction of every step.
+    requested: list = []
+    predicted: list = []
     for phase_index in range(phases):
-        last_phase = phase_index == phases - 1
-        walk.open(len(tasks), None)
+        walk.open(len(requested), None)
         saturated: set = set()
-        latest = _LatestTable(n, lv_rows)
         for q in range(1, n + 1):
             sigma = walk.state
-            sweep_start = len(tasks)
-            block_start = sweep_start + n
+            block_start = len(requested) + n
             next_sweep_start = block_start + (repeat - q)
-            for s in range(n):
-                row = [0] * n
-                row[s] = 1
-                tasks.append(row)
-                if s == sigma:
-                    prediction = block_start
-                elif last_phase and q == n:
-                    prediction = -1
-                else:
-                    prediction = next_sweep_start + s
-                latest.emit(s, prediction)
-            for i in range(repeat - q):
-                step = block_start + i
-                row = [0] * n
-                row[sigma] = 1
-                tasks.append(row)
-                if i < repeat - q - 1:
-                    prediction = step + 1
-                elif last_phase and q == n:
-                    prediction = -1
-                else:
-                    prediction = next_sweep_start + sigma
-                latest.emit(sigma, prediction)
+            final = phase_index == phases - 1 and q == n
+            # Each state's next request once the round is over: its demand
+            # in the next sweep, or none after the last round of the input.
+            # Sigma's sweep demand points at its hammer block instead.
+            latest = [-1 if final else next_sweep_start + s for s in range(n)]
+            requested += [*range(n), *[sigma] * (repeat - q)]
+            predicted += [*latest[:sigma], block_start, *latest[sigma + 1:],
+                          *range(block_start + 1, next_sweep_start), latest[sigma]]
             saturated.add(sigma)
             if q < n:
                 choices = [s for s in range(n) if s not in saturated]
-                walk.forced(next_sweep_start - 1, choices, None, latest.values)
-    return TaskSequence(n=n, granularity=repeat, tasks=tasks, pst=None, lv=lv_rows)
+                walk.forced(next_sweep_start - 1, choices, None, latest)
+    tasks, lv = _unit_tables(n, requested, predicted)
+    return TaskSequence(n=n, granularity=repeat, tasks=tasks, pst=None, lv=lv)
 
 
-class _LatestTable:
-    """Emit next-request rows while tracking the latest value per state."""
-
-    def __init__(self, n: int, rows: list) -> None:
-        self.n = n
-        self.rows = rows
-        self.values = [0] * n
-
-    def emit(self, state: int, prediction: int) -> None:
-        row = [0] * self.n
-        row[state] = prediction
-        self.rows.append(row)
-        self.values[state] = prediction
+def _unit_tables(n: int, requested: list, predicted: list):
+    """(tasks, lv): one unit on ``requested[t]`` at step t, and the
+    next-request table holding ``predicted[t]`` at that same entry."""
+    tasks = np.eye(n, dtype=np.int64)[requested]
+    return tasks, tasks * np.array(predicted, np.int64)[:, None]
 
 
 def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -> TaskSequence:
@@ -370,14 +351,12 @@ def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -
                 waiting -= 1
             requested.append(s)
         pst.append(PhasePrediction(phase_start=start, h=tuple(sat)))
-    tasks = np.eye(n, dtype=np.int64)[requested]
-
     upcoming = [-1] * n
     following = [0] * len(requested)
     for t in range(len(requested) - 1, -1, -1):
         following[t] = upcoming[requested[t]]
         upcoming[requested[t]] = t
-    lv = tasks * np.array(following)[:, None]
+    tasks, lv = _unit_tables(n, requested, following)
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 
 
@@ -446,6 +425,13 @@ def canonical_family(family: str) -> str:
     return name
 
 
+# build_family's bounds, checked before any row is built: at most
+# TABLE_CELL_CAP task entries, as for a sweep's count and walk blocks, and
+# task units plus granularity per step below core.UNIT_LIMIT, the bound a
+# file must meet to be loaded back.
+TABLE_CELL_CAP = 1 << 24
+
+
 def build_family(family: str, *, n: int, granularity: int | None = None,
                  eta0: int | None = None, phases: int = 1, seed: int = 0,
                  scheduler: str | None = None, r: int | None = None,
@@ -464,30 +450,57 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
             raise ConfigurationError(f"family {name!r} needs --eta0")
         if k is not None or r is not None:
             raise ConfigurationError(f"family {name!r} takes --eta0, not --k or --r")
-    if granularity is None and name != "lv":
-        granularity = max(n, 1)
-    if name == "reversal":
-        seq = reversal_sequence(n, granularity, eta0, phases)
-        return seq, {"family": name, "m": _clamped_m(n, eta0)}
-    if name == "rand-lb":
+    elif name == "rand-lb":
         if k is None:
             raise ConfigurationError("family 'rand-lb' needs --k (shuffled tail size)")
         if k < 2:
             raise ConfigurationError("family 'rand-lb' needs --k >= 2")
         if eta0 is not None or r is not None:
             raise ConfigurationError("family 'rand-lb' takes --k, not --eta0 or --r")
+    else:
+        if eta0 is not None or k is not None:
+            raise ConfigurationError("family 'lv' takes --r, not --eta0 or --k")
+        if r is None:
+            r = granularity
+        elif granularity is not None and granularity != r:
+            raise ConfigurationError("the granularity of family 'lv' is the repeat count --r")
+        if r is not None and r <= n:
+            raise ConfigurationError("family 'lv' needs --r > n")
+        granularity = n + 1 if r is None else r
+    if granularity is None:
+        granularity = max(n, 1)
+    _check_output_size(name, n, granularity, phases)
+    if name == "reversal":
+        seq = reversal_sequence(n, granularity, eta0, phases)
+        return seq, {"family": name, "m": _clamped_m(n, eta0)}
+    if name == "rand-lb":
         seq = shuffled_tail_sequence(n, granularity, k, phases, seed=seed)
         return seq, {"family": name, "m": min(k, n)}
     if name == "force-det":
         seq = forcing_sequence(n, granularity, eta0, phases, scheduler, seed=seed)
         return seq, {"family": name, "m": _clamped_m(n, eta0)}
-    if eta0 is not None or k is not None:
-        raise ConfigurationError("family 'lv' takes --r, not --eta0 or --k")
-    if r is None:
-        r = granularity
-    elif granularity is not None and granularity != r:
-        raise ConfigurationError("the granularity of family 'lv' is the repeat count --r")
-    if r is not None and r <= n:
-        raise ConfigurationError("family 'lv' needs --r > n")
-    seq = repeat_block_sequence(n, phases, scheduler, repeat=r, seed=seed)
+    seq = repeat_block_sequence(n, phases, scheduler, repeat=granularity, seed=seed)
     return seq, {"family": name, "r": seq.granularity}
+
+
+def _check_output_size(name: str, n: int, granularity: int, phases: int) -> None:
+    """Reject a family past build_family's bounds, from closed forms.
+
+    A phase of the lv family runs n rounds of n sweep steps plus
+    granularity - q hammer steps, with one unit per step; a phase of every
+    other family runs n steps and hands out n thresholds of units.
+    """
+    if n < 1 or phases < 1:
+        return  # the generator names the bad value
+    if name == "lv":
+        steps = phases * (n * n + n * granularity - n * (n + 1) // 2)
+        units = steps
+    else:
+        steps = phases * n
+        units = steps * granularity
+    if steps * n > TABLE_CELL_CAP:
+        raise ConfigurationError(f"steps * n must be <= {TABLE_CELL_CAP}")
+    if units + steps * granularity >= UNIT_LIMIT:
+        raise ConfigurationError(
+            "task units plus granularity per step must stay below 2**60"
+        )

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "harmonic_number",
     "footrule_distance",
@@ -15,6 +17,7 @@ __all__ = [
     "robustness_threshold",
     "round_ratio_half_up",
     "mean_and_se",
+    "transition_stats",
     "SweepRecord",
 ]
 
@@ -109,6 +112,17 @@ def mean_and_se(samples) -> tuple[float, float]:
     return mean, math.sqrt(var / k)
 
 
+def transition_stats(counts) -> tuple[str, int]:
+    """Mean (rounded half-up, six digits) and maximum of transition counts.
+
+    ``counts`` holds one count per (trial, phase) cell, in any shape; an
+    empty table gives "0.000000" and 0.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    return (round_ratio_half_up(int(counts.sum()), max(counts.size, 1)),
+            int(counts.max(initial=0)))
+
+
 @dataclass
 class SweepRecord:
     """One aggregated row of a parameter sweep.
@@ -142,9 +156,7 @@ class SweepRecord:
     def from_counts(cls, *, n: int, eta0: int, m: int, algorithm: str, seed: int,
                     phases: int, counts, total_cost_units: int,
                     opt_cost_units: int) -> "SweepRecord":
-        flat = [int(c) for row in counts for c in row]
-        total = sum(flat)
-        mean = round_ratio_half_up(total, len(flat))
+        mean, peak = transition_stats(counts)
         ratio = (
             round_ratio_half_up(total_cost_units, opt_cost_units)
             if opt_cost_units > 0
@@ -153,7 +165,7 @@ class SweepRecord:
         return cls(
             n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed, phases=phases,
             mean_transitions_per_phase=mean,
-            max_transitions_per_phase=max(flat),
+            max_transitions_per_phase=peak,
             total_cost_units=total_cost_units,
             opt_cost_units=opt_cost_units,
             ratio=ratio,

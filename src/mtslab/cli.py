@@ -25,11 +25,13 @@ from .analysis import (
     max_forcible_transitions,
     robustness_threshold,
     round_ratio_half_up,
+    transition_stats,
 )
 from .core import (
     UNIT_LIMIT,
     decompose_phases,
     load_task_sequence,
+    pst_error_per_phase,
     save_task_sequence,
 )
 from .engine import run_scheduler
@@ -122,19 +124,21 @@ def _cmd_adversary_gen(args) -> int:
         k=args.k,
     )
     save_task_sequence(seq, args.out)
-    phases, suffix_start = decompose_phases(seq)
+    errors = pst_error_per_phase(seq)
     print(f"wrote {args.out}: n={seq.n} granularity={seq.granularity} "
-          f"steps={len(seq)} phases={len(phases)}")
+          f"steps={len(seq)} phases={len(errors)}")
     if "m" in info:
         print(f"m = {info['m']}")
     else:
         print(f"r = {info['r']}")
-    by_start = {block.phase_start: block.h for block in seq.pst or ()}
-    for phase in phases:
-        err = phase.pst_error(by_start.get(phase.start))
+    for index, err in enumerate(errors):
         if err is not None:
-            print(f"phase {phase.index}: realized error {err}")
+            print(f"phase {index}: realized error {err}")
     return 0
+
+
+# One simulate row per (trial, complete phase), in CSV column order.
+SIMULATE_FIELDS = ("trial", "phase_index", "transitions", "alg_cost_units", "opt_cost_units")
 
 
 def _cmd_simulate(args) -> int:
@@ -152,17 +156,15 @@ def _cmd_simulate(args) -> int:
     opt_total = opt_units(seq.tasks, seq.granularity, start_state=0)
 
     rows = []
-    transitions = []
     total_cost = 0
     for trial in range(args.trials):
         res = run_scheduler(seq, make_scheduler(args.algorithm),
                             seed=args.seed, trial_index=trial, phases=decomposition)
         for p, popt in zip(res.phases, phase_opts):
             rows.append((trial, p.index, p.transitions, p.cost_units, popt))
-            transitions.append(p.transitions)
         total_cost += res.total_units
 
-    cells = max(len(transitions), 1)
+    mean_transitions, max_transitions = transition_stats([row[2] for row in rows])
     summary = {
         "algorithm": sched.name,
         "seed": args.seed,
@@ -171,8 +173,8 @@ def _cmd_simulate(args) -> int:
         "granularity": seq.granularity,
         "steps": len(seq),
         "complete_phases": len(phases),
-        "mean_transitions_per_phase": round_ratio_half_up(sum(transitions), cells),
-        "max_transitions_per_phase": max(transitions) if transitions else 0,
+        "mean_transitions_per_phase": mean_transitions,
+        "max_transitions_per_phase": max_transitions,
         "total_cost_units": total_cost,
         "opt_cost_units": opt_total,
         "mean_cost_ratio": round_ratio_half_up(total_cost, opt_total * args.trials)
@@ -181,24 +183,12 @@ def _cmd_simulate(args) -> int:
     }
 
     if args.format == "json":
-        doc = {
-            "rows": [
-                {
-                    "trial": t,
-                    "phase_index": p,
-                    "transitions": k,
-                    "alg_cost_units": c,
-                    "opt_cost_units": o,
-                }
-                for t, p, k, c, o in rows
-            ],
-            "summary": summary,
-        }
+        doc = {"rows": [dict(zip(SIMULATE_FIELDS, row)) for row in rows], "summary": summary}
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         _write_text(args.out, text)
         return 0
 
-    lines = ["trial,phase_index,transitions,alg_cost_units,opt_cost_units"]
+    lines = [",".join(SIMULATE_FIELDS)]
     lines.extend(",".join(str(v) for v in row) for row in rows)
     _write_text(args.out, "\n".join(lines) + "\n")
     summary_text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
@@ -333,7 +323,7 @@ def _cmd_sweep(args) -> int:
                         scheduler_seed=seed,
                         adversary_seed=seed + ADVERSARY_SEED_OFFSET,
                     )
-                    cells[n, m] = counts.tolist(), int(costs.sum())
+                    cells[n, m] = counts, int(costs.sum())
                 counts, total = cells[n, m]
                 records.append(SweepRecord.from_counts(
                     n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed,

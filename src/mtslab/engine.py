@@ -179,16 +179,20 @@ def _latest_next_request(seq: TaskSequence) -> np.ndarray:
     return np.take_along_axis(seq.lv, issued, axis=0)
 
 
-def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) -> dict:
+def summarize(seq: TaskSequence, result: RunResult) -> dict:
     """Report dict for one run: per-phase rows, totals, optimum, ratio.
 
-    The per-phase optimum lets the comparison schedule open the phase in
-    any state for free; the whole-sequence optimum is pinned to the same
-    start state as the run. Both are exact. The cost ratio is the exact
-    quotient rounded half-up to six decimal places.
+    Each phase row holds the ``PhaseStats`` fields, ``cost_units`` and the
+    phase's own optimum, which lets the comparison schedule open the phase
+    in any state for free; the trailing partial phase, if any, is reported
+    without an optimum. The whole-sequence optimum is pinned to the same
+    start state as the run. Both optima are exact. The cost ratio is the
+    exact quotient rounded half-up to six decimal places.
     """
     from .analysis import round_ratio_half_up
 
+    phase_opts = phase_opt_units(seq.tasks, seq.granularity, result.phases)
+    opt_total = opt_units(seq.tasks, seq.granularity, start_state=0)
     report: dict = {
         "scheduler": result.scheduler,
         "seed": result.seed,
@@ -201,20 +205,11 @@ def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) ->
         "total_units": result.total_units,
         "total_transitions": result.total_transitions,
         "total_moves": result.total_moves,
-        "phases": [],
+        "phases": [
+            {**vars(stats), "cost_units": stats.cost_units, "opt_units": phase_opt}
+            for stats, phase_opt in zip(result.phases, phase_opts)
+        ],
     }
-    for stats in result.phases:
-        report["phases"].append({
-            "index": stats.index,
-            "start": stats.start,
-            "end": stats.end,
-            "transitions": stats.transitions,
-            "moves": stats.moves,
-            "movement_units": stats.movement_units,
-            "processing_units": stats.processing_units,
-            "cost_units": stats.cost_units,
-            "pst_error": stats.pst_error,
-        })
     if result.suffix is not None:
         report["suffix"] = {
             "start": result.suffix.start,
@@ -223,11 +218,6 @@ def summarize(seq: TaskSequence, result: RunResult, include_opt: bool = True) ->
             "movement_units": result.suffix.movement_units,
             "processing_units": result.suffix.processing_units,
         }
-    if include_opt:
-        for row, phase_opt in zip(report["phases"],
-                                  phase_opt_units(seq.tasks, seq.granularity, result.phases)):
-            row["opt_units"] = phase_opt
-        opt_total = opt_units(seq.tasks, seq.granularity, start_state=0)
-        report["opt_units"] = opt_total
-        report["cost_ratio"] = round_ratio_half_up(result.total_units, opt_total)
+    report["opt_units"] = opt_total
+    report["cost_ratio"] = round_ratio_half_up(result.total_units, opt_total)
     return report

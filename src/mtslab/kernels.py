@@ -21,9 +21,6 @@ Every stream is consumed in the order of the per-trial walk, so results
 are identical to ``oracles.simulate_family_scalar``, the scalar reference
 that shares no random-number or geometry code with this module. There is
 one backend, interpreted numpy; ``backend_name()`` reports it.
-
-The offline optimum is ``opt.opt_units``, re-exported as ``dp_opt_units``
-for existing callers.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ import numpy as np
 
 from .adversaries import tail_orders
 from .errors import ConfigurationError
-from .opt import opt_units as dp_opt_units  # re-exported; the optimum is plain numpy
 from .rng import _randbelow, state_rows, trial_seed
 
 __all__ = [
@@ -40,7 +36,6 @@ __all__ = [
     "POLICIES",
     "FAMILIES",
     "simulate_family_trials",
-    "dp_opt_units",
 ]
 
 

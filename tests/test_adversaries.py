@@ -279,6 +279,15 @@ def test_build_family_reports_geometry():
     assert info == {"family": "force-det", "m": 3}
 
 
+def test_lv_length_matches_its_closed_form():
+    # build_family bounds the lv family by this length before generating it.
+    for n in (1, 2, 3, 5):
+        for r in (n + 1, n + 4):
+            for phases in (1, 2):
+                seq = repeat_block_sequence(n, phases, "lowest-index", repeat=r)
+                assert len(seq) == phases * (n * n + n * r - n * (n + 1) // 2)
+
+
 def _as_ints(values):
     return None if values is None else tuple(int(v) for v in values)
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from mtslab import adversaries
 from mtslab.analysis import max_forcible_transitions
 from mtslab.cli import SWEEP_MAX_N, main
 from mtslab.core import UNIT_LIMIT, load_task_sequence
@@ -324,6 +325,49 @@ def test_oversized_sweep_is_rejected_before_writing(tmp_path, capsys, overrides)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+_HOSTILE_GEN = {
+    "reversal-granularity": ["--adversary", "reversal", "--n", "3", "--eta0", "2",
+                             "--granularity", str(2**70)],
+    "force-det-granularity": ["--adversary", "force-det", "--n", "3", "--eta0", "2",
+                              "--scheduler", "lps", "--granularity", str(2**70)],
+    "lv-r": ["--adversary", "lv", "--n", "3", "--scheduler", "lowest-index",
+             "--r", str(2**70)],
+    "phases": ["--adversary", "reversal", "--n", "3", "--eta0", "2",
+               "--phases", str(10**20)],
+    "n": ["--adversary", "rand-lb", "--n", str(10**20), "--k", "3"],
+    "lv-n": ["--adversary", "lv", "--n", str(1 << 12), "--scheduler", "lps"],
+}
+
+
+@pytest.mark.parametrize("argv", _HOSTILE_GEN.values(), ids=_HOSTILE_GEN.keys())
+def test_oversized_generation_is_rejected_before_building(tmp_path, capsys, monkeypatch,
+                                                          argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator ran on an oversized request")
+
+    for name in ("reversal_sequence", "shuffled_tail_sequence", "forcing_sequence",
+                 "repeat_block_sequence"):
+        monkeypatch.setattr(adversaries, name, refuse)
+    rc, out = _gen(tmp_path, *argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_largest_generated_unit_total_loads_back(tmp_path, capsys):
+    # One state, one step: units plus granularity per step is 2 * granularity.
+    rc, out = _gen(tmp_path, "--adversary", "reversal", "--n", "1", "--eta0", "0",
+                   "--granularity", str(UNIT_LIMIT // 2 - 1))
+    assert rc == 0
+    assert load_task_sequence(str(out)).tasks.tolist() == [[UNIT_LIMIT // 2 - 1]]
+    out.unlink()
+    rc, out = _gen(tmp_path, "--adversary", "reversal", "--n", "1", "--eta0", "0",
+                   "--granularity", str(UNIT_LIMIT // 2))
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_largest_unit_total_below_the_limit_is_accepted(tmp_path, capsys):

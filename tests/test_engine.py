@@ -122,9 +122,6 @@ def test_summarize_report_shape():
     assert report["suffix"]["start"] == 4
     assert report["opt_units"] > 0
     assert "." in report["cost_ratio"]
-    no_opt = summarize(seq, run, include_opt=False)
-    assert "opt_units" not in no_opt
-    assert "cost_ratio" not in no_opt
 
 
 # Small integers fit most fields, so a good share of spliced payloads load

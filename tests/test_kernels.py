@@ -13,10 +13,9 @@ from mtslab.kernels import (
     POLICIES,
     _randbelow,
     backend_name,
-    dp_opt_units,
     simulate_family_trials,
 )
-from mtslab.oracles import opt_bruteforce, simulate_family_scalar
+from mtslab.oracles import simulate_family_scalar
 from mtslab.rng import RandomStream, state_rows, trial_seed
 
 GEOMETRIES = [
@@ -153,32 +152,3 @@ def test_lockstep_draws_match_random_stream_draw_for_draw(bounds, subset):
         assert drawn > draws  # some words were rejected and redrawn
     else:
         assert drawn == draws
-
-
-def test_dp_opt_empty_is_zero():
-    assert dp_opt_units([], 4) == 0
-
-
-def test_dp_opt_rejects_flat_input():
-    with pytest.raises(ConfigurationError):
-        dp_opt_units([1, 2, 3], 4)
-
-
-def test_dp_opt_matches_bruteforce_on_random_instances():
-    stream = RandomStream(trial_seed(7, 0))
-    for i in range(40):
-        n = 1 + stream.randbelow(3)
-        steps = 1 + stream.randbelow(5)
-        gran = 1 + stream.randbelow(4)
-        tasks = [[stream.randbelow(2 * gran + 1) for _ in range(n)]
-                 for _ in range(steps)]
-        for free_start in (False, True):
-            assert dp_opt_units(tasks, gran, free_start=free_start) == \
-                opt_bruteforce(tasks, gran, free_start=free_start)
-
-
-def test_dp_opt_free_start_never_costs_more():
-    tasks = [[0, 5], [0, 5], [5, 0]]
-    fixed = dp_opt_units(tasks, 3)
-    free = dp_opt_units(tasks, 3, free_start=True)
-    assert free <= fixed

@@ -59,3 +59,32 @@ def test_backtrack_prefers_staying():
 def test_start_state_validation():
     with pytest.raises(ConfigurationError):
         opt_schedule([[1, 2]], 3, start_state=2)
+
+
+def test_opt_units_empty_is_zero():
+    assert opt_units([], 4) == 0
+
+
+def test_opt_units_rejects_flat_input():
+    with pytest.raises(ConfigurationError):
+        opt_units([1, 2, 3], 4)
+
+
+def test_opt_units_matches_bruteforce_on_random_instances():
+    stream = RandomStream(trial_seed(7, 0))
+    for i in range(40):
+        n = 1 + stream.randbelow(3)
+        steps = 1 + stream.randbelow(5)
+        gran = 1 + stream.randbelow(4)
+        tasks = [[stream.randbelow(2 * gran + 1) for _ in range(n)]
+                 for _ in range(steps)]
+        for free_start in (False, True):
+            assert opt_units(tasks, gran, free_start=free_start) == \
+                opt_bruteforce(tasks, gran, free_start=free_start)
+
+
+def test_opt_units_free_start_never_costs_more():
+    tasks = [[0, 5], [0, 5], [5, 0]]
+    fixed = opt_units(tasks, 3)
+    free = opt_units(tasks, 3, free_start=True)
+    assert free <= fixed
