@@ -414,6 +414,27 @@ def test_sweep_without_kernel_for_an_algorithm_writes_nothing(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_sweep_that_fails_while_computing_leaves_no_output(tmp_path, capsys, monkeypatch):
+    import mtslab.cli as cli
+
+    calls = []
+    kernel = cli.simulate_family_trials
+
+    def second_call_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("kernel failed")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_family_trials", second_call_fails)
+    cfg = _write_config(tmp_path, n=[4], eta0=[2], algorithms=["lps", "oblivious"])
+    out_dir = tmp_path / "o"
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        main(["sweep", "--config", str(cfg), "--out", str(out_dir)])
+    assert len(calls) == 2
+    assert not out_dir.exists()
+
+
 def test_sweep_rejects_non_object_config(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text("[1, 2, 3]")

@@ -200,3 +200,57 @@ def test_outputs_match_pinned_bytes(name, tmp_path):
     got = _digests(name, tmp_path)
     want = {k: v for k, v in PINNED.items() if k.startswith(f"{name}/")}
     assert got == want
+
+
+# Sweeps over both sweepable families with every kernel policy. The
+# rand-lb config names its family by an alias and the reversal config
+# omits the seed, so the manifest pins the config as written plus the
+# default seed.
+SWEEPS = {
+    "sweep-reversal": {"adversary": "reversal", "n": [3, 5], "eta0": [0, 2, 7],
+                       "algorithms": ["lps", "robust-lps", "oblivious", "lowest-index"],
+                       "phases": 3, "granularity": 6, "trials": 4},
+    "sweep-rand-lb": {"adversary": "randomized-lb", "n": [4, 6], "eta0": [1, 4, 12],
+                      "algorithms": ["oblivious", "lowest-index", "lps", "robust-lps"],
+                      "phases": 2, "granularity": 7, "trials": 5, "seed": 3},
+}
+
+SWEEP_PINNED = {
+    "sweep-reversal/stdout":
+        "4bc2ad1c6b87f90af84ce5cc5cf53eb2e5c4d1c02b12e87f65ef81eb48e9f30e",
+    "sweep-reversal/lowest-index.csv":
+        "93ed668f4f03bf2a31211b9a7be641b7a1a9b5b7d2148648621e9d68a4abbc9e",
+    "sweep-reversal/lps.csv":
+        "071ad0c37c70a7ccdb1c1d099b382f2fc7fb9cda5fc5efa12ebc59ae952d2501",
+    "sweep-reversal/manifest.json":
+        "59d5242a166c6fe5d2cc6e42f2e61acd12f3011bd92d5755c5df90840c0ca1db",
+    "sweep-reversal/oblivious.csv":
+        "1aadf271dd3d9a8ded329102eb1f3ad32430bd5e6a2bf48846551a9600d07a51",
+    "sweep-reversal/robust-lps.csv":
+        "62dbc70159f7a302337042dcdb505e50d75762f34551aa70c1a200b4526c4ae0",
+    "sweep-rand-lb/stdout":
+        "7653f229ef9063d9ac58d27cdf88391f5bdca5372774632c98c84f1025ca73c8",
+    "sweep-rand-lb/lowest-index.csv":
+        "9cadd144bad355400705d0eecfa9e99dee27919a2937c910f49c81dd42d5fa2a",
+    "sweep-rand-lb/lps.csv":
+        "f8a1586f170b775306e1600d74ae0ffd0de9316ecfd09cdfbe004bed9a08ae34",
+    "sweep-rand-lb/manifest.json":
+        "5a8aabaca64c248c65eb1ea14132eb7dbb9923f5af416efcc880072bbeb5d24b",
+    "sweep-rand-lb/oblivious.csv":
+        "95752d388b9c2e1c4d4742d632e46d54f9fcdf54711fdc837cb700fe34e66cc0",
+    "sweep-rand-lb/robust-lps.csv":
+        "59cfd0b2495d8c9e93a28402cfb38b10c3f893b0a3a6f8dfebe2560b9d05596f",
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_outputs_match_pinned_bytes(name, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SWEEPS[name]))
+    out_dir = tmp_path / "out"
+    rc, out, err = _cli(["sweep", "--config", str(config), "--out", str(out_dir)])
+    got = {f"{name}/stdout": _sha(rc, out.replace(str(out_dir).encode(), b"<out>"), err)}
+    for path in sorted(out_dir.iterdir()):
+        got[f"{name}/{path.name}"] = _sha(path.read_bytes())
+    want = {k: v for k, v in SWEEP_PINNED.items() if k.startswith(f"{name}/")}
+    assert got == want
