@@ -30,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import max_forcible_transitions
-from .core import UNIT_LIMIT, PhasePrediction, TaskSequence, decompose_phases
+from .core import CELL_CAP, UNIT_LIMIT, PhasePrediction, TaskSequence, decompose_phases
 from .errors import ConfigurationError
 from .rng import RandomStream, _randbelow, state_rows, trial_seed
 from .schedulers import Scheduler, Walk
@@ -40,6 +40,7 @@ __all__ = [
     "reversal_sequence",
     "shuffled_tail_sequence",
     "tail_orders",
+    "budget_tail_size",
     "forcing_sequence",
     "repeat_block_sequence",
     "random_unit_sequence",
@@ -82,7 +83,8 @@ def _prediction_block(offset: int, pred_state) -> PhasePrediction:
     return PhasePrediction(phase_start=offset, h=tuple(h))
 
 
-def _clamped_m(n: int, eta0: int) -> int:
+def budget_tail_size(n: int, eta0: int) -> int:
+    """m = min(max_forcible_transitions(eta0), n): the tail eta0 buys over n states."""
     return min(max_forcible_transitions(eta0), n)
 
 
@@ -96,7 +98,7 @@ def reversal_sequence(n: int, granularity: int, eta0: int, phases: int) -> TaskS
     opening move plus m - 1 forced moves, every phase.
     """
     _check_family_geometry(n, granularity, eta0, phases)
-    return _tail_sequence("reversal", n, granularity, _clamped_m(n, eta0), phases, 0)
+    return _tail_sequence("reversal", n, granularity, budget_tail_size(n, eta0), phases, 0)
 
 
 def shuffled_tail_sequence(n: int, granularity: int, tail_size: int, phases: int,
@@ -225,7 +227,7 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
     _check_interactive_geometry(n, granularity, phases)
     if eta0 < 0:
         raise ConfigurationError("eta0 must be >= 0")
-    m = _clamped_m(n, eta0)
+    m = budget_tail_size(n, eta0)
     walk = _live_scheduler(scheduler, n, granularity, seed)
 
     victims: list = []
@@ -425,13 +427,6 @@ def canonical_family(family: str) -> str:
     return name
 
 
-# build_family's bounds, checked before any row is built: at most
-# TABLE_CELL_CAP task entries, as for a sweep's count and walk blocks, and
-# task units plus granularity per step below core.UNIT_LIMIT, the bound a
-# file must meet to be loaded back.
-TABLE_CELL_CAP = 1 << 24
-
-
 def build_family(family: str, *, n: int, granularity: int | None = None,
                  eta0: int | None = None, phases: int = 1, seed: int = 0,
                  scheduler: str | None = None, r: int | None = None,
@@ -472,13 +467,13 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
     _check_output_size(name, n, granularity, phases)
     if name == "reversal":
         seq = reversal_sequence(n, granularity, eta0, phases)
-        return seq, {"family": name, "m": _clamped_m(n, eta0)}
+        return seq, {"family": name, "m": budget_tail_size(n, eta0)}
     if name == "rand-lb":
         seq = shuffled_tail_sequence(n, granularity, k, phases, seed=seed)
         return seq, {"family": name, "m": min(k, n)}
     if name == "force-det":
         seq = forcing_sequence(n, granularity, eta0, phases, scheduler, seed=seed)
-        return seq, {"family": name, "m": _clamped_m(n, eta0)}
+        return seq, {"family": name, "m": budget_tail_size(n, eta0)}
     seq = repeat_block_sequence(n, phases, scheduler, repeat=granularity, seed=seed)
     return seq, {"family": name, "r": seq.granularity}
 
@@ -486,7 +481,9 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
 def _check_output_size(name: str, n: int, granularity: int, phases: int) -> None:
     """Reject a family past build_family's bounds, from closed forms.
 
-    A phase of the lv family runs n rounds of n sweep steps plus
+    At most ``core.CELL_CAP`` task entries, and task units plus granularity
+    per step below ``core.UNIT_LIMIT``, so the file loads back. A phase of
+    the lv family runs n rounds of n sweep steps plus
     granularity - q hammer steps, with one unit per step; a phase of every
     other family runs n steps and hands out n thresholds of units.
     """
@@ -498,8 +495,8 @@ def _check_output_size(name: str, n: int, granularity: int, phases: int) -> None
     else:
         steps = phases * n
         units = steps * granularity
-    if steps * n > TABLE_CELL_CAP:
-        raise ConfigurationError(f"steps * n must be <= {TABLE_CELL_CAP}")
+    if steps * n > CELL_CAP:
+        raise ConfigurationError(f"steps * n must be <= {CELL_CAP}")
     if units + steps * granularity >= UNIT_LIMIT:
         raise ConfigurationError(
             "task units plus granularity per step must stay below 2**60"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -85,18 +85,21 @@ def robustness_threshold(n: int) -> int:
     return math.ceil(harmonic_number(n))
 
 
-def round_ratio_half_up(numerator: int, denominator: int, digits: int = 6) -> str:
-    """Exact decimal string of numerator/denominator, half-up at `digits`."""
+RATIO_DIGITS = 6
+
+
+def round_ratio_half_up(numerator: int, denominator: int) -> str:
+    """Exact decimal string of numerator/denominator, half-up at RATIO_DIGITS."""
     if numerator < 0 or denominator < 0:
         raise ValueError("ratio parts must be >= 0")
     if denominator == 0:
-        return "1." + "0" * digits if numerator == 0 else "inf"
-    scaled = numerator * 10**digits
+        return "1." + "0" * RATIO_DIGITS if numerator == 0 else "inf"
+    scaled = numerator * 10**RATIO_DIGITS
     q, r = divmod(scaled, denominator)
     if 2 * r >= denominator:
         q += 1
-    whole, frac = divmod(q, 10**digits)
-    return f"{whole}.{frac:0{digits}d}"
+    whole, frac = divmod(q, 10**RATIO_DIGITS)
+    return f"{whole}.{frac:0{RATIO_DIGITS}d}"
 
 
 def mean_and_se(samples) -> tuple[float, float]:
@@ -131,7 +134,7 @@ class SweepRecord:
     totals aggregate over trials, in integer units of 1/granularity. The
     ratio field is the decimal string total_cost_units / opt_cost_units
     with six fractional digits, empty when the optimum is zero (flagged
-    rather than divided).
+    rather than divided). The CSV columns are the fields, in order.
     """
 
     n: int
@@ -145,12 +148,6 @@ class SweepRecord:
     total_cost_units: int
     opt_cost_units: int
     ratio: str
-
-    FIELDS = (
-        "n", "eta0", "m", "algorithm", "seed", "phases",
-        "mean_transitions_per_phase", "max_transitions_per_phase",
-        "total_cost_units", "opt_cost_units", "ratio",
-    )
 
     @classmethod
     def from_counts(cls, *, n: int, eta0: int, m: int, algorithm: str, seed: int,
@@ -172,8 +169,8 @@ class SweepRecord:
         )
 
     def csv_row(self) -> str:
-        return ",".join(str(getattr(self, f)) for f in self.FIELDS)
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
 
     @classmethod
     def csv_header(cls) -> str:
-        return ",".join(cls.FIELDS)
+        return ",".join(f.name for f in fields(cls))

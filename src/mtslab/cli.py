@@ -19,24 +19,26 @@ import os
 import sys
 
 from . import __version__
-from .adversaries import FAMILY_NAMES, build_family, canonical_family
+from .adversaries import FAMILY_NAMES, budget_tail_size, build_family, canonical_family
 from .analysis import (
     SweepRecord,
-    max_forcible_transitions,
     robustness_threshold,
     round_ratio_half_up,
     transition_stats,
 )
 from .core import (
+    CELL_CAP,
     UNIT_LIMIT,
+    canonical_json,
     decompose_phases,
     load_task_sequence,
     pst_error_per_phase,
     save_task_sequence,
+    write_text,
 )
 from .engine import run_scheduler
 from .errors import ConfigurationError, MalformedInputError
-from .kernels import POLICIES, simulate_family_trials
+from .kernels import FAMILIES, POLICIES, simulate_family_trials
 from .opt import opt_units, phase_opt_units
 from .schedulers import make_scheduler, scheduler_names
 from .verify import SUITE_NAMES, run_suite
@@ -182,26 +184,18 @@ def _cmd_simulate(args) -> int:
         else "",
     }
 
+    # An empty --out, like none, means standard output.
+    out = args.out or None
     if args.format == "json":
         doc = {"rows": [dict(zip(SIMULATE_FIELDS, row)) for row in rows], "summary": summary}
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        _write_text(args.out, text)
+        write_text(out, canonical_json(doc) + "\n")
         return 0
 
     lines = [",".join(SIMULATE_FIELDS)]
     lines.extend(",".join(str(v) for v in row) for row in rows)
-    _write_text(args.out, "\n".join(lines) + "\n")
-    summary_text = json.dumps(summary, sort_keys=True, separators=(",", ":"))
-    print(summary_text, file=sys.stdout if args.out else sys.stderr)
+    write_text(out, "\n".join(lines) + "\n")
+    print(canonical_json(summary), file=sys.stdout if out else sys.stderr)
     return 0
-
-
-def _write_text(path, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_verify(args) -> int:
@@ -211,13 +205,12 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
-# Sweep config bounds, checked before anything is written. The largest n
-# keeps robustness_threshold's exact harmonic sum cheap; the cell cap bounds
-# the (trials, phases) count block and the (trials, n) walk blocks; and a
-# trial costs at most 2 * n * granularity units per phase, so the unit
-# bound keeps every cost sum in int64.
+# Sweep config bounds, checked before anything is computed. The largest n
+# keeps robustness_threshold's exact harmonic sum cheap; core.CELL_CAP
+# bounds the (trials, phases) count block and the (trials, n) walk blocks;
+# and a trial costs at most 2 * n * granularity units per phase, so the
+# unit bound keeps every cost sum in int64.
 SWEEP_MAX_N = 1 << 12
-SWEEP_CELL_CAP = 1 << 24
 
 _SWEEP_KEYS = {
     "n": list,
@@ -231,7 +224,8 @@ _SWEEP_KEYS = {
 }
 
 
-def _load_sweep_config(path: str) -> dict:
+def _load_sweep_config(path: str) -> tuple[dict, str]:
+    """The checked config, as written plus the default seed, and its family."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -278,44 +272,46 @@ def _load_sweep_config(path: str) -> dict:
     n_max, trials, phases = max(config["n"]), config["trials"], config["phases"]
     if n_max > SWEEP_MAX_N:
         raise ConfigurationError(f"every n must be <= {SWEEP_MAX_N}")
-    if trials * phases > SWEEP_CELL_CAP or trials * n_max > SWEEP_CELL_CAP:
+    if trials * phases > CELL_CAP or trials * n_max > CELL_CAP:
         raise ConfigurationError(
-            f"trials * phases and trials * n must each be <= {SWEEP_CELL_CAP}"
+            f"trials * phases and trials * n must each be <= {CELL_CAP}"
         )
     if trials * phases * 2 * n_max * config["granularity"] >= UNIT_LIMIT:
         raise ConfigurationError(
             f"trials * phases * 2 * n * granularity must be < {UNIT_LIMIT}"
         )
-    return config
-
-
-def _cmd_sweep(args) -> int:
-    config = _load_sweep_config(args.config)
     family = canonical_family(config["adversary"])
-    if family not in ("reversal", "rand-lb"):
+    if family not in FAMILIES:
         raise ConfigurationError(
             f"family {family!r} steers a live scheduler and cannot be swept; "
             f"use adversary-gen + simulate"
         )
+    return config, family
+
+
+def _cmd_sweep(args) -> int:
+    config, family = _load_sweep_config(args.config)
     seed = config["seed"]
     gran = config["granularity"]
     phases = config["phases"]
     trials = config["trials"]
 
-    os.makedirs(args.out, exist_ok=True)
     # Every state collects exactly one threshold of units per phase, so
     # parking in any single state is offline-optimal.
     opt_total = trials * phases * gran
+    # (file name, text, note): every output is built before anything is
+    # written, so a sweep that fails while computing leaves nothing behind.
+    outputs = []
     written = {}
     for algorithm in config["algorithms"]:
         # A cell depends on eta0 only through m, and seeds, phases, trials
         # and granularity are fixed per sweep: one kernel call per (n, m).
         cells = {}
-        records = []
+        lines = [SweepRecord.csv_header()]
         for n in config["n"]:
             threshold = robustness_threshold(n)
             for eta0 in config["eta0"]:
-                m = min(max_forcible_transitions(eta0), n)
+                m = budget_tail_size(n, eta0)
                 if (n, m) not in cells:
                     counts, costs = simulate_family_trials(
                         algorithm, family, n, m, phases, trials,
@@ -325,24 +321,22 @@ def _cmd_sweep(args) -> int:
                     )
                     cells[n, m] = counts, int(costs.sum())
                 counts, total = cells[n, m]
-                records.append(SweepRecord.from_counts(
+                lines.append(SweepRecord.from_counts(
                     n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed,
                     phases=phases, counts=counts, total_cost_units=total,
                     opt_cost_units=opt_total,
-                ))
-        path = os.path.join(args.out, f"{algorithm}.csv")
-        lines = [SweepRecord.csv_header()]
-        lines.extend(r.csv_row() for r in records)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        written[algorithm] = len(records)
-        print(f"wrote {path}: {len(records)} records")
+                ).csv_row())
+        written[algorithm] = len(lines) - 1
+        outputs.append((f"{algorithm}.csv", "\n".join(lines) + "\n",
+                        f": {written[algorithm]} records"))
 
     manifest = {"config": config, "version": __version__, "records": written}
-    manifest_path = os.path.join(args.out, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
-    print(f"wrote {manifest_path}")
+    outputs.append(("manifest.json", canonical_json(manifest) + "\n", ""))
+    os.makedirs(args.out, exist_ok=True)
+    for name, text, note in outputs:
+        path = os.path.join(args.out, name)
+        write_text(path, text)
+        print(f"wrote {path}{note}")
     return 0
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,12 +47,12 @@ __all__ = [
     "Phase",
     "decompose_phases",
     "schedule_cost",
-    "unit_task",
-    "requested_state",
     "pst_error_per_phase",
     "lv_loss",
     "to_json_dict",
     "from_json_dict",
+    "canonical_json",
+    "write_text",
     "save_task_sequence",
     "load_task_sequence",
 ]
@@ -62,6 +63,9 @@ SCHEMA_VERSION = 1
 # move per step stay below it keep every cumulative sum and DP value exact
 # in int64.
 UNIT_LIMIT = 1 << 60
+
+# The most entries a generated task table or a sweep's count or walk block holds.
+CELL_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,8 @@ class Phase:
     A complete phase ends on the step at which its last state saturates.
     The trailing partial phase (``complete`` False) runs to the end of the
     input, and each state that does not saturate inside the input has
-    ``sat_step`` equal to the input length.
+    ``sat_step`` equal to the input length. ``h`` is the phase's prediction
+    block (the one whose ``phase_start`` is ``start``), or None.
     """
 
     index: int
@@ -122,6 +127,7 @@ class Phase:
     end: int
     sat_step: tuple
     complete: bool = True
+    h: tuple | None = None
 
     @property
     def order(self) -> tuple:
@@ -132,14 +138,14 @@ class Phase:
     def last_saturated(self) -> int:
         return self.order[-1]
 
-    def pst_error(self, h):
+    def pst_error(self):
         """Sum over states of |h[s] - sat_step[s]|.
 
         None when there is no prediction block or the phase has not closed.
         """
-        if h is None or not self.complete:
+        if self.h is None or not self.complete:
             return None
-        return sum(abs(hs - sat) for hs, sat in zip(h, self.sat_step))
+        return sum(abs(hs - sat) for hs, sat in zip(self.h, self.sat_step))
 
 
 def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
@@ -159,6 +165,7 @@ def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
     # first t with cum[s, t] >= cum[s, start] + threshold.
     cum = np.zeros((n, total + 1), dtype=np.int64)
     np.cumsum(seq.tasks.T, axis=1, out=cum[:, 1:])
+    by_start = {block.phase_start: block.h for block in seq.pst or ()}
     phases: list[Phase] = []
     start = 0
     while start < total:
@@ -167,12 +174,12 @@ def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
             for s in range(n)
         )
         end = max(sat)
-        if end == total:
-            if include_trailing:
-                phases.append(Phase(index=len(phases), start=start, end=total - 1,
-                                    sat_step=sat, complete=False))
+        complete = end < total
+        if complete or include_trailing:
+            phases.append(Phase(index=len(phases), start=start, end=min(end, total - 1),
+                                sat_step=sat, complete=complete, h=by_start.get(start)))
+        if not complete:
             break
-        phases.append(Phase(index=len(phases), start=start, end=end, sat_step=sat))
         start = end + 1
     return phases, start
 
@@ -200,18 +207,6 @@ def schedule_cost(tasks, granularity: int, schedule: Sequence[int], start_state:
     return transition_units + processing_units, transition_units, processing_units
 
 
-def unit_task(n: int, state: int, units: int = 1) -> list:
-    row = [0] * n
-    row[state] = units
-    return row
-
-
-def requested_state(task) -> int | None:
-    """Index of the single positive entry of a task, if there is exactly one."""
-    positive = np.flatnonzero(np.asarray(task) > 0)
-    return int(positive[0]) if len(positive) == 1 else None
-
-
 def pst_error_per_phase(seq: TaskSequence):
     """Per-phase prediction error: sum over states of |h[s] - sat_step[s]|.
 
@@ -219,8 +214,7 @@ def pst_error_per_phase(seq: TaskSequence):
     aligns with the complete phases and holds None where no block matches.
     """
     phases, _ = decompose_phases(seq)
-    by_start = {block.phase_start: block.h for block in seq.pst or ()}
-    return [phase.pst_error(by_start.get(phase.start)) for phase in phases]
+    return [phase.pst_error() for phase in phases]
 
 
 def lv_loss(seq: TaskSequence) -> int:
@@ -360,11 +354,22 @@ def from_json_dict(payload) -> TaskSequence:
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 
 
-def save_task_sequence(seq: TaskSequence, path) -> None:
-    data = json.dumps(to_json_dict(seq), sort_keys=True, separators=(",", ":"))
+def canonical_json(value) -> str:
+    """``value`` as JSON with sorted keys and no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``, or to standard output when None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
-        fh.write("\n")
+        fh.write(text)
+
+
+def save_task_sequence(seq: TaskSequence, path) -> None:
+    write_text(path, canonical_json(to_json_dict(seq)) + "\n")
 
 
 def load_task_sequence(path) -> TaskSequence:

@@ -112,7 +112,6 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
     if phases is None:
         phases = decompose_phases(seq, include_trailing=True)
     phases, suffix_start = phases
-    pst_by_start = {block.phase_start: block.h for block in seq.pst or ()}
     latest_lv = _latest_next_request(seq)
 
     result = RunResult(
@@ -126,20 +125,19 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
     )
 
     for phase in phases:
-        h = pst_by_start.get(phase.start)
-        if sched.needs_pst and h is None:
+        if sched.needs_pst and phase.h is None:
             raise ConfigurationError(
                 f"scheduler {sched.name!r} needs a prediction block for the phase "
                 f"starting at step {phase.start} and the input has none"
             )
         moved = len(walk.moves)
-        transitions = walk.open(phase.start, h)
+        transitions = walk.open(phase.start, phase.h)
         while sched.conforming:
             tau = phase.sat_step[walk.state]
             unsat = [s for s in range(n) if phase.sat_step[s] > tau]
             if not unsat:
                 break
-            walk.forced(tau, unsat, h, latest_lv[tau])
+            walk.forced(tau, unsat, phase.h, latest_lv[tau])
             transitions += 1
         moves = len(walk.moves) - moved
 
@@ -151,7 +149,7 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
             moves=moves,
             movement_units=moves * threshold,
             processing_units=0,
-            pst_error=phase.pst_error(h),
+            pst_error=phase.pst_error(),
         )
         if phase.complete:
             result.phases.append(stats)

@@ -32,7 +32,7 @@ def decompose_phases_restart(seq: TaskSequence):
     """Complete phases and suffix start, re-summing from every phase start.
 
     Costs O(phases * steps * n); ``core.decompose_phases`` computes the same
-    split from one cumulative sum.
+    split from one cumulative sum, and pairs prediction blocks by a scan.
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity
@@ -47,7 +47,8 @@ def decompose_phases_restart(seq: TaskSequence):
             for s in range(n)
         )
         end = max(sat)
-        phases.append(Phase(index=len(phases), start=start, end=end, sat_step=sat))
+        h = next((b.h for b in seq.pst or () if b.phase_start == start), None)
+        phases.append(Phase(index=len(phases), start=start, end=end, sat_step=sat, h=h))
         start = end + 1
     return phases, start
 

@@ -86,12 +86,9 @@ def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed, *,
     )
 
     if seq.pst is not None:
-        starts = {p.start for p in phases}
-        if suffix_steps:
-            starts.add(suffix_start)
+        starts = {p.start for p in found}
         stray = [b.phase_start for b in seq.pst if b.phase_start not in starts]
-        by_start = {b.phase_start: b.h for b in seq.pst}
-        missing = [p.start for p in phases if p.start not in by_start]
+        missing = [p.start for p in phases if p.h is None]
         result.add(
             "pst-alignment",
             not stray and not missing,
@@ -100,7 +97,7 @@ def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed, *,
             if not stray and not missing
             else f"stray block starts {stray}, uncovered phase starts {missing}",
         )
-        errors = [p.pst_error(by_start.get(p.start)) for p in phases]
+        errors = [p.pst_error() for p in phases]
         known = [e for e in errors if e is not None]
         if eta0 is not None:
             over = [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,11 +16,9 @@ from mtslab.core import (
     load_task_sequence,
     lv_loss,
     pst_error_per_phase,
-    requested_state,
     save_task_sequence,
     schedule_cost,
     to_json_dict,
-    unit_task,
 )
 from mtslab.errors import MalformedInputError
 
@@ -69,15 +68,8 @@ def test_trailing_phase_gives_unsaturated_states_the_input_length():
     # State 1 saturates at step 1; states 0 and 2 never do inside the input.
     assert trailing.sat_step == (3, 1, 3)
     assert trailing.order == (1, 0, 2)
-    assert trailing.pst_error((3, 1, 3)) is None
+    assert dataclasses.replace(trailing, h=(3, 1, 3)).pst_error() is None
     assert decompose_phases(seq) == (phases[:1], 1)
-
-
-def test_unit_task_and_requested_state():
-    assert unit_task(3, 1) == [0, 1, 0]
-    assert requested_state([0, 4, 0]) == 1
-    assert requested_state([1, 1, 0]) is None
-    assert requested_state([0, 0, 0]) is None
 
 
 def test_pst_error_per_phase_matches_manual_sum():

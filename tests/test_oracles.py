@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mtslab.analysis import harmonic_number, max_footrule
-from mtslab.core import TaskSequence, decompose_phases, schedule_cost
+from mtslab.core import PhasePrediction, TaskSequence, decompose_phases, schedule_cost
 from mtslab.engine import run_scheduler
 from mtslab.opt import opt_schedule, opt_units, phase_opt_units
 from mtslab.oracles import (
@@ -84,7 +84,11 @@ def task_sequences(draw):
         st.lists(st.integers(0, granularity), min_size=n, max_size=n),
     )
     tasks = draw(st.lists(row, max_size=14))
-    return TaskSequence(n=n, granularity=granularity, tasks=tasks)
+    # Prediction blocks on drawn steps: some open a phase, some do not.
+    starts = sorted(draw(st.sets(st.integers(0, max(len(tasks) - 1, 0)), max_size=4)))
+    block = st.lists(st.integers(0, 16), min_size=n, max_size=n).map(tuple)
+    pst = [PhasePrediction(phase_start=s, h=draw(block)) for s in starts]
+    return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst or None)
 
 
 class _RecordingWalk(LowestIndex):

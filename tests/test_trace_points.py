@@ -6,6 +6,7 @@ a traced benchmark run.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -50,3 +51,20 @@ def test_installed_tracer_puts_every_name_back(spans, tmp_path, capsys):
     names = {span.name for span in tracer.take()}
     assert {"adversaries.gen", "core.save", "core.decompose", "core.load",
             "core.validate", "engine.run", "opt.whole"} <= names
+
+
+def test_installed_tracer_records_the_sweep_layers(spans, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "n": [3], "eta0": [0, 2], "algorithms": ["lps", "oblivious"],
+        "adversary": "rand-lb", "phases": 2, "granularity": 3, "trials": 2,
+    }))
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    names = [span.name for span in tracer.take()]
+    # Two algorithms, two distinct tail sizes: four kernel calls, each
+    # seeding its streams, and one record per (algorithm, eta0) cell.
+    assert names.count("kernels.family") == 4
+    assert names.count("analysis.records") == 4
+    assert "rng.seed" in names

@@ -49,6 +49,19 @@ def test_tampered_prediction_block_fails_the_budget():
     assert "pst-error-budget" in failed
 
 
+def test_block_on_the_trailing_phase_is_aligned():
+    # Two complete phases and a trailing one that opens at step 10 (n = 5);
+    # the block on the trailing phase sits on a phase boundary, one step
+    # later it does not.
+    base = reversal_sequence(5, 5, 2, 3)
+    seq = TaskSequence(n=5, granularity=5, tasks=base.tasks[:12], pst=base.pst)
+    check = {c.name: c for c in verify_sequence(seq).checks}["pst-alignment"]
+    assert check.passed, check.detail
+    seq.pst[2] = PhasePrediction(phase_start=11, h=seq.pst[2].h)
+    check = {c.name: c for c in verify_sequence(seq).checks}["pst-alignment"]
+    assert not check.passed and "[11]" in check.detail
+
+
 def test_misaligned_prediction_block_fails_alignment():
     seq = reversal_sequence(5, 5, 2, 2)
     seq.pst[1] = PhasePrediction(phase_start=seq.pst[1].phase_start + 1,
