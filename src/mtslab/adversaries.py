@@ -367,12 +367,17 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
 
     Per phase, signed integer offsets are drawn in [-eta0, eta0], shrunk
     (largest magnitude first) until their total magnitude fits the budget,
-    and then shrunk further whenever two predicted steps collide, so the
-    realized per-phase error is at most eta0 and predicted steps stay
-    distinct. Shrinking only ever moves predictions toward the truth.
+    and then shrunk further whenever two states that saturate on different
+    steps are predicted on the same step (the larger offset of the two,
+    never zero, shrinks), so the realized per-phase error is at most eta0
+    and states that saturate apart are predicted apart; states that
+    saturate on the same step may share a predicted step. Shrinking only
+    ever moves predictions toward the truth.
     """
     if eta0 < 0:
         raise ConfigurationError("eta0 must be >= 0")
+    if 2 * eta0 + 1 > 1 << 32:
+        raise ConfigurationError("eta0 must be < 2**31: one draw spans 2 * eta0 + 1 offsets")
     stream = RandomStream(trial_seed(seed, 0))
     phases, _ = decompose_phases(seq)
     blocks = []
@@ -391,12 +396,10 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
             seen: dict = {}
             clash = None
             for i in range(n):
-                value = true[i] + deltas[i]
-                if value in seen:
-                    pair = (seen[value], i)
-                    clash = max(pair, key=lambda i: (abs(deltas[i]), -i))
+                first = seen.setdefault(true[i] + deltas[i], i)
+                if true[first] != true[i]:
+                    clash = max((first, i), key=lambda i: (abs(deltas[i]), -i))
                     break
-                seen[value] = i
             if clash is None:
                 break
             shrink(clash)

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedInputError
+from .errors import ConfigurationError, MalformedInputError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -81,6 +81,7 @@ class TaskSequence:
     """One input; ``tasks`` and ``lv`` are C-contiguous int64 (steps, n) tables.
 
     Lists passed in are converted once, here; an int64 array is not copied.
+    ``n`` and ``granularity`` must each be at least 1.
     """
 
     n: int
@@ -90,6 +91,10 @@ class TaskSequence:
     lv: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 1 or self.granularity < 1:
+            raise ConfigurationError(
+                f"n and granularity must be >= 1, got {self.n} and {self.granularity}"
+            )
         self.tasks = _table(self.tasks, self.n)
         if self.lv is not None:
             self.lv = _table(self.lv, self.n)

@@ -35,6 +35,7 @@ __all__ = [
 
 MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
+_TWO32 = 1 << 32
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -94,12 +95,15 @@ class RandomStream:
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound).
 
-        Uses rejection sampling so the distribution is exact. A bound of 1
-        consumes nothing from the stream; the batched kernel follows the
-        same convention.
+        Uses rejection sampling over one 32-bit word, so the distribution
+        is exact and ``bound`` is at most 2**32. A bound of 1 consumes
+        nothing from the stream; the batched kernel follows the same
+        convention.
         """
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > _TWO32:
+            raise ValueError("bound must be <= 2**32")
         if bound == 1:
             return 0
         lim = (1 << 32) // bound * bound
@@ -110,8 +114,6 @@ class RandomStream:
 
 
 # ---- lockstep random draws: one xorshift stream per column ----
-
-_TWO32 = 1 << 32
 
 
 def _next_u32(words, rows):

@@ -18,7 +18,7 @@ from mtslab.adversaries import (
     tail_orders,
 )
 from mtslab.analysis import max_footrule
-from mtslab.core import decompose_phases, lv_loss, pst_error_per_phase
+from mtslab.core import TaskSequence, decompose_phases, lv_loss, pst_error_per_phase
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
 from mtslab.rng import state_rows, trial_seed
@@ -234,6 +234,53 @@ def test_noisy_pst_respects_budget_and_distinctness():
         assert len(set(block.h)) == len(block.h)
     # Somewhere the perturbation actually moved a prediction.
     assert any(err > 0 for err in errors)
+
+
+@pytest.mark.parametrize("n, granularity, tasks", [
+    (2, 2, [[2, 2]]),
+    (3, 1, [[1, 1, 1]]),
+], ids=["two-tied", "three-tied"])
+def test_noisy_pst_leaves_tied_steps_at_zero_budget(deadline, n, granularity, tasks):
+    # Every state saturates on step 0. A zero budget leaves the truth as
+    # the only prediction; shrinking a zero offset to split the tie once
+    # broke the budget (n = 2) or never ended (n = 3).
+    seq = TaskSequence(n=n, granularity=granularity, tasks=tasks)
+    with deadline(10):
+        noisy = noisy_pst(seq, 0)
+    assert [block.h for block in noisy.pst] == [(0,) * n]
+    assert pst_error_per_phase(noisy) == [0]
+
+
+@st.composite
+def tied_sequences(draw):
+    n = draw(st.integers(1, 4))
+    granularity = draw(st.integers(1, 3))
+    # Entries up to the threshold make simultaneous saturations common.
+    row = st.lists(st.integers(0, granularity), min_size=n, max_size=n)
+    tasks = draw(st.lists(row, max_size=12))
+    return TaskSequence(n=n, granularity=granularity, tasks=tasks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_sequences(), st.integers(0, 6), st.integers(0, 3))
+def test_noisy_pst_stays_in_budget_and_splits_only_distinct_steps(deadline, seq, eta0, seed):
+    with deadline(10):
+        noisy = noisy_pst(seq, eta0, seed=seed)
+    phases, _ = decompose_phases(noisy)
+    assert [block.phase_start for block in noisy.pst] == [p.start for p in phases]
+    for phase in phases:
+        assert phase.pst_error() <= eta0
+        for a in range(seq.n):
+            for b in range(a):
+                if phase.sat_step[a] != phase.sat_step[b]:
+                    assert phase.h[a] != phase.h[b]
+
+
+def test_noisy_pst_rejects_budgets_past_one_draw(deadline):
+    # One draw picks an offset among 2 * eta0 + 1 values, at most 2**32.
+    base = random_unit_sequence(2, 2, 1, seed=0)
+    with deadline(10), pytest.raises(ConfigurationError, match="2\\*\\*31"):
+        noisy_pst(base, 2**31)
 
 
 def test_canonical_family_names_and_aliases():

@@ -20,7 +20,7 @@ from mtslab.core import (
     schedule_cost,
     to_json_dict,
 )
-from mtslab.errors import MalformedInputError
+from mtslab.errors import ConfigurationError, MalformedInputError
 
 
 def test_schedule_cost_frozen_example():
@@ -70,6 +70,18 @@ def test_trailing_phase_gives_unsaturated_states_the_input_length():
     assert trailing.order == (1, 0, 2)
     assert dataclasses.replace(trailing, h=(3, 1, 3)).pst_error() is None
     assert decompose_phases(seq) == (phases[:1], 1)
+
+
+@pytest.mark.parametrize("n, granularity", [(0, 1), (1, 0), (-2, 3), (2, -1)])
+def test_task_sequence_needs_a_state_and_a_threshold(n, granularity):
+    # A zero threshold once made decompose_phases append phases forever.
+    with pytest.raises(ConfigurationError, match="n and granularity must be >= 1"):
+        TaskSequence(n=n, granularity=granularity, tasks=[[0] * max(n, 1)])
+    # A file is checked first, so its exit-3 message names the field.
+    payload = {"version": 1, "n": n, "granularity": granularity, "tasks": [[0] * max(n, 1)]}
+    bad, value = ("n", n) if n < 1 else ("granularity", granularity)
+    with pytest.raises(MalformedInputError, match=f"^{bad} must be >= 1, got {value}$"):
+        from_json_dict(payload)
 
 
 def test_pst_error_per_phase_matches_manual_sum():

@@ -24,6 +24,15 @@ def test_trial_seeds_are_distinct_and_stable():
     assert trial_seed(7, 3) != trial_seed(8, 3)
 
 
+def test_randbelow_rejects_bounds_past_one_word(deadline):
+    # A bound past 2**32 once made the rejection limit 0, so no draw ended.
+    stream = RandomStream(0)
+    with deadline(10):
+        assert 0 <= stream.randbelow(2**32) < 2**32
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stream.randbelow(2**32 + 1)
+
+
 def test_trial_seed_rejects_negative_index():
     with pytest.raises(ValueError):
         trial_seed(0, -1)
