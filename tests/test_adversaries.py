@@ -241,9 +241,9 @@ def test_noisy_pst_respects_budget_and_distinctness():
     (3, 1, [[1, 1, 1]]),
 ], ids=["two-tied", "three-tied"])
 def test_noisy_pst_leaves_tied_steps_at_zero_budget(deadline, n, granularity, tasks):
-    # Every state saturates on step 0. A zero budget leaves the truth as
-    # the only prediction; shrinking a zero offset to split the tie once
-    # broke the budget (n = 2) or never ended (n = 3).
+    # Every state saturates on step 0, so a zero budget leaves the truth as
+    # the only prediction. Splitting the tie would cost error (n = 2) or,
+    # with three tied states, never settle.
     seq = TaskSequence(n=n, granularity=granularity, tasks=tasks)
     with deadline(10):
         noisy = noisy_pst(seq, 0)

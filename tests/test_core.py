@@ -74,7 +74,7 @@ def test_trailing_phase_gives_unsaturated_states_the_input_length():
 
 @pytest.mark.parametrize("n, granularity", [(0, 1), (1, 0), (-2, 3), (2, -1)])
 def test_task_sequence_needs_a_state_and_a_threshold(n, granularity):
-    # A zero threshold once made decompose_phases append phases forever.
+    # A zero threshold would make decompose_phases append phases forever.
     with pytest.raises(ConfigurationError, match="n and granularity must be >= 1"):
         TaskSequence(n=n, granularity=granularity, tasks=[[0] * max(n, 1)])
     # A file is checked first, so its exit-3 message names the field.

@@ -25,7 +25,7 @@ def test_trial_seeds_are_distinct_and_stable():
 
 
 def test_randbelow_rejects_bounds_past_one_word(deadline):
-    # A bound past 2**32 once made the rejection limit 0, so no draw ended.
+    # Past 2**32 the rejection limit would be 0, and no draw would end.
     stream = RandomStream(0)
     with deadline(10):
         assert 0 <= stream.randbelow(2**32) < 2**32
