@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from mtslab.analysis import max_forcible_transitions, robustness_threshold
+from mtslab.analysis import max_forcible_transitions
 from mtslab.kernels import backend_name, simulate_family_trials
 from mtslab.opt import opt_units
 from mtslab.oracles import simulate_family_scalar
@@ -31,11 +31,8 @@ def bench_family(trials: int, phases: int, simulate=simulate_family_trials) -> d
     for policy in ("oblivious", "lps", "robust-lps", "lowest-index"):
         for family in ("reversal", "rand-lb"):
             start = time.perf_counter()
-            counts, costs = simulate(
-                policy, family, n, m, phases, trials,
-                threshold=robustness_threshold(n), granularity=gran,
-                scheduler_seed=1, adversary_seed=2,
-            )
+            counts, costs = simulate(policy, family, n, m, phases, trials,
+                                     granularity=gran, seed=1)
             elapsed = time.perf_counter() - start
             key = f"family/{policy}/{family}"
             results[key] = {

@@ -44,7 +44,6 @@ from .errors import (
     MalformedInputError,
     MTSLabError,
     ProtocolError,
-    VerificationError,
 )
 from .kernels import backend_name, simulate_family_trials
 from .opt import opt_schedule, opt_units
@@ -86,7 +85,6 @@ __all__ = [
     "MalformedInputError",
     "MTSLabError",
     "ProtocolError",
-    "VerificationError",
     "backend_name",
     "simulate_family_trials",
     "opt_schedule",

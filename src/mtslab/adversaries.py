@@ -30,7 +30,14 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import max_forcible_transitions
-from .core import CELL_CAP, UNIT_LIMIT, PhasePrediction, TaskSequence, decompose_phases
+from .core import (
+    CELL_CAP,
+    UNIT_LIMIT,
+    PhasePrediction,
+    TaskSequence,
+    decompose_phases,
+    next_demand,
+)
 from .errors import ConfigurationError
 from .rng import RandomStream, _randbelow, state_rows, trial_seed
 from .schedulers import Scheduler, Walk
@@ -289,9 +296,8 @@ def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
         raise ConfigurationError("phases must be >= 1")
     walk = _live_scheduler(scheduler, n, repeat, seed, allow_pst=False)
 
-    # The demanded state and the next-request prediction of every step.
+    # The demanded state of every step.
     requested: list = []
-    predicted: list = []
     for phase_index in range(phases):
         walk.open(len(requested), None)
         saturated: set = set()
@@ -302,24 +308,16 @@ def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
             final = phase_index == phases - 1 and q == n
             # Each state's next request once the round is over: its demand
             # in the next sweep, or none after the last round of the input.
-            # Sigma's sweep demand points at its hammer block instead.
             latest = [-1 if final else next_sweep_start + s for s in range(n)]
             requested += [*range(n), *[sigma] * (repeat - q)]
-            predicted += [*latest[:sigma], block_start, *latest[sigma + 1:],
-                          *range(block_start + 1, next_sweep_start), latest[sigma]]
             saturated.add(sigma)
             if q < n:
                 choices = [s for s in range(n) if s not in saturated]
                 walk.forced(next_sweep_start - 1, choices, None, latest)
-    tasks, lv = _unit_tables(n, requested, predicted)
-    return TaskSequence(n=n, granularity=repeat, tasks=tasks, pst=None, lv=lv)
-
-
-def _unit_tables(n: int, requested: list, predicted: list):
-    """(tasks, lv): one unit on ``requested[t]`` at step t, and the
-    next-request table holding ``predicted[t]`` at that same entry."""
     tasks = np.eye(n, dtype=np.int64)[requested]
-    return tasks, tasks * np.array(predicted, np.int64)[:, None]
+    lv = next_demand(tasks)
+    lv[tasks == 0] = 0
+    return TaskSequence(n=n, granularity=repeat, tasks=tasks, pst=None, lv=lv)
 
 
 def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -> TaskSequence:
@@ -353,13 +351,38 @@ def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -
                 waiting -= 1
             requested.append(s)
         pst.append(PhasePrediction(phase_start=start, h=tuple(sat)))
-    upcoming = [-1] * n
-    following = [0] * len(requested)
-    for t in range(len(requested) - 1, -1, -1):
-        following[t] = upcoming[requested[t]]
-        upcoming[requested[t]] = t
-    tasks, lv = _unit_tables(n, requested, following)
+    tasks = np.eye(n, dtype=np.int64)[requested]
+    lv = next_demand(tasks)
+    lv[tasks == 0] = 0
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
+
+
+def _fit_budget(deltas: list, eta0: int) -> list:
+    """``deltas`` shrunk toward zero until their total magnitude is at most eta0.
+
+    The same offsets as taking one unit off the largest magnitude (lowest
+    index first) until the total fits, in closed form: find the largest
+    level L with sum(min(|d|, L)) <= eta0, lower every magnitude above L to
+    L + 1, and take one more unit off the lowest-indexed of them until the
+    total is eta0. ``oracles.fit_budget_scalar`` is that per-unit loop.
+    """
+    mags = [abs(d) for d in deltas]
+    if sum(mags) <= eta0:
+        return deltas
+    lo, hi = 0, max(mags)  # the level sum fits at lo and overflows at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(min(m, mid) for m in mags) <= eta0:
+            lo = mid
+        else:
+            hi = mid
+    out = list(deltas)
+    above = [i for i, m in enumerate(mags) if m > lo]
+    extra = sum(min(m, lo + 1) for m in mags) - eta0
+    for k, i in enumerate(above):
+        level = lo if k < extra else lo + 1
+        out[i] = level if out[i] > 0 else -level
+    return out
 
 
 def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
@@ -384,14 +407,8 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
     for phase in phases:
         true = list(phase.sat_step)
         n = len(true)
-        deltas = [stream.randbelow(2 * eta0 + 1) - eta0 for _ in range(n)]
-
-        def shrink(index: int) -> None:
-            deltas[index] -= 1 if deltas[index] > 0 else -1
-
-        while sum(abs(d) for d in deltas) > eta0:
-            worst = max(range(n), key=lambda i: (abs(deltas[i]), -i))
-            shrink(worst)
+        drawn = [stream.randbelow(2 * eta0 + 1) - eta0 for _ in range(n)]
+        deltas = _fit_budget(drawn, eta0)
         while True:
             seen: dict = {}
             clash = None
@@ -402,7 +419,7 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
                     break
             if clash is None:
                 break
-            shrink(clash)
+            deltas[clash] -= 1 if deltas[clash] > 0 else -1
         blocks.append(
             PhasePrediction(
                 phase_start=phase.start,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -77,6 +78,7 @@ def max_footrule_consistency(limit: int):
     return None
 
 
+@functools.cache
 def robustness_threshold(n: int) -> int:
     """Transition count at which the robust scheduler stops trusting
     predictions within a phase: ceil(harmonic_number(n))."""

@@ -20,12 +20,7 @@ import sys
 
 from . import __version__
 from .adversaries import FAMILY_NAMES, budget_tail_size, build_family, canonical_family
-from .analysis import (
-    SweepRecord,
-    robustness_threshold,
-    round_ratio_half_up,
-    transition_stats,
-)
+from .analysis import SweepRecord, round_ratio_half_up, transition_stats
 from .core import (
     CELL_CAP,
     UNIT_LIMIT,
@@ -42,11 +37,6 @@ from .kernels import FAMILIES, POLICIES, simulate_family_trials
 from .opt import opt_units, phase_opt_units
 from .schedulers import make_scheduler, scheduler_names
 from .verify import SUITE_NAMES, run_suite
-
-# The adversary stream must not mirror the scheduler stream, or a
-# randomized scheduler would see draws correlated with the input's; the
-# offset keeps both derivations disjoint for every trial index.
-ADVERSARY_SEED_OFFSET = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,8 +144,14 @@ def _cmd_simulate(args) -> int:
         )
     decomposition = decompose_phases(seq, include_trailing=True)
     phases = [p for p in decomposition[0] if p.complete]
+    # One row per (trial, complete phase); the cap bounds the row list.
+    max_trials = max(1, CELL_CAP // max(1, len(phases)))
+    if args.trials > max_trials:
+        raise ConfigurationError(
+            f"--trials must be <= {max_trials} for {len(phases)} complete phases"
+        )
     phase_opts = phase_opt_units(seq.tasks, seq.granularity, phases)
-    opt_total = opt_units(seq.tasks, seq.granularity, start_state=0)
+    opt_total = opt_units(seq.tasks, seq.granularity)
 
     rows = []
     total_cost = 0
@@ -309,15 +305,12 @@ def _cmd_sweep(args) -> int:
         cells = {}
         lines = [SweepRecord.csv_header()]
         for n in config["n"]:
-            threshold = robustness_threshold(n)
             for eta0 in config["eta0"]:
                 m = budget_tail_size(n, eta0)
                 if (n, m) not in cells:
                     counts, costs = simulate_family_trials(
                         algorithm, family, n, m, phases, trials,
-                        threshold=threshold, granularity=gran,
-                        scheduler_seed=seed,
-                        adversary_seed=seed + ADVERSARY_SEED_OFFSET,
+                        granularity=gran, seed=seed,
                     )
                     cells[n, m] = counts, int(costs.sum())
                 counts, total = cells[n, m]

@@ -48,6 +48,7 @@ __all__ = [
     "decompose_phases",
     "schedule_cost",
     "pst_error_per_phase",
+    "next_demand",
     "lv_loss",
     "to_json_dict",
     "from_json_dict",
@@ -222,24 +223,38 @@ def pst_error_per_phase(seq: TaskSequence):
     return [phase.pst_error() for phase in phases]
 
 
+def next_demand(tasks: np.ndarray) -> np.ndarray:
+    """The truthful next-request table of a (steps, n) task table.
+
+    Entry (t, s) is the first step after t at which state s receives
+    demand, or -1 if it never does again.
+    """
+    steps = len(tasks)
+    upcoming = np.full(tasks.shape, -1, dtype=np.int64)
+    # Row t of ``later`` covers the steps from t + 1 on: a running minimum,
+    # from the end, of the steps with demand, where ``steps`` means none.
+    later = np.where(tasks[1:] > 0, np.arange(1, steps)[:, None], steps)
+    np.minimum.accumulate(later[::-1], axis=0, out=later[::-1])
+    later[later == steps] = -1
+    upcoming[:-1] = later
+    return upcoming
+
+
 def lv_loss(seq: TaskSequence) -> int:
     """Total absolute error of the next-request predictions.
 
     For every nonzero prediction, the true next step at which the state
-    receives demand is compared with the predicted one; "never again" (-1)
-    is scored as one step past the end of the sequence on both sides, so a
-    correct "never" costs nothing.
+    receives demand (``next_demand``) is compared with the predicted one;
+    "never again" (-1) is scored as one step past the end of the sequence
+    on both sides, so a correct "never" costs nothing.
     """
     if seq.lv is None:
         return 0
     steps = len(seq)
-    # upcoming[t, s]: the first step after t at which s receives demand, or steps.
-    demanded = np.where(seq.tasks > 0, np.arange(steps)[:, None], steps)
-    upcoming = np.full_like(demanded, steps)
-    upcoming[:-1] = np.minimum.accumulate(demanded[::-1], axis=0)[::-1][1:]
-    claim = np.where(seq.lv == -1, steps, seq.lv)
+    claim, truth = (np.where(table == -1, steps, table)
+                    for table in (seq.lv, next_demand(seq.tasks)))
     # Summed as Python ints: an int64 sum of large claims could wrap.
-    return sum(np.abs(claim - upcoming)[seq.lv != 0].tolist())
+    return sum(np.abs(claim - truth)[seq.lv != 0].tolist())
 
 
 # ---- serialization ----

@@ -183,14 +183,14 @@ def summarize(seq: TaskSequence, result: RunResult) -> dict:
     Each phase row holds the ``PhaseStats`` fields, ``cost_units`` and the
     phase's own optimum, which lets the comparison schedule open the phase
     in any state for free; the trailing partial phase, if any, is reported
-    without an optimum. The whole-sequence optimum is pinned to the same
-    start state as the run. Both optima are exact. The cost ratio is the
+    without an optimum. The whole-sequence optimum opens in state 0, as
+    the run does. Both optima are exact. The cost ratio is the
     exact quotient rounded half-up to six decimal places.
     """
     from .analysis import round_ratio_half_up
 
     phase_opts = phase_opt_units(seq.tasks, seq.granularity, result.phases)
-    opt_total = opt_units(seq.tasks, seq.granularity, start_state=0)
+    opt_total = opt_units(seq.tasks, seq.granularity)
     report: dict = {
         "scheduler": result.scheduler,
         "seed": result.seed,

@@ -5,7 +5,6 @@ __all__ = [
     "ConfigurationError",
     "MalformedInputError",
     "ProtocolError",
-    "VerificationError",
 ]
 
 
@@ -32,7 +31,3 @@ class ProtocolError(MTSLabError):
     Raised, by ``schedulers.Walk`` only, when a conforming scheduler tries
     to enter a saturated state or returns a target that is not a state.
     """
-
-
-class VerificationError(MTSLabError):
-    """A verification check failed."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adversaries import tail_orders
+from .analysis import robustness_threshold
 from .errors import ConfigurationError
 from .rng import _randbelow, state_rows, trial_seed
 
@@ -35,6 +36,7 @@ __all__ = [
     "backend_name",
     "POLICIES",
     "FAMILIES",
+    "ADVERSARY_SEED_OFFSET",
     "simulate_family_trials",
 ]
 
@@ -47,6 +49,11 @@ def backend_name() -> str:
 POLICIES = ("oblivious", "lps", "robust-lps", "lowest-index")
 
 FAMILIES = ("reversal", "rand-lb")
+
+# The adversary stream must not mirror the scheduler stream, or a
+# randomized scheduler would see draws correlated with the input's; the
+# offset keeps both derivations disjoint for every trial index.
+ADVERSARY_SEED_OFFSET = 1
 
 
 # ---- batched policy simulation over synthetic phase families ----
@@ -65,7 +72,7 @@ def _uniform_later(words, true_rank, act, r):
     return (seen > pick[:, None]).argmax(1)
 
 
-def _simulate_family(policy, family, n, m, gran, phases, threshold, sch, adv):
+def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
     """Every trial at once, phase by phase; each trial owns one column of
     ``sch`` and ``adv`` and consumes it in the order a scalar walk would."""
     trials = sch.shape[1]
@@ -109,7 +116,7 @@ def _simulate_family(policy, family, n, m, gran, phases, threshold, sch, adv):
             elif policy == "oblivious":
                 nxt = _uniform_later(sch, true_rank, act, r)
             else:
-                follow = cnt[act] < threshold
+                follow = cnt[act] < robustness_threshold(n)
                 rest = ~follow
                 nxt = np.empty(act.size, np.int64)
                 nxt[follow] = _follow(order, true_state, slots, act[follow], r[follow])
@@ -124,18 +131,19 @@ def _simulate_family(policy, family, n, m, gran, phases, threshold, sch, adv):
 
 
 def simulate_family_trials(policy: str, family: str, n: int, m: int,
-                           phases: int, trials: int, threshold: int = 0,
-                           granularity: int | None = None,
-                           scheduler_seed: int = 0, adversary_seed: int = 0):
+                           phases: int, trials: int,
+                           granularity: int | None = None, seed: int = 0):
     """Counts and costs per trial for a policy on a synthetic family.
 
     ``family`` "reversal" realizes predictions whose last m slots are
     saturated in reverse; "rand-lb" shuffles the last m slots uniformly
     using the adversary stream. ``m`` must already be clamped to [1, n].
-    ``threshold`` is only read by the robust policy. Trial i draws from the
-    streams seeded with trial_seed(seed, i) on both sides, which is exactly
-    how the file-based generators and the reference engine are seeded, so
-    counts match them trial for trial.
+    The robust policy trusts predictions for ``robustness_threshold(n)``
+    transitions per phase, as ``schedulers.RobustLatestPredicted`` does.
+    Trial i draws its scheduler stream from trial_seed(seed, i) and its
+    adversary stream from trial_seed(seed + ADVERSARY_SEED_OFFSET, i),
+    which is exactly how the reference engine and the file-based
+    generators are seeded, so counts match them trial for trial.
 
     Returns (counts, costs): transition events per (trial, phase) as an
     int64 array of shape (trials, phases), and total movement plus
@@ -151,15 +159,13 @@ def simulate_family_trials(policy: str, family: str, n: int, m: int,
         raise ConfigurationError("m must be in [1, n]")
     if phases < 1 or trials < 1:
         raise ConfigurationError("phases and trials must be >= 1")
-    if policy == "robust-lps" and threshold < 1:
-        raise ConfigurationError("robust policy needs a threshold >= 1")
     if granularity is None:
         granularity = n
     if granularity < n:
         raise ConfigurationError("granularity must be >= n to realize an order")
     # Word-major: row k holds word k of every trial's stream.
-    sch = state_rows([trial_seed(scheduler_seed, t) for t in range(trials)]).T.copy()
-    adv = state_rows([trial_seed(adversary_seed, t) for t in range(trials)]).T.copy()
-    return _simulate_family(policy, family, n, m, granularity, phases, threshold,
-                            sch, adv)
+    sch = state_rows([trial_seed(seed, t) for t in range(trials)]).T.copy()
+    adv = state_rows([trial_seed(seed + ADVERSARY_SEED_OFFSET, t)
+                      for t in range(trials)]).T.copy()
+    return _simulate_family(policy, family, n, m, granularity, phases, sch, adv)
 

@@ -30,7 +30,7 @@ def _step(prev, rows, granularity: int, out) -> None:
     out += rows
 
 
-def _forward(tasks, granularity: int, start_state: int, free_start: bool, keep_table: bool):
+def _forward(tasks, granularity: int, free_start: bool, keep_table: bool):
     """(int64 task table, forward rows) of the DP; None when there are no tasks.
 
     The forward rows are the full (steps, n) table with ``keep_table`` and
@@ -42,13 +42,8 @@ def _forward(tasks, granularity: int, start_state: int, free_start: bool, keep_t
     if arr.ndim != 2:
         raise ConfigurationError("tasks must be a 2d array of unit entries")
     steps, n = arr.shape
-    if free_start:
-        prev = np.zeros(n, dtype=np.int64)
-    elif 0 <= start_state < n:
-        prev = np.full(n, UNIT_LIMIT, dtype=np.int64)
-        prev[start_state] = 0
-    else:
-        raise ConfigurationError("start_state out of range")
+    prev = np.full(n, 0 if free_start else UNIT_LIMIT, dtype=np.int64)
+    prev[0] = 0
     if keep_table:
         table = np.empty((steps, n), dtype=np.int64)
         for t in range(steps):
@@ -60,13 +55,13 @@ def _forward(tasks, granularity: int, start_state: int, free_start: bool, keep_t
     return arr, prev
 
 
-def opt_units(tasks, granularity: int, start_state: int = 0, free_start: bool = False) -> int:
+def opt_units(tasks, granularity: int, free_start: bool = False) -> int:
     """Cheapest achievable cost in units over the given task rows.
 
     With ``free_start`` the schedule may open in any state at no charge;
-    otherwise it opens in ``start_state``. Empty input costs 0.
+    otherwise it opens in state 0. Empty input costs 0.
     """
-    forward = _forward(tasks, granularity, start_state, free_start, keep_table=False)
+    forward = _forward(tasks, granularity, free_start, keep_table=False)
     return 0 if forward is None else int(forward[1].min())
 
 
@@ -97,9 +92,9 @@ def phase_opt_units(arr, granularity: int, phases) -> list:
     return best.tolist()
 
 
-def opt_schedule(tasks, granularity: int, start_state: int = 0, free_start: bool = False):
-    """(cost_units, schedule) for one optimal schedule."""
-    forward = _forward(tasks, granularity, start_state, free_start, keep_table=True)
+def opt_schedule(tasks, granularity: int, free_start: bool = False):
+    """(cost_units, schedule) for one optimal schedule, opening as ``opt_units`` does."""
+    forward = _forward(tasks, granularity, free_start, keep_table=True)
     if forward is None:
         return 0, []
     arr, best = forward

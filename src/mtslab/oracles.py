@@ -14,13 +14,16 @@ from itertools import permutations, product
 
 import numpy as np
 
+from .analysis import robustness_threshold
 from .core import Phase, TaskSequence, schedule_cost
 from .rng import RandomStream, trial_seed
 
 __all__ = [
     "decompose_phases_restart",
+    "fit_budget_scalar",
     "latest_next_request_scalar",
     "max_footrule_bruteforce",
+    "next_demand_scalar",
     "opt_bruteforce",
     "opt_units_scalar",
     "simulate_family_scalar",
@@ -53,6 +56,37 @@ def decompose_phases_restart(seq: TaskSequence):
     return phases, start
 
 
+def fit_budget_scalar(deltas, eta0: int) -> list:
+    """Offsets shrunk one unit at a time until their total magnitude fits eta0.
+
+    Each pass takes one unit off the largest magnitude, the lowest index
+    among equals; ``adversaries._fit_budget`` computes the result in
+    closed form.
+    """
+    deltas = list(deltas)
+    while sum(abs(d) for d in deltas) > eta0:
+        worst = max(range(len(deltas)), key=lambda i: (abs(deltas[i]), -i))
+        deltas[worst] -= 1 if deltas[worst] > 0 else -1
+    return deltas
+
+
+def next_demand_scalar(tasks) -> list:
+    """``core.next_demand`` by one reverse scan over the rows.
+
+    Walking back from the last step, every state remembers the latest step
+    it was demanded at; a row reads those memories before its own demands
+    update them.
+    """
+    upcoming = [-1] * (len(tasks[0]) if len(tasks) else 0)
+    table = [None] * len(tasks)
+    for t in range(len(tasks) - 1, -1, -1):
+        table[t] = list(upcoming)
+        for s, units in enumerate(tasks[t]):
+            if units > 0:
+                upcoming[s] = t
+    return table
+
+
 def latest_next_request_scalar(lv, t: int) -> list:
     """Per state, the last nonzero entry of ``lv`` rows 0..t, or 0 if none.
 
@@ -82,22 +116,21 @@ def max_footrule_bruteforce(m: int) -> int:
     return best
 
 
-def opt_bruteforce(tasks, granularity: int, start_state: int = 0, free_start: bool = False) -> int:
-    """Cheapest schedule cost in units, by enumerating all n^T schedules."""
+def opt_bruteforce(tasks, granularity: int, free_start: bool = False) -> int:
+    """Cheapest cost in units of the n^T schedules, opening as ``opt.opt_units`` does."""
     if not tasks:
         return 0
     n = len(tasks[0])
     best = None
     for schedule in product(range(n), repeat=len(tasks)):
-        first = schedule[0] if free_start else start_state
+        first = schedule[0] if free_start else 0
         total, _, _ = schedule_cost(tasks, granularity, schedule, start_state=first)
         if best is None or total < best:
             best = total
     return best
 
 
-def opt_units_scalar(tasks, granularity: int, start_state: int = 0,
-                     free_start: bool = False) -> int:
+def opt_units_scalar(tasks, granularity: int, free_start: bool = False) -> int:
     """The optimum DP of ``opt.opt_units``, one state at a time.
 
     Costs O(steps * n) interpreted steps; ``opt.opt_units`` computes the
@@ -107,9 +140,8 @@ def opt_units_scalar(tasks, granularity: int, start_state: int = 0,
         return 0
     n = len(tasks[0])
     big = 1 << 60
-    prev = [0] * n if free_start else [big] * n
-    if not free_start:
-        prev[start_state] = 0
+    prev = [0 if free_start else big] * n
+    prev[0] = 0
     for row in tasks:
         mn = min(prev)
         cur = []
@@ -122,21 +154,22 @@ def opt_units_scalar(tasks, granularity: int, start_state: int = 0,
 
 
 def simulate_family_scalar(policy: str, family: str, n: int, m: int,
-                           phases: int, trials: int, threshold: int = 0,
-                           granularity: int | None = None,
-                           scheduler_seed: int = 0, adversary_seed: int = 0):
+                           phases: int, trials: int,
+                           granularity: int | None = None, seed: int = 0):
     """``kernels.simulate_family_trials``, one trial and one state at a time.
 
     Same arguments and return value; arguments are not validated. Each
     trial draws from its own ``RandomStream(trial_seed(seed, trial))`` on
-    both sides, so this shares no random-number code with the kernel.
+    the scheduler side and ``RandomStream(trial_seed(seed + 1, trial))`` on
+    the adversary side, so this shares no random-number code with the kernel.
     """
     gran = n if granularity is None else granularity
+    trust = robustness_threshold(n)
     counts = []
     costs = []
     for trial in range(trials):
-        sch = RandomStream(trial_seed(scheduler_seed, trial))
-        adv = RandomStream(trial_seed(adversary_seed, trial))
+        sch = RandomStream(trial_seed(seed, trial))
+        adv = RandomStream(trial_seed(seed + 1, trial))
         trial_counts = []
         total = 0
         cur = 0
@@ -185,7 +218,7 @@ def simulate_family_scalar(policy: str, family: str, n: int, m: int,
                 later = [s for s in range(n) if true_rank[s] > r]
                 if policy == "lowest-index":
                     nxt = later[0]
-                elif policy == "lps" or (policy == "robust-lps" and cnt + 1 <= threshold):
+                elif policy == "lps" or (policy == "robust-lps" and cnt + 1 <= trust):
                     nxt = max(true_state[r + 1:], key=lambda s: pred_rank[s])
                 else:
                     nxt = later[sch.randbelow(n - 1 - r)]

@@ -81,7 +81,7 @@ def test_random_inputs_satisfy_the_cost_sandwiches():
     # 500 seeded tie-free inputs; every conforming scheduler's complete
     # phases must cost between k*g and (2k+1)*g for their k transition
     # events, and the offline optimum must sit between g and 2g per phase.
-    result = invariants_suite(inputs=500, seed=0, max_n=8)
+    result = invariants_suite(inputs=500, seed=0)
     assert result.passed, result.lines()
 
 
@@ -90,7 +90,7 @@ def test_oblivious_restart_mean_matches_harmonic_number():
     for n in (4, 16, 64):
         counts, _ = simulate_family_trials(
             "oblivious", "reversal", n, 1, phases=2, trials=10_000,
-            granularity=n, scheduler_seed=7, adversary_seed=8,
+            granularity=n, seed=7,
         )
         mean, se = mean_and_se(counts.reshape(-1))
         target = float(harmonic_number(n))
@@ -105,7 +105,7 @@ def test_prediction_follower_tail_walk_matches_harmonic_numbers():
         assert expected_walk_visits_bruteforce(m) == harmonic_number(m)
     counts, _ = simulate_family_trials(
         "lps", "rand-lb", 16, 16, phases=10_000, trials=1,
-        granularity=16, scheduler_seed=3, adversary_seed=4,
+        granularity=16, seed=3,
     )
     mean, se = mean_and_se(counts.reshape(-1))
     target = float(harmonic_number(16))

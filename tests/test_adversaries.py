@@ -283,6 +283,17 @@ def test_noisy_pst_rejects_budgets_past_one_draw(deadline):
         noisy_pst(base, 2**31)
 
 
+def test_noisy_pst_takes_the_largest_budget_in_closed_form(deadline):
+    # A loop that sheds one unit of the budget per pass would run for hours.
+    base = random_unit_sequence(8, 3, 4, seed=1)
+    eta0 = 2**31 - 1
+    with deadline(10):
+        noisy = noisy_pst(base, eta0, seed=0)
+    errors = pst_error_per_phase(noisy)
+    assert len(errors) == 4
+    assert all(0 < err <= eta0 for err in errors)
+
+
 def test_canonical_family_names_and_aliases():
     assert canonical_family("Rand_LB") == "rand-lb"
     assert canonical_family("force-deterministic") == "force-det"

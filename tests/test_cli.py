@@ -10,7 +10,7 @@ import pytest
 from mtslab import adversaries
 from mtslab.analysis import max_forcible_transitions
 from mtslab.cli import SWEEP_MAX_N, main
-from mtslab.core import UNIT_LIMIT, load_task_sequence
+from mtslab.core import CELL_CAP, UNIT_LIMIT, load_task_sequence
 from mtslab.oracles import simulate_family_scalar
 from mtslab.verify import VerifyResult
 
@@ -116,6 +116,29 @@ def test_simulate_trials_only_for_randomized(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert {row["trial"] for row in doc["rows"]} == {0, 1, 2}
+
+
+def test_simulate_rejects_trials_past_the_row_cap(tmp_path, capsys, monkeypatch):
+    import mtslab.cli as cli
+
+    _, inp = _gen(tmp_path, "--adversary", "reversal", "--n", "4",
+                  "--eta0", "2", "--phases", "2")
+    capsys.readouterr()
+
+    class Ran(Exception):
+        pass
+
+    def run_scheduler(*args, **kwargs):
+        raise Ran
+
+    monkeypatch.setattr(cli, "run_scheduler", run_scheduler)
+    argv = ["simulate", "--input", str(inp), "--algorithm", "oblivious", "--trials"]
+    for trials in (10**9, CELL_CAP // 2 + 1):
+        assert main(argv + [str(trials)]) == 2
+        assert f"--trials must be <= {CELL_CAP // 2} for 2 complete phases" in \
+            capsys.readouterr().err
+    with pytest.raises(Ran):
+        main(argv + [str(CELL_CAP // 2)])
 
 
 def test_simulate_missing_oracle_data_is_usage_error(tmp_path, capsys):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtslab.adversaries import reversal_sequence, shuffled_tail_sequence
-from mtslab.analysis import max_footrule, robustness_threshold
+from mtslab.analysis import max_footrule
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
 from mtslab.kernels import (
+    ADVERSARY_SEED_OFFSET,
     FAMILIES,
     POLICIES,
     _randbelow,
@@ -39,15 +40,11 @@ def _file_sequence(family, n, m, gran, phases, adversary_seed):
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("n,m,gran,phases", GEOMETRIES)
 def test_kernel_matches_engine_trial_zero(family, policy, n, m, gran, phases):
-    scheduler_seed = 11
-    adversary_seed = 23
+    seed = 11
     counts, costs = simulate_family_trials(
-        policy, family, n, m, phases, trials=1,
-        threshold=robustness_threshold(n), granularity=gran,
-        scheduler_seed=scheduler_seed, adversary_seed=adversary_seed,
-    )
-    seq = _file_sequence(family, n, m, gran, phases, adversary_seed)
-    run = run_scheduler(seq, policy, seed=scheduler_seed, trial_index=0)
+        policy, family, n, m, phases, trials=1, granularity=gran, seed=seed)
+    seq = _file_sequence(family, n, m, gran, phases, seed + ADVERSARY_SEED_OFFSET)
+    run = run_scheduler(seq, policy, seed=seed, trial_index=0)
     assert run.transitions_per_phase == counts[0].tolist()
     assert run.total_units == int(costs[0])
     assert run.suffix_start == len(seq.tasks)
@@ -56,7 +53,7 @@ def test_kernel_matches_engine_trial_zero(family, policy, n, m, gran, phases):
 def test_trials_use_independent_streams():
     counts, _ = simulate_family_trials(
         "oblivious", "rand-lb", 6, 6, 12, trials=8,
-        granularity=6, scheduler_seed=1, adversary_seed=2,
+        granularity=6, seed=1,
     )
     rows = {tuple(row) for row in counts.tolist()}
     assert len(rows) > 1
@@ -81,11 +78,10 @@ def test_kernel_shapes_and_dtypes():
     {"phases": 0},
     {"trials": 0},
     {"granularity": 3},
-    {"policy": "robust-lps", "threshold": 0},
 ])
 def test_kernel_rejects_bad_arguments(kwargs):
     base = dict(policy="lps", family="reversal", n=4, m=2, phases=1,
-                trials=1, threshold=2, granularity=4)
+                trials=1, granularity=4)
     base.update(kwargs)
     with pytest.raises(ConfigurationError):
         simulate_family_trials(**base)
@@ -100,17 +96,13 @@ def test_kernel_rejects_bad_arguments(kwargs):
     phases=st.integers(1, 6),
     trials=st.integers(1, 8),
     extra_gran=st.integers(0, 3),
-    threshold=st.integers(1, 4),
-    scheduler_seed=st.integers(0, 2**64 - 1),
-    adversary_seed=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**64 - 1),
 )
 def test_lockstep_kernel_matches_scalar_oracle(policy, family, n, data, phases, trials,
-                                               extra_gran, threshold, scheduler_seed,
-                                               adversary_seed):
+                                               extra_gran, seed):
     m = data.draw(st.integers(1, n), label="m")
     args = (policy, family, n, m, phases, trials)
-    kwargs = dict(threshold=threshold, granularity=n + extra_gran,
-                  scheduler_seed=scheduler_seed, adversary_seed=adversary_seed)
+    kwargs = dict(granularity=n + extra_gran, seed=seed)
     counts, costs = simulate_family_trials(*args, **kwargs)
     want_counts, want_costs = simulate_family_scalar(*args, **kwargs)
     assert counts.tolist() == want_counts.tolist()

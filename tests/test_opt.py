@@ -56,11 +56,6 @@ def test_backtrack_prefers_staying():
     assert schedule == [0, 0, 0]
 
 
-def test_start_state_validation():
-    with pytest.raises(ConfigurationError):
-        opt_schedule([[1, 2]], 3, start_state=2)
-
-
 def test_opt_units_empty_is_zero():
     assert opt_units([], 4) == 0
 

@@ -7,15 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mtslab.adversaries import _fit_budget
 from mtslab.analysis import harmonic_number, max_footrule
-from mtslab.core import PhasePrediction, TaskSequence, decompose_phases, schedule_cost
+from mtslab.core import (
+    PhasePrediction,
+    TaskSequence,
+    decompose_phases,
+    next_demand,
+    schedule_cost,
+)
 from mtslab.engine import run_scheduler
 from mtslab.opt import opt_schedule, opt_units, phase_opt_units
 from mtslab.oracles import (
     decompose_phases_restart,
     expected_walk_visits_bruteforce,
+    fit_budget_scalar,
     latest_next_request_scalar,
     max_footrule_bruteforce,
+    next_demand_scalar,
     opt_bruteforce,
     opt_units_scalar,
 )
@@ -64,8 +73,8 @@ def test_opt_bruteforce_free_start_skips_initial_move():
     tasks = [[3, 0], [3, 0]]
     # From state 0 the best fixed-start schedule buys one move; a free
     # start opens in the quiet state and pays nothing at all.
-    assert opt_bruteforce(tasks, 3, start_state=0) == 3
-    assert opt_bruteforce(tasks, 3, start_state=0, free_start=True) == 0
+    assert opt_bruteforce(tasks, 3) == 3
+    assert opt_bruteforce(tasks, 3, free_start=True) == 0
 
 
 def test_opt_bruteforce_single_state():
@@ -189,6 +198,33 @@ def test_forward_filled_next_requests_match_replay_oracle(seq):
         assert row == latest_next_request_scalar(lv, now)
 
 
+@st.composite
+def demand_tables(draw):
+    n = draw(st.integers(1, 4))
+    # All-zero rows are common, and so are rows demanding several states.
+    row = st.one_of(st.just([0] * n), st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return n, draw(st.lists(row, max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(demand_tables())
+@example((2, []))
+@example((3, [[0, 0, 0], [1, 0, 2], [0, 0, 0], [0, 1, 1], [0, 0, 0]]))
+def test_next_demand_matches_reverse_scan(case):
+    n, tasks = case
+    arr = np.asarray(tasks, dtype=np.int64).reshape(len(tasks), n)
+    assert next_demand(arr).tolist() == next_demand_scalar(tasks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=8), st.integers(0, 200))
+@example([5, -5, 5], 4)
+@example([0, 0], 0)
+@example([-3, 3, 2, 3], 6)
+def test_closed_form_budget_matches_per_unit_loop(deltas, eta0):
+    assert _fit_budget(list(deltas), eta0) == fit_budget_scalar(deltas, eta0)
+
+
 def _span(start, end):
     return SimpleNamespace(start=start, end=end)
 
@@ -223,9 +259,7 @@ _SKEWED = (2, 3, [[1, 0], [0, 2], [3, 3]] * 10 + [[2, 1]] * 12,
 @example(_SKEWED)
 def test_vectorized_optimum_matches_scalar_oracle(case):
     n, g, tasks, spans = case
-    for start_state in range(n):
-        assert opt_units(tasks, g, start_state=start_state) == \
-            opt_units_scalar(tasks, g, start_state=start_state)
+    assert opt_units(tasks, g) == opt_units_scalar(tasks, g)
     assert opt_units(tasks, g, free_start=True) == opt_units_scalar(tasks, g, free_start=True)
 
     arr = np.asarray(tasks, dtype=np.int64).reshape(len(tasks), n)

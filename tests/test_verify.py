@@ -110,7 +110,7 @@ def test_invariants_suite_is_green():
 
 def test_run_suite_dispatch():
     assert set(SUITE_NAMES) == {"arith", "footrule", "opt", "invariants", "all"}
-    merged = run_suite("all", max_m=4, opt_instances=10, conformance_inputs=4)
+    merged = run_suite("all", max_m=4)
     assert merged.passed
     names = {c.name for c in merged.checks}
     assert "footrule-max-m4" in names
