@@ -16,11 +16,11 @@ Prediction blocks assign each state a predicted saturation step; the
 per-phase prediction error is the footrule distance between the predicted
 and the realized order. The two tail families, reversal and rand-lb, are
 defined once, by ``tail_orders``: the file generators write out its trial
-0, and the batched kernel (kernels.py) walks every trial of it. Cyclic
-relabeling pins the top predicted state of each phase to
-(carryover + 1) mod n, where the carryover is the state any conforming
-scheduler necessarily occupies when the previous phase closes, so a
-prediction-following scheduler's phase-opening move is always real.
+0, and the batched kernel (kernels.py) walks every row of it, one row per
+(tail size, trial). Cyclic relabeling pins the top predicted state of
+each phase to (carryover + 1) mod n, where the carryover is the state any
+conforming scheduler necessarily occupies when the previous phase closes,
+so a prediction-following scheduler's phase-opening move is always real.
 """
 
 from __future__ import annotations
@@ -124,38 +124,55 @@ def shuffled_tail_sequence(n: int, granularity: int, tail_size: int, phases: int
     return _tail_sequence("rand-lb", n, granularity, min(tail_size, n), phases, seed)
 
 
-def tail_orders(family: str, n: int, m: int, phases: int, words):
-    """Phase by phase, the saturation orders of every trial of a tail family.
+def tail_orders(family: str, n: int, m, phases: int, words):
+    """Phase by phase, the saturation orders of every row of a tail family.
 
-    ``words`` holds one adversary stream per trial, word-major (see
-    ``rng._randbelow``). Each phase yields (order, true), two new
-    (trials, n) int64 tables: ``true[t, j]`` is the state that saturates
-    at slot j of trial t, and ``order[t, j]`` is that state's predicted
-    slot. The last m predicted slots saturate in reverse ("reversal") or
-    in a Fisher-Yates shuffle drawn on the trial's stream ("rand-lb").
+    ``words`` holds one adversary stream per row, word-major (see
+    ``rng._randbelow``), and ``m`` the tail size of every row, or one tail
+    size for all of them. Each phase yields (order, true), two new
+    (rows, n) int64 tables: ``true[t, j]`` is the state that saturates at
+    slot j of row t, and ``order[t, j]`` is that state's predicted slot.
+    The last m predicted slots saturate in reverse ("reversal") or in a
+    Fisher-Yates shuffle drawn on the row's stream ("rand-lb").
     Predicted slot k holds state (k + carry + 2) mod n, where the carry
     is the state that saturated last in the previous phase (state 0
     before the first), so the top predicted state is never the carry
     when n > 1.
     """
-    trials = words.shape[1]
-    rows = np.arange(trials)
+    streams = words.shape[1]
+    rows = np.arange(streams)
     slots = np.arange(n)
-    base = np.tile(slots, (trials, 1))
+    size = np.broadcast_to(m, streams)
+    first = n - size[:, None]  # the first tail slot of each row
     if family == "reversal":
-        base[:, n - m:] = slots[n - m:][::-1]
-    # bounds[b]: the draw bound b for every trial.
-    bounds = np.arange(m + 1)[:, None].repeat(trials, 1)
-    carry = np.zeros(trials, np.int64)
+        fixed = np.where(slots < first, slots, n - 1 + first - slots)
+    else:
+        # The shuffle runs on a (rows, width + n) buffer: each row's tail
+        # left-aligned in the first width columns, then the identity head.
+        # Past its own tail a row repeats its first tail entry and draws
+        # with a bound of 1, which draws nothing and swaps two equal
+        # values, so every step is one column swap across all rows.
+        width = int(size.max())
+        cols = np.arange(width)
+        start = np.where(cols < size[:, None], first + cols, first)
+        bounds = np.where(cols[:, None] < size, cols[:, None] + 1, 1)  # (step, row)
+        buf = np.empty((streams, width + n), np.int64)
+        buf[:, width:] = slots
+        tail = buf[:, :width]
+        # Flat buffer index of every (row, slot) of the order.
+        pick = np.where(slots < first, width + slots, slots - first) + rows[:, None] * (width + n)
+    carry = np.zeros(streams, np.int64)
     for _ in range(phases):
-        order = base.copy()
-        if family != "reversal":
-            tail = order[:, n - m:]
-            for i in range(m - 1, 0, -1):
-                j = _randbelow(words, rows, bounds[i + 1])
+        if family == "reversal":
+            order = fixed.copy()
+        else:
+            tail[:] = start
+            for i in range(width - 1, 0, -1):
+                j = _randbelow(words, rows, bounds[i])
                 swap = tail[rows, j]
                 tail[rows, j] = tail[:, i]
                 tail[:, i] = swap
+            order = buf.take(pick)
         true = (order + (carry + 2)[:, None]) % n
         yield order, true
         carry = true[:, -1]

@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .adversaries import FAMILY_NAMES, budget_tail_size, build_family, canonical_family
 from .analysis import SweepRecord, round_ratio_half_up, transition_stats
@@ -35,6 +37,7 @@ from .engine import run_scheduler
 from .errors import ConfigurationError, MalformedInputError
 from .kernels import FAMILIES, POLICIES, simulate_family_trials
 from .opt import opt_units, phase_opt_units
+from .rng import MASK64
 from .schedulers import make_scheduler, scheduler_names
 from .verify import SUITE_NAMES, run_suite
 
@@ -103,7 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int, name: str) -> None:
+    """One seed, one stream: the streams read a seed modulo 2**64, so a seed
+    outside [0, 2**64) would silently rerun another seed's streams."""
+    if not 0 <= seed <= MASK64:
+        raise ConfigurationError(f"{name} must be in [0, 2**64)")
+
+
 def _cmd_adversary_gen(args) -> int:
+    _check_seed(args.seed, "--seed")
     seq, info = build_family(
         args.adversary,
         n=args.n,
@@ -134,6 +145,7 @@ SIMULATE_FIELDS = ("trial", "phase_index", "transitions", "alg_cost_units", "opt
 
 
 def _cmd_simulate(args) -> int:
+    _check_seed(args.seed, "--seed")
     seq = load_task_sequence(args.input)
     sched = make_scheduler(args.algorithm)
     if args.trials < 1:
@@ -195,6 +207,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_seed(args.seed, "--seed")
     result = run_suite(args.suite, max_m=args.max_m, seed=args.seed)
     for line in result.lines():
         print(line)
@@ -263,6 +276,7 @@ def _load_sweep_config(path: str) -> tuple[dict, str]:
         raise ConfigurationError(f"sweep config lists algorithms more than once: {repeated}")
     if config["phases"] < 1 or config["trials"] < 1:
         raise ConfigurationError("phases and trials must be >= 1")
+    _check_seed(config["seed"], "sweep config key 'seed'")
     if config["granularity"] < max(config["n"]):
         raise ConfigurationError("granularity must be >= every swept n")
     n_max, trials, phases = max(config["n"]), config["trials"], config["phases"]
@@ -300,24 +314,25 @@ def _cmd_sweep(args) -> int:
     outputs = []
     written = {}
     for algorithm in config["algorithms"]:
-        # A cell depends on eta0 only through m, and seeds, phases, trials
-        # and granularity are fixed per sweep: one kernel call per (n, m).
-        cells = {}
         lines = [SweepRecord.csv_header()]
         for n in config["n"]:
-            for eta0 in config["eta0"]:
-                m = budget_tail_size(n, eta0)
-                if (n, m) not in cells:
-                    counts, costs = simulate_family_trials(
-                        algorithm, family, n, m, phases, trials,
-                        granularity=gran, seed=seed,
-                    )
-                    cells[n, m] = counts, int(costs.sum())
-                counts, total = cells[n, m]
+            # A cell depends on eta0 only through m, and seeds, phases,
+            # trials and granularity are fixed per sweep: one kernel call
+            # runs every distinct m of this n, split only where its
+            # (rows, n) and (rows, phases) blocks would pass the cell cap.
+            ms = [budget_tail_size(n, eta0) for eta0 in config["eta0"]]
+            tails = sorted(set(ms))
+            step = CELL_CAP // (trials * max(n, phases))
+            runs = [simulate_family_trials(algorithm, family, n, tuple(tails[i:i + step]),
+                                           phases, trials, granularity=gran, seed=seed)
+                    for i in range(0, len(tails), step)]
+            counts = np.concatenate([c for c, _ in runs])
+            totals = np.concatenate([k for _, k in runs]).sum(axis=1)
+            for eta0, m, cell in zip(config["eta0"], ms, np.searchsorted(tails, ms)):
                 lines.append(SweepRecord.from_counts(
                     n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed,
-                    phases=phases, counts=counts, total_cost_units=total,
-                    opt_cost_units=opt_total,
+                    phases=phases, counts=counts[cell],
+                    total_cost_units=int(totals[cell]), opt_cost_units=opt_total,
                 ).csv_row())
         written[algorithm] = len(lines) - 1
         outputs.append((f"{algorithm}.csv", "\n".join(lines) + "\n",

@@ -1,20 +1,22 @@
-"""Batched family simulation: every trial of a call walked in lockstep.
+"""Batched family simulation: every row of a call walked in lockstep.
 
 The batched simulator runs a scheduling policy over synthetic inputs that
 are described at the event level: per phase only the predicted and the
 realized saturation orders matter for transition counts, so phases are
 walked saturation by saturation instead of step by step. Every trial
 therefore runs the same walk on different random draws, and the kernel
-advances all trials of a call together, phase by phase, as numpy
-operations over (trials, n) blocks:
+advances all rows of a call together, phase by phase, as numpy
+operations over (rows, n) blocks. A call takes one tail size m or a
+sequence of them, and has one row per (m, trial):
 
-* each trial owns one xorshift stream per side; the four words of every
-  stream are stored word-major, shape (4, trials), and drawn on with
-  ``rng._randbelow``;
+* each trial owns one xorshift stream per side, repeated once per tail
+  size; the four words of every stream are stored word-major, shape
+  (4, rows), and drawn on with ``rng._randbelow``;
 * the phase orders come from ``adversaries.tail_orders``, the one
   definition of the reversal and rand-lb families (the file generators
-  read it too), which draws the rand-lb shuffles on the adversary streams;
-* a phase walk keeps a shrinking index of the trials still walking and
+  read it too), which takes each row's m and draws the rand-lb shuffles
+  on the adversary streams;
+* a phase walk keeps a shrinking index of the rows still walking and
   takes at most n steps.
 
 Every stream is consumed in the order of the per-trial walk, so results
@@ -73,8 +75,9 @@ def _uniform_later(words, true_rank, act, r):
 
 
 def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
-    """Every trial at once, phase by phase; each trial owns one column of
-    ``sch`` and ``adv`` and consumes it in the order a scalar walk would."""
+    """Every row at once, phase by phase; row t has tail size ``m[t]``, owns
+    column t of ``sch`` and ``adv`` and consumes it in the order a scalar
+    walk would."""
     trials = sch.shape[1]
     rows = np.arange(trials)
     slots = np.arange(n)
@@ -130,14 +133,24 @@ def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
     return counts, costs
 
 
-def simulate_family_trials(policy: str, family: str, n: int, m: int,
+def _streams(seed, trials, copies):
+    """Word-major xorshift words, shape (4, copies * trials): column
+    k * trials + i holds trial i's stream from ``seed``, for every copy k.
+    The copy makes the words C-contiguous, whatever the number of copies."""
+    words = state_rows([trial_seed(seed, t) for t in range(trials)])
+    return np.tile(words, (copies, 1)).T.copy()
+
+
+def simulate_family_trials(policy: str, family: str, n: int, m,
                            phases: int, trials: int,
                            granularity: int | None = None, seed: int = 0):
     """Counts and costs per trial for a policy on a synthetic family.
 
     ``family`` "reversal" realizes predictions whose last m slots are
     saturated in reverse; "rand-lb" shuffles the last m slots uniformly
-    using the adversary stream. ``m`` must already be clamped to [1, n].
+    using the adversary stream. ``m`` is one tail size or a 1-D sequence
+    of them, each already clamped to [1, n]; every tail size runs all
+    trials on the same streams, as a call with that m alone would.
     The robust policy trusts predictions for ``robustness_threshold(n)``
     transitions per phase, as ``schedulers.RobustLatestPredicted`` does.
     Trial i draws its scheduler stream from trial_seed(seed, i) and its
@@ -146,8 +159,9 @@ def simulate_family_trials(policy: str, family: str, n: int, m: int,
     generators are seeded, so counts match them trial for trial.
 
     Returns (counts, costs): transition events per (trial, phase) as an
-    int64 array of shape (trials, phases), and total movement plus
-    processing units per trial as an int64 array of shape (trials,).
+    int64 array of shape ``np.shape(m) + (trials, phases)``, and total
+    movement plus processing units per trial as an int64 array of shape
+    ``np.shape(m) + (trials,)``.
     """
     if policy not in POLICIES:
         raise ConfigurationError(f"no batched kernel for policy {policy!r}")
@@ -155,7 +169,10 @@ def simulate_family_trials(policy: str, family: str, n: int, m: int,
         raise ConfigurationError(f"unknown input family {family!r}")
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    if not 1 <= m <= n:
+    sizes = np.asarray(m)
+    if sizes.ndim > 1 or not sizes.size or sizes.dtype.kind not in "iu":
+        raise ConfigurationError("m must be an integer or a non-empty 1-D sequence of them")
+    if sizes.min() < 1 or sizes.max() > n:
         raise ConfigurationError("m must be in [1, n]")
     if phases < 1 or trials < 1:
         raise ConfigurationError("phases and trials must be >= 1")
@@ -163,9 +180,10 @@ def simulate_family_trials(policy: str, family: str, n: int, m: int,
         granularity = n
     if granularity < n:
         raise ConfigurationError("granularity must be >= n to realize an order")
-    # Word-major: row k holds word k of every trial's stream.
-    sch = state_rows([trial_seed(seed, t) for t in range(trials)]).T.copy()
-    adv = state_rows([trial_seed(seed + ADVERSARY_SEED_OFFSET, t)
-                      for t in range(trials)]).T.copy()
-    return _simulate_family(policy, family, n, m, granularity, phases, sch, adv)
-
+    sizes = sizes.reshape(-1)
+    sch = _streams(seed, trials, sizes.size)
+    adv = _streams(seed + ADVERSARY_SEED_OFFSET, trials, sizes.size)
+    counts, costs = _simulate_family(policy, family, n, sizes.repeat(trials),
+                                     granularity, phases, sch, adv)
+    shape = np.shape(m)
+    return counts.reshape(shape + (trials, phases)), costs.reshape(shape + (trials,))

@@ -153,16 +153,22 @@ def opt_units_scalar(tasks, granularity: int, free_start: bool = False) -> int:
     return min(prev)
 
 
-def simulate_family_scalar(policy: str, family: str, n: int, m: int,
+def simulate_family_scalar(policy: str, family: str, n: int, m,
                            phases: int, trials: int,
                            granularity: int | None = None, seed: int = 0):
     """``kernels.simulate_family_trials``, one trial and one state at a time.
 
-    Same arguments and return value; arguments are not validated. Each
-    trial draws from its own ``RandomStream(trial_seed(seed, trial))`` on
-    the scheduler side and ``RandomStream(trial_seed(seed + 1, trial))`` on
-    the adversary side, so this shares no random-number code with the kernel.
+    Same arguments and return value; arguments are not validated. A
+    sequence of tail sizes runs one tail size at a time, and the results
+    are stacked. Each trial draws from its own
+    ``RandomStream(trial_seed(seed, trial))`` on the scheduler side and
+    ``RandomStream(trial_seed(seed + 1, trial))`` on the adversary side, so
+    this shares no random-number code with the kernel.
     """
+    if np.ndim(m):
+        runs = [simulate_family_scalar(policy, family, n, size, phases, trials,
+                                       granularity, seed) for size in m]
+        return np.stack([c for c, _ in runs]), np.stack([k for _, k in runs])
     gran = n if granularity is None else granularity
     trust = robustness_threshold(n)
     counts = []

@@ -12,7 +12,8 @@ own small generator rather than numpy's:
   safe in signed 64-bit arithmetic, so whole int64 arrays of streams step
   exactly like the Python-int reference),
 * seeding and per-trial derivation: a splitmix64-style mixer kept in pure
-  Python where 64-bit multiplication is exact.
+  Python where 64-bit multiplication is exact; ``state_rows`` runs the
+  same mixer over a whole batch of seeds in wrapping uint64 arithmetic.
 
 Batch runs derive one independent stream per trial: trial ``i`` of a batch
 with base seed ``s`` uses ``trial_seed(s, i)``, which is splitmix64 output
@@ -67,11 +68,22 @@ def seed_words(seed: int) -> tuple[int, int, int, int]:
     return words
 
 
+def _mix64_rows(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` over a uint64 array, in wrapping 64-bit arithmetic."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
 def state_rows(seeds: list[int]) -> np.ndarray:
-    """Stack xorshift word rows for a batch of seeds, kernel-ready."""
-    rows = np.empty((len(seeds), 4), dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        rows[i] = seed_words(seed)
+    """``seed_words`` of every seed, one row each, kernel-ready (int64)."""
+    s = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)
+    a = _mix64_rows(s + np.uint64(_GAMMA))
+    b = _mix64_rows(s + np.uint64(2 * _GAMMA & MASK64))
+    half = np.uint64(32)
+    low = np.uint64(MASK32)
+    rows = np.stack([a & low, a >> half, b & low, b >> half], axis=1).astype(np.int64)
+    rows[~rows.any(axis=1)] = (1, 0, 0, 0)
     return rows
 
 

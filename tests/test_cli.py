@@ -287,7 +287,8 @@ def _sweep_rows(out_dir, algorithm):
     return (out_dir / f"{algorithm}.csv").read_text().splitlines()
 
 
-def test_sweep_runs_the_kernel_once_per_distinct_cell(tmp_path, capsys, monkeypatch):
+def _counted_kernel(monkeypatch):
+    """Patch the sweep's kernel to record (n, m, algorithm) of every call."""
     import mtslab.cli as cli
 
     calls = []
@@ -298,13 +299,43 @@ def test_sweep_runs_the_kernel_once_per_distinct_cell(tmp_path, capsys, monkeypa
         return kernel(algorithm, family, n, m, *args, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_family_trials", counted)
+    return calls
+
+
+def test_sweep_runs_the_kernel_once_per_distinct_cell(tmp_path, capsys, monkeypatch):
+    calls = _counted_kernel(monkeypatch)
     cfg = _write_config(tmp_path, **CACHE_CONFIG)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
     distinct = {(n, min(max_forcible_transitions(e), n))
                 for n in CACHE_CONFIG["n"] for e in CACHE_CONFIG["eta0"]}
     assert len(distinct) < len(CACHE_CONFIG["n"]) * len(CACHE_CONFIG["eta0"])
-    assert len(calls) == len(set(calls)) == len(distinct) * len(CACHE_CONFIG["algorithms"])
+    # One call per (algorithm, n), over that n's distinct tail sizes, sorted.
+    assert calls == [(n, tuple(sorted(m for k, m in distinct if k == n)), algorithm)
+                     for algorithm in CACHE_CONFIG["algorithms"] for n in CACHE_CONFIG["n"]]
+    covered = [(n, m, algorithm) for n, ms, algorithm in calls for m in ms]
+    assert len(covered) == len(set(covered)) == len(distinct) * len(CACHE_CONFIG["algorithms"])
+
+
+def test_sweep_splits_kernel_calls_at_the_cell_cap(tmp_path, capsys, monkeypatch):
+    import mtslab.cli as cli
+
+    cfg = _write_config(tmp_path, **CACHE_CONFIG)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "whole")]) == 0
+    trials, phases = CACHE_CONFIG["trials"], CACHE_CONFIG["phases"]
+    # Room for two tail sizes per call at the largest n, which has five.
+    cap = 2 * trials * max(CACHE_CONFIG["n"])
+    monkeypatch.setattr(cli, "CELL_CAP", cap)
+    calls = _counted_kernel(monkeypatch)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "split")]) == 0
+    capsys.readouterr()
+    assert len(calls) > len(CACHE_CONFIG["n"]) * len(CACHE_CONFIG["algorithms"])
+    for n, ms, _ in calls:
+        assert len(ms) * trials * max(n, phases) <= cap
+    for name in (*CACHE_CONFIG["algorithms"], "manifest"):
+        suffix = "json" if name == "manifest" else "csv"
+        assert (tmp_path / "split" / f"{name}.{suffix}").read_bytes() == \
+            (tmp_path / "whole" / f"{name}.{suffix}").read_bytes()
 
 
 def test_sweep_cache_matches_one_oracle_run_per_cell(tmp_path, capsys, monkeypatch):
@@ -514,3 +545,29 @@ def test_hostile_json_sweep_config_is_usage_error(tmp_path, capsys, text):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _seeded_call(entry, tmp_path, seed):
+    """Run one CLI entry point with ``seed``; its exit code."""
+    if entry == "sweep":
+        cfg = _write_config(tmp_path, n=[3], eta0=[2], granularity=3, seed=seed)
+        return main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    if entry == "verify":
+        return main(["verify", "--suite", "opt", "--seed", str(seed)])
+    argv = ["adversary-gen", "--adversary", "rand-lb", "--n", "4", "--k", "3",
+            "--out", str(tmp_path / "input.json")]
+    if entry == "adversary-gen":
+        return main([*argv, "--seed", str(seed)])
+    assert main(argv) == 0
+    return main(["simulate", "--input", str(tmp_path / "input.json"),
+                 "--algorithm", "oblivious", "--trials", "2", "--seed", str(seed)])
+
+
+@pytest.mark.parametrize("entry", ["adversary-gen", "simulate", "verify", "sweep"])
+def test_seeds_outside_64_bits_are_usage_errors(tmp_path, capsys, entry):
+    # The streams read a seed modulo 2**64: -1 and 2**64 would rerun 2**64 - 1 and 0.
+    for seed in (-1, 2**64):
+        assert _seeded_call(entry, tmp_path, seed) == 2
+        assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert _seeded_call(entry, tmp_path, 2**64 - 1) == 0

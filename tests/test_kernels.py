@@ -75,6 +75,9 @@ def test_kernel_shapes_and_dtypes():
     {"n": 0},
     {"m": 0},
     {"m": 5},
+    {"m": ()},
+    {"m": (1, 5)},
+    {"m": ((1,),)},
     {"phases": 0},
     {"trials": 0},
     {"granularity": 3},
@@ -107,6 +110,33 @@ def test_lockstep_kernel_matches_scalar_oracle(policy, family, n, data, phases, 
     want_counts, want_costs = simulate_family_scalar(*args, **kwargs)
     assert counts.tolist() == want_counts.tolist()
     assert costs.tolist() == want_costs.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    policy=st.sampled_from(sorted(POLICIES)),
+    family=st.sampled_from(sorted(FAMILIES)),
+    n=st.integers(1, 12),
+    data=st.data(),
+    phases=st.integers(1, 5),
+    trials=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_kernel_over_several_tail_sizes_matches_oracle_and_one_call_each(
+        policy, family, n, data, phases, trials, seed):
+    # Repeats and any order: each row of a call runs its own tail size.
+    ms = tuple(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6), label="m"))
+    args = (policy, family, n, ms, phases, trials)
+    counts, costs = simulate_family_trials(*args, seed=seed)
+    assert counts.shape == (len(ms), trials, phases)
+    assert costs.shape == (len(ms), trials)
+    want_counts, want_costs = simulate_family_scalar(*args, seed=seed)
+    assert counts.tolist() == want_counts.tolist()
+    assert costs.tolist() == want_costs.tolist()
+    alone = [simulate_family_trials(policy, family, n, m, phases, trials, seed=seed)
+             for m in ms]
+    assert counts.tolist() == np.stack([c for c, _ in alone]).tolist()
+    assert costs.tolist() == np.stack([k for _, k in alone]).tolist()
 
 
 class _CountingStream(RandomStream):

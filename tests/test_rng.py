@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mtslab.rng import RandomStream, seed_words, state_rows, trial_seed
+from mtslab.rng import _GAMMA, RandomStream, seed_words, state_rows, trial_seed
 
 
 def test_stream_is_deterministic_for_a_seed():
@@ -51,6 +51,13 @@ def test_state_rows_layout():
     assert rows.shape == (5, 4)
     assert rows.dtype == np.int64
     assert (rows >= 0).all() and (rows < 2**32).all()
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=20))
+def test_state_rows_are_seed_words_of_every_seed(seeds):
+    # 2**64 - _GAMMA wraps the first mixer input to 0.
+    seeds = [0, 2**64 - 1, 2**64 - _GAMMA, *seeds]
+    assert state_rows(seeds).tolist() == [list(seed_words(s)) for s in seeds]
 
 
 def test_randbelow_one_consumes_nothing():
