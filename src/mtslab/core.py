@@ -30,8 +30,11 @@ whitespace) so that identical content is identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -166,19 +169,32 @@ def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity
-    # cum[s, t] is the demand state s receives before step t, so state s
+    # cum[t, s] is the demand state s receives before step t, so state s
     # saturates in the phase opening at `start` on the step before the
-    # first t with cum[s, t] >= cum[s, start] + threshold.
+    # first t with cum[t, s] >= cum[start, s] + threshold. The table is a
+    # view of a state-major array, whose cumsum runs along contiguous rows,
+    # over blocks of about 2**16 entries so that each block stays in cache.
     cum = np.zeros((n, total + 1), dtype=np.int64)
-    np.cumsum(seq.tasks.T, axis=1, out=cum[:, 1:])
+    rows = max(1, (1 << 16) // n)
+    for first in range(0, total, rows):
+        part = cum[:, first + 1:first + 1 + rows]
+        np.cumsum(seq.tasks[first:first + rows].T, axis=1, out=part)
+        part += cum[:, first:first + 1]
+    cum = cum.T
     by_start = {block.phase_start: block.h for block in seq.pst or ()}
     phases: list[Phase] = []
-    start = 0
+    start, window = 0, 2 * n
     while start < total:
-        sat = tuple(
-            int(np.searchsorted(cum[s], cum[s, start] + threshold, side="left")) - 1
-            for s in range(n)
-        )
+        # One comparison over the steps start .. start + window - 1, with
+        # the window doubled until every state saturates or the input ends.
+        need = cum[start] + threshold
+        while True:
+            reached = cum[start + 1:start + 1 + window] >= need
+            saturated = reached.any(axis=0)
+            if saturated.all() or start + window >= total:
+                break
+            window *= 2
+        sat = tuple(np.where(saturated, start + reached.argmax(axis=0), total).tolist())
         end = max(sat)
         complete = end < total
         if complete or include_trailing:
@@ -186,6 +202,8 @@ def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
                                 sat_step=sat, complete=complete, h=by_start.get(start)))
         if not complete:
             break
+        # The next window starts at twice this phase's length.
+        window = max(2 * (end + 1 - start), 2 * n)
         start = end + 1
     return phases, start
 
@@ -291,11 +309,14 @@ def _check_int(value, what: str, minimum: int | None = None) -> int:
 def _int_rows(rows, n: int, what: str, minimum: int) -> np.ndarray:
     """The (len(rows), n) array of an integer table, every entry >= minimum.
 
-    A well-formed table passes one type scan and one int64 conversion. Any
-    other table goes through the per-entry checks, which name the first bad
+    A table ``_load_canonical`` parsed is returned as it is. A well-formed
+    list table passes one type scan and one int64 conversion. Any other
+    table goes through the per-entry checks, which name the first bad
     entry; if it passes them, an entry is past int64 and the array holds
     Python ints.
     """
+    if isinstance(rows, np.ndarray):
+        return rows
     if all(isinstance(row, list) and len(row) == n for row in rows) and \
             {type(v) for row in rows for v in row} <= {int}:
         try:
@@ -320,10 +341,14 @@ def from_json_dict(payload) -> TaskSequence:
     if type(version) is not int or version != SCHEMA_VERSION:
         _fail(f"unsupported version {version!r}, expected {SCHEMA_VERSION}")
     n = _check_int(payload.get("n"), "n", minimum=1)
+    # A table with no rows does not bound n, but every layer allocates n
+    # entries per row.
+    if n > CELL_CAP:
+        _fail(f"n must be <= {CELL_CAP}, got {n}")
     granularity = _check_int(payload.get("granularity"), "granularity", minimum=1)
 
     tasks_raw = payload.get("tasks")
-    if not isinstance(tasks_raw, list):
+    if not isinstance(tasks_raw, (list, np.ndarray)):
         _fail("tasks must be a list of per-step unit vectors")
     tasks = _int_rows(tasks_raw, n, "tasks", minimum=0)
     # Exact: the int64 sum runs only where no partial sum can reach 2**63.
@@ -351,7 +376,8 @@ def from_json_dict(payload) -> TaskSequence:
             h = block.get("h")
             if not isinstance(h, list) or len(h) != n:
                 _fail(f"pst[{i}].h must be a list of {n} numbers")
-            for s, v in enumerate(h):
+            # A block of ints needs no per-entry checks.
+            for s, v in enumerate(h) if not set(map(type, h)) <= {int} else ():
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     _fail(f"pst[{i}].h[{s}] must be a number")
                 if isinstance(v, float) and not math.isfinite(v):
@@ -365,7 +391,7 @@ def from_json_dict(payload) -> TaskSequence:
         if not isinstance(lv_raw, dict) or "next_request" not in lv_raw:
             _fail("lv must be an object with a next_request table")
         rows_raw = lv_raw["next_request"]
-        if not isinstance(rows_raw, list) or len(rows_raw) != len(tasks):
+        if not isinstance(rows_raw, (list, np.ndarray)) or len(rows_raw) != len(tasks):
             _fail("lv.next_request must have one row per step")
         lv = _int_rows(rows_raw, n, "lv.next_request", minimum=-1)
         if lv.dtype != np.int64:
@@ -380,12 +406,35 @@ def canonical_json(value) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write ``text`` to the file at ``path``, or to standard output when None."""
+    """Write ``text`` to the file at ``path``, or to standard output when None.
+
+    A new or regular file is replaced whole: the text goes to a temporary
+    file in the same directory, made with the mode ``open(path, "w")``
+    gives a new file, which is then renamed over ``path``. A failed write
+    leaves ``path`` as it was and no temporary file behind. A symlink or
+    a special file (``/dev/stdout``) is written through directly.
+    """
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        direct = not stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        direct = False
+    if direct:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    folder, name = os.path.split(os.fspath(path))
+    temp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def save_task_sequence(seq: TaskSequence, path) -> None:
@@ -393,11 +442,146 @@ def save_task_sequence(seq: TaskSequence, path) -> None:
 
 
 def load_task_sequence(path) -> TaskSequence:
+    """The sequence in the file at ``path``, which is read once.
+
+    A file as ``save_task_sequence`` writes it takes the array path
+    (``_load_canonical``); any other input takes the general parser, which
+    gives the same result and is the only source of error messages.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    seq = _load_canonical(data)
+    return seq if seq is not None else _load_text(data)
+
+
+def _load_text(data: bytes) -> TaskSequence:
+    """The general parser: ``data`` decoded as a text-mode read decodes it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
         # literals past Python's digit limit; RecursionError, deep nesting.
         raise MalformedInputError(f"not valid UTF-8 JSON: {exc}") from exc
     return from_json_dict(payload)
+
+
+# The fixed ends of a canonical file, the key that opens a canonical lv
+# table, and the text span the table parser checks at a time.
+_HEAD = b'{"granularity":'
+_LV_KEY = b'"lv":{"next_request":'
+_TASKS_KEY = b'"tasks":'
+_TAIL = b',"version":1}\n'
+_CHUNK = 1 << 14
+
+
+def _load_canonical(data: bytes):
+    """The sequence in ``data`` when it is exactly what ``save_task_sequence``
+    writes, else None.
+
+    The ``lv.next_request`` table starts right after ``_HEAD``, an integer
+    and ``_LV_KEY``; the ``tasks`` table ends right before ``_TAIL``. Both
+    are checked and parsed as arrays. Everything else goes through
+    ``json`` with the tables cut out, and must give back its own bytes
+    under ``canonical_json`` with the placeholders at the top level.
+    """
+    if not (data.startswith(_HEAD) and data.endswith(_TAIL)):
+        return None
+    comma = data.find(b",", len(_HEAD))
+    lv_start = lv_end = None
+    if data[len(_HEAD):comma].isdigit() and data.startswith(_LV_KEY, comma + 1):
+        lv_start = comma + 1 + len(_LV_KEY)
+        lv_end = data.find(b"}", lv_start)
+    tasks_end = len(data) - len(_TAIL)
+    # A table holds no quote, so the last key before it is its own.
+    tasks_start = data.rfind(_TASKS_KEY, lv_end or 0, tasks_end) + len(_TASKS_KEY)
+    if lv_end == -1 or tasks_start < len(_TASKS_KEY):
+        return None
+    cut = (data[:tasks_start] if lv_start is None
+           else data[:lv_start] + b"[]" + data[lv_end:tasks_start])
+    rest = (cut + b"[]" + _TAIL).decode("ascii", errors="replace")
+    try:
+        payload = json.loads(rest)
+    except (ValueError, RecursionError):
+        return None
+    if canonical_json(payload) + "\n" != rest or payload.get("tasks") != [] or \
+            payload.get("lv") != (None if lv_start is None else {"next_request": []}):
+        return None
+    n = payload.get("n")
+    if type(n) is not int or not 1 <= n <= CELL_CAP:
+        return None
+    tasks = _parse_table(data, tasks_start, tasks_end, n, negative=False)
+    lv = None if lv_start is None else _parse_table(data, lv_start, lv_end, n, negative=True)
+    if tasks is None or (lv_start is not None and lv is None):
+        return None
+    payload["tasks"] = tasks
+    if lv is not None:
+        payload["lv"] = {"next_request": lv}
+    return from_json_dict(payload)
+
+
+def _parse_table(data: bytes, start: int, stop: int, n: int, negative: bool):
+    """The int64 (rows, n) table written canonically in data[start:stop], or None.
+
+    The text is checked in row-aligned spans of about ``_CHUNK`` bytes, so
+    the temporary arrays stay small whatever the file size.
+    """
+    if stop - start < 2 or data[start] != ord("[") or data[stop - 1] != ord("]"):
+        return None
+    start, stop = start + 1, stop - 1
+    # Each "[" opens a row once every span has passed its checks.
+    rows = data.count(b"[", start, stop)
+    if 2 * n * rows > stop - start + 1:
+        return None  # too short for its rows, and too short to allocate for
+    table = np.empty((rows, n), dtype=np.int64)
+    text = np.frombuffer(data, dtype=np.uint8)
+    done = 0
+    while start < stop:
+        end = data.find(b"],[", start + _CHUNK, stop) + 1 or stop
+        block = _parse_rows(text[start:end], n, negative)
+        if block is None:
+            return None
+        table[done:done + len(block)] = block
+        done += len(block)
+        start = end + 1
+    return table
+
+
+def _parse_rows(text: np.ndarray, n: int, negative: bool):
+    """The int64 table of ``text``, canonical rows joined by commas, or None.
+
+    Each entry has 1 to 18 digits with no leading zero, so it fits int64;
+    with ``negative``, an entry may also be -1.
+    """
+    sign = text == ord("-")
+    if not negative and sign.any():
+        return None
+    # Every byte but a digit or a sign is a mark: "[", "]" or a comma.
+    marks = np.flatnonzero((text - np.uint8(ord("0")) > 9) & ~sign)
+    rows, extra = divmod(len(marks) + 1, n + 2)
+    if extra or not rows:
+        return None
+    # One row is "[", n - 1 commas, "]" and the comma that joins it to the
+    # next; a virtual comma follows the last row.
+    at = np.append(marks, len(text)).reshape(rows, n + 2)
+    pattern = np.frombuffer(b"[" + b"," * (n - 1) + b"],", dtype=np.uint8)
+    if not ((np.append(text[marks], ord(",")).reshape(rows, n + 2) == pattern).all()
+            and at[0, 0] == 0 and (at[1:, 0] == at[:-1, -1] + 1).all()
+            and (at[:, -1] == at[:, -2] + 1).all()):
+        return None
+    first = at[:, :n] + 1
+    width = at[:, 1:n + 1] - first
+    if width.min() < 1 or width.max() > 18:
+        return None
+    lead = text[first]
+    if ((lead == ord("0")) & (width > 1)).any():
+        return None
+    minus = lead == ord("-")
+    if negative and (minus.sum() != sign.sum()
+                     or ((width[minus] != 2) | (text[first[minus] + 1] != ord("1"))).any()):
+        return None
+    value = lead.astype(np.int64) - ord("0")
+    for k in range(1, int(width.max())):
+        more = width > k
+        value[more] = value[more] * 10 + text[first[more] + k] - ord("0")
+    value[minus] = -1
+    return value

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -168,6 +170,62 @@ def test_simulate_malformed_input_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--input", str(not_json), "--algorithm", "lps"])
     assert rc == 3
     capsys.readouterr()
+
+
+def _simulate_from(path, tmp_path, capsys):
+    """(exit code, rows file bytes, stdout, stderr) of one simulate run."""
+    rows = tmp_path / "rows.csv"
+    rows.unlink(missing_ok=True)
+    rc = main(["simulate", "--input", str(path), "--algorithm", "lps", "--out", str(rows)])
+    captured = capsys.readouterr()
+    return rc, rows.read_bytes() if rows.exists() else None, captured.out, captured.err
+
+
+def _fifo_holding(tmp_path, data: bytes):
+    """A FIFO and the thread that writes ``data`` into it once it is opened."""
+    fifo = tmp_path / "input.fifo"
+    fifo.unlink(missing_ok=True)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    return fifo, writer
+
+
+def _non_canonical(data: bytes) -> bytes:
+    """``data`` with a space after its first comma and a bool entry: not
+    canonical, and malformed."""
+    return re.sub(rb"\[\[\d+", b"[[true", data.replace(b",", b", ", 1), count=1)
+
+
+def test_simulate_reads_a_fifo_once(tmp_path, capsys, deadline):
+    _, inp = _gen(tmp_path, "--adversary", "reversal", "--n", "6", "--eta0", "4",
+                  "--phases", "3", "--seed", "5")
+    capsys.readouterr()
+    for data, code in ((inp.read_bytes(), 0), (_non_canonical(inp.read_bytes()), 3)):
+        inp.write_bytes(data)
+        regular = _simulate_from(inp, tmp_path, capsys)
+        assert regular[0] == code
+        fifo, writer = _fifo_holding(tmp_path, data)
+        with deadline(10):
+            assert _simulate_from(fifo, tmp_path, capsys) == regular
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert regular[2] == "" and "must be an integer, got True" in regular[3]
+
+
+def test_simulate_reads_a_pipe_once(tmp_path, capsys):
+    _, inp = _gen(tmp_path, "--adversary", "rand-lb", "--n", "5", "--k", "3",
+                  "--phases", "4", "--seed", "9")
+    capsys.readouterr()
+    for data, code in ((inp.read_bytes(), 0), (_non_canonical(inp.read_bytes()), 3)):
+        inp.write_bytes(data)
+        regular, piped = (subprocess.run([sys.executable, "-m", "mtslab", "simulate",
+                                          "--input", path, "--algorithm", "lps"],
+                                         input=data, capture_output=True, timeout=60)
+                          for path in (str(inp), "/dev/stdin"))
+        assert regular.returncode == code
+        assert (piped.returncode, piped.stdout, piped.stderr) == \
+            (regular.returncode, regular.stdout, regular.stderr)
 
 
 def test_missing_input_file_is_usage_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mtslab.adversaries import _fit_budget
+from mtslab.adversaries import _fit_budget, random_unit_sequence
 from mtslab.analysis import harmonic_number, max_footrule
 from mtslab.core import (
     PhasePrediction,
@@ -119,6 +119,17 @@ class _RecordingWalk(LowestIndex):
 @given(task_sequences())
 @example(TaskSequence(n=3, granularity=2, tasks=[]))
 @example(TaskSequence(n=2, granularity=2, tasks=[[0, 0], [2, 2], [0, 0], [1, 0]]))
+# One long phase, then many short ones and a trailing phase that one state
+# never saturates.
+@example(TaskSequence(n=2, granularity=2,
+                      tasks=[[0, 0]] * 12 + [[1, 1]] * 2 + [[2, 2]] * 8 + [[2, 0]]))
+# Short phases, then one long enough to double the window several times.
+@example(TaskSequence(n=2, granularity=1,
+                      tasks=[[1, 1]] * 3 + [[1, 0]] + [[0, 0]] * 30 + [[0, 1], [1, 1]]))
+# A state that never saturates, so no phase completes.
+@example(TaskSequence(n=3, granularity=2, tasks=[[2, 2, 0], [2, 2, 1], [0, 0, 0], [2, 2, 0]]))
+# A trailing phase that runs long past its window.
+@example(TaskSequence(n=1, granularity=3, tasks=[[3]] + [[0]] * 20 + [[1]]))
 def test_single_sum_decomposition_matches_restart_oracle(seq):
     phases, suffix_start = decompose_phases(seq)
     assert (phases, suffix_start) == decompose_phases_restart(seq)
@@ -153,6 +164,17 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
     # It stops only on a state that never saturates inside the input.
     final = trailing_calls[-1][3] if trailing_calls else run.schedule[suffix_start]
     assert truth[final] == len(seq)
+
+
+def test_decomposition_across_cumsum_blocks_matches_restart_oracle():
+    # Past 1,024 steps at n = 64, the cumulative table is summed in blocks.
+    full = random_unit_sequence(64, 2, 8, seed=1)
+    cut = TaskSequence(n=64, granularity=2, tasks=full.tasks[:-100], pst=full.pst)
+    for seq in (full, cut):
+        assert len(seq) > 2 * 1024
+        phases, suffix_start = decompose_phases(seq)
+        assert (phases, suffix_start) == decompose_phases_restart(seq)
+        assert (suffix_start == len(seq)) == (seq is full)
 
 
 class _RecordingGreedy(NextRequestGreedy):
