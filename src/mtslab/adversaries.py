@@ -104,7 +104,9 @@ def reversal_sequence(n: int, granularity: int, eta0: int, phases: int) -> TaskS
     and walks a prediction-following scheduler through all m slots: one
     opening move plus m - 1 forced moves, every phase.
     """
-    _check_family_geometry(n, granularity, eta0, phases)
+    if eta0 < 0:
+        raise ConfigurationError("eta0 must be >= 0")
+    _check_geometry(n, granularity, phases, n)
     return _tail_sequence("reversal", n, granularity, budget_tail_size(n, eta0), phases, 0)
 
 
@@ -120,7 +122,7 @@ def shuffled_tail_sequence(n: int, granularity: int, tail_size: int, phases: int
     """
     if tail_size < 1:
         raise ConfigurationError("tail size must be >= 1")
-    _check_family_geometry(n, granularity, 0, phases)
+    _check_geometry(n, granularity, phases, n)
     return _tail_sequence("rand-lb", n, granularity, min(tail_size, n), phases, seed)
 
 
@@ -198,15 +200,20 @@ def _tail_sequence(family: str, n: int, granularity: int, m: int, phases: int,
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst)
 
 
-def _check_family_geometry(n: int, granularity: int, eta0: int, phases: int) -> None:
+def _check_geometry(n: int, granularity: int, phases: int, least_granularity: int,
+                    name: str = "granularity") -> None:
+    """A generator's bounds: n >= 1, phases >= 1 and its family's least granularity.
+
+    ``name`` is the caller's argument that sets the granularity.
+    """
     if n < 1:
         raise ConfigurationError("n must be >= 1")
-    if eta0 < 0:
-        raise ConfigurationError("eta0 must be >= 0")
     if phases < 1:
         raise ConfigurationError("phases must be >= 1")
-    if granularity < n:
-        raise ConfigurationError("granularity must be >= n for this family")
+    if granularity < least_granularity:
+        raise ConfigurationError(
+            f"{name} must be >= {least_granularity} for this family, got {granularity}"
+        )
 
 
 def _live_scheduler(scheduler: str | Scheduler, n: int, granularity: int,
@@ -248,7 +255,7 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
     everywhere) and scored as lossy, but it makes their walk during
     generation identical to the later replay.
     """
-    _check_interactive_geometry(n, granularity, phases)
+    _check_geometry(n, granularity, phases, 1)
     if eta0 < 0:
         raise ConfigurationError("eta0 must be >= 0")
     m = budget_tail_size(n, eta0)
@@ -278,15 +285,6 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 
 
-def _check_interactive_geometry(n: int, granularity: int, phases: int) -> None:
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    if granularity < 1:
-        raise ConfigurationError("granularity must be >= 1")
-    if phases < 1:
-        raise ConfigurationError("phases must be >= 1")
-
-
 def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
                           repeat: int | None = None, seed: int = 0) -> TaskSequence:
     """Pin a scheduler with truthful next-request predictions.
@@ -305,12 +303,8 @@ def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
     """
     if repeat is None:
         repeat = n + 1
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    if repeat < n + 1:
-        raise ConfigurationError("repeat must be >= n + 1 so sweeps never saturate")
-    if phases < 1:
-        raise ConfigurationError("phases must be >= 1")
+    # The granularity is the repeat count; n + 1 keeps sweeps from saturating.
+    _check_geometry(n, repeat, phases, n + 1, name="repeat")
     walk = _live_scheduler(scheduler, n, repeat, seed, allow_pst=False)
 
     # The demanded state of every step.
@@ -347,8 +341,7 @@ def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -
     tables: saturation steps per phase, recorded while drawing, and the
     true next request per demand (zero loss by construction).
     """
-    if n < 1 or granularity < 1 or phases < 1:
-        raise ConfigurationError("n, granularity and phases must be >= 1")
+    _check_geometry(n, granularity, phases, 1)
     stream = RandomStream(trial_seed(seed, 0))
     requested: list = []
     pst: list = []
@@ -419,9 +412,8 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
     if 2 * eta0 + 1 > 1 << 32:
         raise ConfigurationError("eta0 must be < 2**31: one draw spans 2 * eta0 + 1 offsets")
     stream = RandomStream(trial_seed(seed, 0))
-    phases, _ = decompose_phases(seq)
     blocks = []
-    for phase in phases:
+    for phase in (p for p in decompose_phases(seq) if p.complete):
         true = list(phase.sat_step)
         n = len(true)
         drawn = [stream.randbelow(2 * eta0 + 1) - eta0 for _ in range(n)]

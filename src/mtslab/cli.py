@@ -154,8 +154,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigurationError(
             f"scheduler {sched.name!r} is deterministic; --trials must be 1"
         )
-    decomposition = decompose_phases(seq, include_trailing=True)
-    phases = [p for p in decomposition[0] if p.complete]
+    decomposition = decompose_phases(seq)
+    phases = [p for p in decomposition if p.complete]
     # One row per (trial, complete phase); the cap bounds the row list.
     max_trials = max(1, CELL_CAP // max(1, len(phases)))
     if args.trials > max_trials:

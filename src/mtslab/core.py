@@ -157,15 +157,14 @@ class Phase:
         return sum(abs(hs - sat) for hs, sat in zip(self.h, self.sat_step))
 
 
-def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
-    """Split a sequence into complete phases plus an incomplete suffix.
+def decompose_phases(seq: TaskSequence) -> list:
+    """Split a sequence into its saturation phases.
 
-    Returns (phases, suffix_start) where suffix_start is the first step not
-    covered by a complete phase (== len(tasks) when there is none). The
-    split depends only on the tasks, never on any scheduler. Within a
-    phase, sat_step[s] is the first step at which state s reaches the
-    saturation threshold. With ``include_trailing`` the suffix, when there
-    is one, closes the list as the trailing partial phase.
+    Returns every complete phase in order and then, when the input does not
+    end on a phase boundary, the trailing partial phase (``complete``
+    False). The split depends only on the tasks, never on any scheduler.
+    Within a phase, sat_step[s] is the first step at which state s reaches
+    the saturation threshold.
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity
@@ -196,16 +195,13 @@ def decompose_phases(seq: TaskSequence, include_trailing: bool = False):
             window *= 2
         sat = tuple(np.where(saturated, start + reached.argmax(axis=0), total).tolist())
         end = max(sat)
-        complete = end < total
-        if complete or include_trailing:
-            phases.append(Phase(index=len(phases), start=start, end=min(end, total - 1),
-                                sat_step=sat, complete=complete, h=by_start.get(start)))
-        if not complete:
-            break
-        # The next window starts at twice this phase's length.
+        phases.append(Phase(index=len(phases), start=start, end=min(end, total - 1),
+                            sat_step=sat, complete=end < total, h=by_start.get(start)))
+        # The next window starts at twice this phase's length; a trailing
+        # phase (end == total) ends the loop.
         window = max(2 * (end + 1 - start), 2 * n)
         start = end + 1
-    return phases, start
+    return phases
 
 
 def schedule_cost(tasks, granularity: int, schedule: Sequence[int], start_state: int = 0):
@@ -237,8 +233,7 @@ def pst_error_per_phase(seq: TaskSequence):
     Only phases that have a matching prediction block contribute; the list
     aligns with the complete phases and holds None where no block matches.
     """
-    phases, _ = decompose_phases(seq)
-    return [phase.pst_error() for phase in phases]
+    return [phase.pst_error() for phase in decompose_phases(seq) if phase.complete]
 
 
 def next_demand(tasks: np.ndarray) -> np.ndarray:
@@ -405,16 +400,26 @@ def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _is_stdout(path) -> bool:
+    # A captured stdout has no descriptor (ValueError or OSError).
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
+
+
 def write_text(path, text: str) -> None:
     """Write ``text`` to the file at ``path``, or to standard output when None.
 
     A new or regular file is replaced whole: the text goes to a temporary
     file in the same directory, made with the mode ``open(path, "w")``
     gives a new file, which is then renamed over ``path``. A failed write
-    leaves ``path`` as it was and no temporary file behind. A symlink or
-    a special file (``/dev/stdout``) is written through directly.
+    leaves ``path`` as it was and no temporary file behind. A path that
+    names the process's own standard output goes through ``sys.stdout``,
+    so later prints follow the text instead of overwriting it; any other
+    symlink or special file is written through directly.
     """
-    if path is None:
+    if path is None or _is_stdout(path):
         sys.stdout.write(text)
         return
     try:

@@ -18,11 +18,11 @@ saturates at some step t, at which point it must pick a state that
 saturates strictly later; that move is charged to the phase containing t.
 Once every state is saturated the phase is over and the scheduler is
 necessarily sitting in the last state to have saturated. The steps after
-the last complete phase form a trailing phase that has not closed; the
-decomposition gives each state that never saturates in it the input
-length as its saturation step, so the same loop walks it and stops once
-the scheduler sits on such a state. Its costs are reported separately, as
-``RunResult.suffix``.
+the last complete phase form a trailing phase that has not closed. The
+decomposition lists it last, with ``complete`` False, and gives each state
+that never saturates in it the input length as its saturation step, so
+the same loop walks it and stops once the scheduler sits on such a state.
+Its costs are reported separately, as ``RunResult.suffix``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import round_ratio_half_up
 from .core import TaskSequence, decompose_phases
 from .errors import ConfigurationError
 from .opt import opt_units, phase_opt_units
@@ -63,7 +64,6 @@ class RunResult:
     n: int
     granularity: int
     phases: list = field(default_factory=list)
-    suffix_start: int = 0
     suffix: PhaseStats | None = None
     schedule: list = field(default_factory=list)
     conforming: bool = True
@@ -94,9 +94,9 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
                   phases=None) -> RunResult:
     """Simulate one scheduler over one sequence; exact integer accounting.
 
-    ``phases``, when given, must be ``decompose_phases(seq,
-    include_trailing=True)``; callers that run many trials over one
-    sequence decompose it once and pass the result to each.
+    ``phases``, when given, must be ``decompose_phases(seq)``: every phase,
+    the trailing partial one last. Callers that run many trials over one
+    sequence decompose it once and pass the list to each.
     """
     n = seq.n
     threshold = seq.granularity
@@ -110,8 +110,7 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         )
 
     if phases is None:
-        phases = decompose_phases(seq, include_trailing=True)
-    phases, suffix_start = phases
+        phases = decompose_phases(seq)
     latest_lv = _latest_next_request(seq)
 
     result = RunResult(
@@ -120,7 +119,6 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         trial_index=trial_index,
         n=n,
         granularity=threshold,
-        suffix_start=suffix_start,
         conforming=sched.conforming,
     )
 
@@ -187,8 +185,6 @@ def summarize(seq: TaskSequence, result: RunResult) -> dict:
     the run does. Both optima are exact. The cost ratio is the
     exact quotient rounded half-up to six decimal places.
     """
-    from .analysis import round_ratio_half_up
-
     phase_opts = phase_opt_units(seq.tasks, seq.granularity, result.phases)
     opt_total = opt_units(seq.tasks, seq.granularity)
     report: dict = {
@@ -199,7 +195,7 @@ def summarize(seq: TaskSequence, result: RunResult) -> dict:
         "granularity": result.granularity,
         "steps": len(seq.tasks),
         "complete_phases": len(result.phases),
-        "suffix_steps": len(seq.tasks) - result.suffix_start,
+        "suffix_steps": 0 if result.suffix is None else len(seq) - result.suffix.start,
         "total_units": result.total_units,
         "total_transitions": result.total_transitions,
         "total_moves": result.total_moves,

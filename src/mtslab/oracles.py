@@ -32,10 +32,12 @@ __all__ = [
 
 
 def decompose_phases_restart(seq: TaskSequence):
-    """Complete phases and suffix start, re-summing from every phase start.
+    """Every phase, the trailing partial one last, re-summing from each phase start.
 
-    Costs O(phases * steps * n); ``core.decompose_phases`` computes the same
-    split from one cumulative sum, and pairs prediction blocks by a scan.
+    A state whose running sum never reaches the threshold gets the input
+    length as its saturation step. Costs O(phases * steps * n);
+    ``core.decompose_phases`` computes the same split from one cumulative
+    sum, and pairs prediction blocks by a scan.
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity
@@ -43,17 +45,16 @@ def decompose_phases_restart(seq: TaskSequence):
     start = 0
     while start < total:
         cum = np.cumsum(seq.tasks[start:], axis=0)
-        if int(cum[-1].min()) < threshold:
-            break
         sat = tuple(
             start + int(np.searchsorted(cum[:, s], threshold, side="left"))
             for s in range(n)
         )
         end = max(sat)
         h = next((b.h for b in seq.pst or () if b.phase_start == start), None)
-        phases.append(Phase(index=len(phases), start=start, end=end, sat_step=sat, h=h))
+        phases.append(Phase(index=len(phases), start=start, end=min(end, total - 1),
+                            sat_step=sat, complete=end < total, h=h))
         start = end + 1
-    return phases, start
+    return phases
 
 
 def fit_budget_scalar(deltas, eta0: int) -> list:

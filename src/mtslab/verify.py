@@ -62,7 +62,7 @@ def verify_sequence(seq: TaskSequence, scheduler: str | Scheduler | None = None,
                     expect_lv_loss: int | None = None) -> VerifyResult:
     """Run every applicable check; attach a scheduler run when one is named."""
     result = VerifyResult()
-    decomposed = decompose_phases(seq, include_trailing=True)
+    decomposed = decompose_phases(seq)
     _check_sequence(result, seq, decomposed, eta0=eta0, expect_lv_loss=expect_lv_loss)
     if scheduler is not None:
         _check_run(result, seq, decomposed, scheduler, _offline_sandwich(seq, decomposed),
@@ -75,9 +75,9 @@ def verify_sequence(seq: TaskSequence, scheduler: str | Scheduler | None = None,
 def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed, *,
                     eta0: int | None = None, expect_lv_loss: int | None = None) -> None:
     """The checks that read the input alone, not a run over it."""
-    found, suffix_start = decomposed
-    phases = [p for p in found if p.complete]
-    suffix_steps = len(seq) - suffix_start
+    phases = [p for p in decomposed if p.complete]
+    trailing = decomposed[-1] if decomposed and not decomposed[-1].complete else None
+    suffix_steps = 0 if trailing is None else len(seq) - trailing.start
     result.add(
         "phase-structure",
         len(seq) > 0,
@@ -86,7 +86,7 @@ def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed, *,
     )
 
     if seq.pst is not None:
-        starts = {p.start for p in found}
+        starts = {p.start for p in decomposed}
         stray = [b.phase_start for b in seq.pst if b.phase_start not in starts]
         missing = [p.start for p in phases if p.h is None]
         result.add(
@@ -128,7 +128,7 @@ def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed, *,
 
 def _offline_sandwich(seq: TaskSequence, decomposed) -> CheckResult | None:
     """The offline optimum over the complete phases against its k*g..2k*g band."""
-    phases = [p for p in decomposed[0] if p.complete]
+    phases = [p for p in decomposed if p.complete]
     if not phases:
         return None
     opt = opt_units(seq.tasks[: phases[-1].end + 1], seq.granularity)
@@ -329,7 +329,7 @@ def invariants_suite(inputs: int = 60, seed: int = 0) -> VerifyResult:
         phase_count = 1 + stream.randbelow(2)
         seq = random_unit_sequence(n, gran, phase_count, seed=trial_seed(seed, i))
         # The input's own checks and its optimum are the same for every run.
-        decomposed = decompose_phases(seq, include_trailing=True)
+        decomposed = decompose_phases(seq)
         shared = VerifyResult()
         _check_sequence(shared, seq, decomposed)
         sandwich = _offline_sandwich(seq, decomposed)

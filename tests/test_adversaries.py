@@ -118,8 +118,8 @@ def test_tail_orders_are_one_geometry_for_kernel_and_files(family, n, data, phas
         seq = reversal_sequence(n, n, max_footrule(m), phases)
     else:
         seq = shuffled_tail_sequence(n, n, m, phases, seed=seed)
-    found, suffix_start = decompose_phases(seq)
-    assert suffix_start == len(seq.tasks) and len(found) == phases
+    found = decompose_phases(seq)
+    assert len(found) == phases and all(p.complete for p in found)
     for phase, block, (order, true) in zip(found, seq.pst, tables):
         assert phase.order == tuple(true[0].tolist())
         assert block.phase_start == phase.start
@@ -132,7 +132,7 @@ def test_reversal_walks_prediction_follower_through_m_states():
     # Error budget 4 buys a tail of 3 reversed slots.
     assert run.transitions_per_phase == [3, 3, 3, 3]
     assert pst_error_per_phase(seq) == [4, 4, 4, 4]
-    assert run.suffix_start == len(seq.tasks)
+    assert run.suffix is None
 
 
 def test_reversal_with_zero_budget_is_error_free():
@@ -144,9 +144,8 @@ def test_reversal_with_zero_budget_is_error_free():
 
 def test_shuffled_tail_respects_budget_and_geometry():
     seq = shuffled_tail_sequence(6, 6, 3, 5, seed=2)
-    phases, suffix_start = decompose_phases(seq)
-    assert len(phases) == 5
-    assert suffix_start == len(seq.tasks)
+    phases = decompose_phases(seq)
+    assert len(phases) == 5 and all(p.complete for p in phases)
     for err in pst_error_per_phase(seq):
         assert err <= max_footrule(3)
     # Distinct seeds shuffle differently somewhere in five phases.
@@ -189,9 +188,8 @@ def test_repeat_block_forces_full_rotation():
     assert seq.granularity == 5
     # Per phase: n rounds of a full sweep plus repeat - q hammer steps.
     assert len(seq.tasks) == 2 * (4 * 4 + 4 + 3 + 2 + 1)
-    phases, suffix_start = decompose_phases(seq)
-    assert len(phases) == 2
-    assert suffix_start == len(seq.tasks)
+    phases = decompose_phases(seq)
+    assert len(phases) == 2 and all(p.complete for p in phases)
     assert lv_loss(seq) == 0
     run = run_scheduler(seq, "lowest-index")
     assert run.transitions_per_phase == [3, 3]
@@ -214,9 +212,8 @@ def test_repeat_block_validation():
 
 def test_random_unit_sequence_is_trim_and_truthful():
     seq = random_unit_sequence(5, 4, 3, seed=1)
-    phases, suffix_start = decompose_phases(seq)
-    assert len(phases) == 3
-    assert suffix_start == len(seq.tasks)
+    phases = decompose_phases(seq)
+    assert len(phases) == 3 and all(p.complete for p in phases)
     assert pst_error_per_phase(seq) == [0, 0, 0]
     assert lv_loss(seq) == 0
     for row in seq.tasks:
@@ -266,7 +263,7 @@ def tied_sequences(draw):
 def test_noisy_pst_stays_in_budget_and_splits_only_distinct_steps(deadline, seq, eta0, seed):
     with deadline(10):
         noisy = noisy_pst(seq, eta0, seed=seed)
-    phases, _ = decompose_phases(noisy)
+    phases = [p for p in decompose_phases(noisy) if p.complete]
     assert [block.phase_start for block in noisy.pst] == [p.start for p in phases]
     for phase in phases:
         assert phase.pst_error() <= eta0
@@ -321,6 +318,11 @@ def test_build_family_flag_validation():
         build_family("lv", n=4, scheduler="lowest-index", eta0=1)
     with pytest.raises(ConfigurationError):
         build_family("force-det", n=4, eta0=2)  # missing scheduler
+
+
+def test_repeat_block_bound_error_names_repeat():
+    with pytest.raises(ConfigurationError, match="repeat must be >= 5"):
+        repeat_block_sequence(4, 1, "lowest-index", repeat=4)
 
 
 def test_build_family_reports_geometry():

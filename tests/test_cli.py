@@ -228,6 +228,30 @@ def test_simulate_reads_a_pipe_once(tmp_path, capsys):
             (regular.returncode, regular.stdout, regular.stderr)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_naming_redirected_stdout_keeps_what_follows(tmp_path, capsys):
+    # With stdout redirected to a file, `--out /dev/stdout` must leave in it
+    # what `--out FILE` writes to FILE, followed by what the command prints.
+    _, inp = _gen(tmp_path, "--adversary", "reversal", "--n", "8",
+                  "--eta0", "4", "--phases", "3")
+    capsys.readouterr()
+
+    def run(args, out, redirect):
+        with open(redirect, "w") as fh:
+            proc = subprocess.run([sys.executable, "-m", "mtslab", *args, "--out", str(out)],
+                                  stdout=fh, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return redirect.read_text()
+
+    for args in (["simulate", "--input", str(inp), "--algorithm", "lps"],
+                 ["adversary-gen", "--adversary", "reversal", "--n", "8",
+                  "--eta0", "4", "--phases", "3"]):
+        written = tmp_path / "written.txt"
+        printed = run(args, written, tmp_path / "printed.txt")
+        both = run(args, "/dev/stdout", tmp_path / "both.txt")
+        assert both == written.read_text() + printed.replace(str(written), "/dev/stdout")
+
+
 def test_missing_input_file_is_usage_error(tmp_path, capsys):
     rc = main(["simulate", "--input", str(tmp_path / "absent.json"),
                "--algorithm", "lps"])

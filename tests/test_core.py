@@ -50,37 +50,35 @@ def test_schedule_cost_charges_processing_at_current_state():
 
 def test_phase_decomposition_counts_and_suffix():
     seq = TaskSequence(n=2, granularity=2, tasks=[[1, 1], [0, 1], [2, 1], [1, 0]])
-    phases, suffix_start = decompose_phases(seq)
-    assert len(phases) == 1
+    phases = decompose_phases(seq)
+    assert [p.complete for p in phases] == [True, False]
     phase = phases[0]
     assert (phase.start, phase.end) == (0, 2)
     assert phase.sat_step == (2, 1)
     assert phase.order == (1, 0)
     assert phase.last_saturated == 0
-    assert suffix_start == 3
+    assert phases[-1].start == 3
 
 
 def test_simultaneous_saturation_orders_by_state_index():
     seq = TaskSequence(n=2, granularity=2, tasks=[[2, 2]])
-    phases, suffix_start = decompose_phases(seq)
+    phases = decompose_phases(seq)
     assert phases[0].sat_step == (0, 0)
     assert phases[0].order == (0, 1)
     assert phases[0].last_saturated == 1
-    assert suffix_start == 1
+    assert len(phases) == 1 and phases[0].complete
 
 
 def test_trailing_phase_gives_unsaturated_states_the_input_length():
     seq = TaskSequence(n=3, granularity=2, tasks=[[2, 2, 2], [0, 2, 1], [1, 0, 0]])
-    phases, suffix_start = decompose_phases(seq, include_trailing=True)
+    phases = decompose_phases(seq)
     assert [p.complete for p in phases] == [True, False]
     trailing = phases[-1]
     assert (trailing.index, trailing.start, trailing.end) == (1, 1, 2)
-    assert suffix_start == 1
     # State 1 saturates at step 1; states 0 and 2 never do inside the input.
     assert trailing.sat_step == (3, 1, 3)
     assert trailing.order == (1, 0, 2)
     assert dataclasses.replace(trailing, h=(3, 1, 3)).pst_error() is None
-    assert decompose_phases(seq) == (phases[:1], 1)
 
 
 @pytest.mark.parametrize("n, granularity", [(0, 1), (1, 0), (-2, 3), (2, -1)])

@@ -47,7 +47,7 @@ def test_lowest_index_frozen_run():
     assert [p.movement_units for p in run.phases] == [2, 2]
     # Process-then-move: the saturating step is still paid at the old state.
     assert [p.processing_units for p in run.phases] == [2 + 1, 2 + 1]
-    assert run.suffix_start == 4
+    assert run.suffix.start == 4
     assert run.suffix.transitions == 0
     assert run.suffix.processing_units == 1
     assert run.total_units == 2 + 3 + 2 + 3 + 1
@@ -143,7 +143,7 @@ def _valid_payloads(draw):
     row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     seq = TaskSequence(n=n, granularity=draw(st.integers(1, 4)),
                        tasks=draw(st.lists(row, min_size=steps, max_size=steps)))
-    phases, _ = decompose_phases(seq, include_trailing=True)
+    phases = decompose_phases(seq)
     payload = to_json_dict(seq)
     payload["pst"] = [{"phase_start": ph.start, "h": list(ph.sat_step)} for ph in phases]
     lv_row = st.lists(st.integers(-1, steps + 2), min_size=n, max_size=n)

@@ -131,36 +131,26 @@ class _RecordingWalk(LowestIndex):
 # A trailing phase that runs long past its window.
 @example(TaskSequence(n=1, granularity=3, tasks=[[3]] + [[0]] * 20 + [[1]]))
 def test_single_sum_decomposition_matches_restart_oracle(seq):
-    phases, suffix_start = decompose_phases(seq)
-    assert (phases, suffix_start) == decompose_phases_restart(seq)
-    walk, walk_suffix_start = decompose_phases(seq, include_trailing=True)
-    assert walk_suffix_start == suffix_start
-    assert walk[:len(phases)] == phases
+    phases = decompose_phases(seq)
+    assert phases == decompose_phases_restart(seq)
+    assert all(p.complete for p in phases[:-1])
 
     sched = _RecordingWalk()
     run = run_scheduler(seq, sched)
-    trailing_calls = [c for c in sched.calls if c[2] >= suffix_start]
-    if suffix_start == len(seq):
-        assert walk == phases and run.suffix is None and not trailing_calls
+    if not phases or phases[-1].complete:
+        # No forced move past the input's end.
+        assert run.suffix is None and not [c for c in sched.calls if c[2] >= len(seq)]
         return
 
-    # Topping every state up by a full threshold one step past the end
-    # closes the suffix in the oracle: states that saturate inside the
-    # suffix keep their steps and the rest land on the input length.
-    n, g = seq.n, seq.granularity
-    topped = TaskSequence(n=n, granularity=g, tasks=seq.tasks[suffix_start:].tolist() + [[g] * n])
-    closed, _ = decompose_phases_restart(topped)
-    truth = [suffix_start + t for t in closed[0].sat_step]
-    trailing = walk[-1]
-    assert not trailing.complete
-    assert (trailing.start, trailing.end) == (suffix_start, len(seq) - 1)
-    assert list(trailing.sat_step) == truth
-
+    trailing = phases[-1]
+    suffix_start, truth = trailing.start, trailing.sat_step
+    trailing_calls = [c for c in sched.calls if c[2] >= suffix_start]
+    assert trailing.end == len(seq) - 1
     # The engine walks the trailing phase on the same saturation steps.
     assert (run.suffix.start, run.suffix.end) == (suffix_start, len(seq) - 1)
     for current, unsaturated, now, _ in trailing_calls:
         assert now == truth[current]
-        assert unsaturated == [s for s in range(n) if truth[s] > now]
+        assert unsaturated == [s for s in range(seq.n) if truth[s] > now]
     # It stops only on a state that never saturates inside the input.
     final = trailing_calls[-1][3] if trailing_calls else run.schedule[suffix_start]
     assert truth[final] == len(seq)
@@ -172,9 +162,9 @@ def test_decomposition_across_cumsum_blocks_matches_restart_oracle():
     cut = TaskSequence(n=64, granularity=2, tasks=full.tasks[:-100], pst=full.pst)
     for seq in (full, cut):
         assert len(seq) > 2 * 1024
-        phases, suffix_start = decompose_phases(seq)
-        assert (phases, suffix_start) == decompose_phases_restart(seq)
-        assert (suffix_start == len(seq)) == (seq is full)
+        phases = decompose_phases(seq)
+        assert phases == decompose_phases_restart(seq)
+        assert phases[-1].complete == (seq is full)
 
 
 class _RecordingGreedy(NextRequestGreedy):

@@ -49,6 +49,19 @@ def test_tampered_prediction_block_fails_the_budget():
     assert "pst-error-budget" in failed
 
 
+@pytest.mark.parametrize("tasks, passed, detail", [
+    # One complete phase, then a trailing phase that runs to the end.
+    ([[1, 1], [1, 1], [2, 0], [0, 1]], True, "1 complete phases, 2 suffix steps, 4 steps total"),
+    # Two phases that close on the last step, so there is no suffix.
+    ([[2, 0], [0, 2], [2, 2]], True, "2 complete phases, 0 suffix steps, 3 steps total"),
+    ([], False, "0 complete phases, 0 suffix steps, 0 steps total"),
+])
+def test_phase_structure_counts_suffix_steps_from_the_last_complete_phase(tasks, passed, detail):
+    seq = TaskSequence(n=2, granularity=2, tasks=tasks)
+    check = {c.name: c for c in verify_sequence(seq).checks}["phase-structure"]
+    assert (check.passed, check.detail) == (passed, detail)
+
+
 def test_block_on_the_trailing_phase_is_aligned():
     # Two complete phases and a trailing one that opens at step 10 (n = 5);
     # the block on the trailing phase sits on a phase boundary, one step
