@@ -29,7 +29,6 @@ from .adversaries import (
     shuffled_tail_sequence,
 )
 from .core import (
-    PhasePrediction,
     TaskSequence,
     decompose_phases,
     load_task_sequence,
@@ -70,7 +69,6 @@ __all__ = [
     "repeat_block_sequence",
     "reversal_sequence",
     "shuffled_tail_sequence",
-    "PhasePrediction",
     "TaskSequence",
     "decompose_phases",
     "load_task_sequence",

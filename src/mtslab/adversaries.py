@@ -33,7 +33,6 @@ from .analysis import max_forcible_transitions
 from .core import (
     CELL_CAP,
     UNIT_LIMIT,
-    PhasePrediction,
     TaskSequence,
     decompose_phases,
     next_demand,
@@ -83,11 +82,11 @@ def _spike_rows(granularity: int, order: np.ndarray) -> np.ndarray:
     return np.where(position == step, granularity - step, position > step)
 
 
-def _prediction_block(offset: int, pred_state) -> PhasePrediction:
+def _prediction_block(offset: int, pred_state) -> tuple:
     h = [0] * len(pred_state)
     for j, state in enumerate(pred_state):
         h[state] = offset + j
-    return PhasePrediction(phase_start=offset, h=tuple(h))
+    return tuple(h)
 
 
 def budget_tail_size(n: int, eta0: int) -> int:
@@ -189,14 +188,14 @@ def _tail_sequence(family: str, n: int, granularity: int, m: int, phases: int,
     phase's step ``order[0, j]``.
     """
     tasks = np.empty((phases * n, n), np.int64)
-    pst: list = []
+    pst: dict = {}
     h = np.empty(n, np.int64)
     words = state_rows([trial_seed(seed, 0)]).T.copy()
     for p, (order, true) in enumerate(tail_orders(family, n, m, phases, words)):
         offset = p * n
         tasks[offset:offset + n] = _spike_rows(granularity, true[0])
         h[true[0]] = offset + order[0]
-        pst.append(PhasePrediction(phase_start=offset, h=tuple(h.tolist())))
+        pst[offset] = tuple(h.tolist())
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst)
 
 
@@ -262,14 +261,13 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
     walk = _live_scheduler(scheduler, n, granularity, seed)
 
     victims: list = []
-    pst: list = []
+    pst: dict = {}
     for _ in range(phases):
         offset = len(victims)
         pred_state = [walk.state] + [s for s in range(n) if s != walk.state]
-        block = _prediction_block(offset, pred_state)
-        pst.append(block)
+        h = pst[offset] = _prediction_block(offset, pred_state)
 
-        walk.open(offset, block.h)
+        walk.open(offset, h)
         unsat = set(range(n))
         for pos in range(n):
             now = offset + pos
@@ -277,7 +275,7 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
             victims.append(victim)
             unsat.discard(victim)
             if victim == walk.state and unsat:
-                walk.forced(now, sorted(unsat), block.h, [now + 1] * n)
+                walk.forced(now, sorted(unsat), h, [now + 1] * n)
     tasks = granularity * np.eye(n, dtype=np.int64)[victims]
     lv = None
     if walk.scheduler.needs_lv:
@@ -344,7 +342,7 @@ def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -
     _check_geometry(n, granularity, phases, 1)
     stream = RandomStream(trial_seed(seed, 0))
     requested: list = []
-    pst: list = []
+    pst: dict = {}
     cap = 1000 * n * granularity * phases + 1000
     while len(pst) < phases:
         start = len(requested)
@@ -360,7 +358,7 @@ def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -
                 sat[s] = len(requested)
                 waiting -= 1
             requested.append(s)
-        pst.append(PhasePrediction(phase_start=start, h=tuple(sat)))
+        pst[start] = tuple(sat)
     tasks = np.eye(n, dtype=np.int64)[requested]
     lv = next_demand(tasks)
     lv[tasks == 0] = 0
@@ -412,7 +410,7 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
     if 2 * eta0 + 1 > 1 << 32:
         raise ConfigurationError("eta0 must be < 2**31: one draw spans 2 * eta0 + 1 offsets")
     stream = RandomStream(trial_seed(seed, 0))
-    blocks = []
+    blocks = {}
     for phase in (p for p in decompose_phases(seq) if p.complete):
         true = list(phase.sat_step)
         n = len(true)
@@ -429,12 +427,7 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
             if clash is None:
                 break
             deltas[clash] -= 1 if deltas[clash] > 0 else -1
-        blocks.append(
-            PhasePrediction(
-                phase_start=phase.start,
-                h=tuple(true[i] + deltas[i] for i in range(n)),
-            )
-        )
+        blocks[phase.start] = tuple(true[i] + deltas[i] for i in range(n))
     return replace(seq, pst=blocks)
 
 

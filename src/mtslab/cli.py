@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -340,11 +341,22 @@ def _cmd_sweep(args) -> int:
 
     manifest = {"config": config, "version": __version__, "records": written}
     outputs.append(("manifest.json", canonical_json(manifest) + "\n", ""))
-    os.makedirs(args.out, exist_ok=True)
-    for name, text, note in outputs:
-        path = os.path.join(args.out, name)
-        write_text(path, text)
-        print(f"wrote {path}{note}")
+    # A new --out appears whole: the files fill a temporary sibling that is
+    # renamed to --out after the last one and removed on any failure.
+    fresh = not os.path.lexists(args.out)
+    parent, base = os.path.split(os.path.normpath(args.out))
+    folder = os.path.join(parent, f".{base}.{os.urandom(8).hex()}.tmp") if fresh else args.out
+    os.makedirs(folder, exist_ok=True)
+    try:
+        for name, text, _ in outputs:
+            write_text(os.path.join(folder, name), text)
+        if fresh:
+            os.rename(folder, args.out)
+    finally:
+        if fresh:  # after the rename there is nothing left to remove
+            shutil.rmtree(folder, ignore_errors=True)
+    for name, _, note in outputs:
+        print(f"wrote {os.path.join(args.out, name)}{note}")
     return 0
 
 

@@ -45,7 +45,6 @@ from .errors import ConfigurationError, MalformedInputError
 
 __all__ = [
     "SCHEMA_VERSION",
-    "PhasePrediction",
     "TaskSequence",
     "Phase",
     "decompose_phases",
@@ -72,26 +71,20 @@ UNIT_LIMIT = 1 << 60
 CELL_CAP = 1 << 24
 
 
-@dataclass(frozen=True)
-class PhasePrediction:
-    """Predicted saturation step per state for the phase at phase_start."""
-
-    phase_start: int
-    h: tuple
-
-
 @dataclass
 class TaskSequence:
     """One input; ``tasks`` and ``lv`` are C-contiguous int64 (steps, n) tables.
 
     Lists passed in are converted once, here; an int64 array is not copied.
-    ``n`` and ``granularity`` must each be at least 1.
+    ``n`` and ``granularity`` must each be at least 1. ``pst`` maps each
+    prediction block's phase start to its tuple of n predicted saturation
+    steps.
     """
 
     n: int
     granularity: int
     tasks: np.ndarray
-    pst: list | None = None
+    pst: dict[int, tuple] | None = None
     lv: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -127,8 +120,8 @@ class Phase:
     A complete phase ends on the step at which its last state saturates.
     The trailing partial phase (``complete`` False) runs to the end of the
     input, and each state that does not saturate inside the input has
-    ``sat_step`` equal to the input length. ``h`` is the phase's prediction
-    block (the one whose ``phase_start`` is ``start``), or None.
+    ``sat_step`` equal to the input length. ``h`` is the prediction block
+    ``seq.pst[start]``, or None.
     """
 
     index: int
@@ -180,7 +173,6 @@ def decompose_phases(seq: TaskSequence) -> list:
         np.cumsum(seq.tasks[first:first + rows].T, axis=1, out=part)
         part += cum[:, first:first + 1]
     cum = cum.T
-    by_start = {block.phase_start: block.h for block in seq.pst or ()}
     phases: list[Phase] = []
     start, window = 0, 2 * n
     while start < total:
@@ -196,7 +188,7 @@ def decompose_phases(seq: TaskSequence) -> list:
         sat = tuple(np.where(saturated, start + reached.argmax(axis=0), total).tolist())
         end = max(sat)
         phases.append(Phase(index=len(phases), start=start, end=min(end, total - 1),
-                            sat_step=sat, complete=end < total, h=by_start.get(start)))
+                            sat_step=sat, complete=end < total, h=(seq.pst or {}).get(start)))
         # The next window starts at twice this phase's length; a trailing
         # phase (end == total) ends the loop.
         window = max(2 * (end + 1 - start), 2 * n)
@@ -280,10 +272,7 @@ def to_json_dict(seq: TaskSequence) -> dict:
         "tasks": seq.tasks.tolist(),
     }
     if seq.pst is not None:
-        payload["pst"] = [
-            {"phase_start": block.phase_start, "h": list(block.h)}
-            for block in seq.pst
-        ]
+        payload["pst"] = [{"phase_start": s, "h": list(h)} for s, h in sorted(seq.pst.items())]
     if seq.lv is not None:
         payload["lv"] = {"next_request": seq.lv.tolist()}
     return payload
@@ -358,13 +347,12 @@ def from_json_dict(payload) -> TaskSequence:
         blocks_raw = payload["pst"]
         if not isinstance(blocks_raw, list):
             _fail("pst must be a list of phase blocks")
-        pst = []
-        previous_start = -1
+        pst = {}
         for i, block in enumerate(blocks_raw):
             if not isinstance(block, dict):
                 _fail(f"pst[{i}] must be an object")
             phase_start = _check_int(block.get("phase_start"), f"pst[{i}].phase_start", minimum=0)
-            if phase_start <= previous_start:
+            if phase_start <= next(reversed(pst), -1):
                 _fail("pst blocks must have strictly increasing phase_start")
             if phase_start >= max(len(tasks), 1):
                 _fail(f"pst[{i}].phase_start is past the end of the tasks")
@@ -377,8 +365,7 @@ def from_json_dict(payload) -> TaskSequence:
                     _fail(f"pst[{i}].h[{s}] must be a number")
                 if isinstance(v, float) and not math.isfinite(v):
                     _fail(f"pst[{i}].h[{s}] must be finite, got {v!r}")
-            pst.append(PhasePrediction(phase_start=phase_start, h=tuple(h)))
-            previous_start = phase_start
+            pst[phase_start] = tuple(h)
 
     lv = None
     if "lv" in payload and payload["lv"] is not None:

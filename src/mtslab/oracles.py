@@ -37,7 +37,7 @@ def decompose_phases_restart(seq: TaskSequence):
     A state whose running sum never reaches the threshold gets the input
     length as its saturation step. Costs O(phases * steps * n);
     ``core.decompose_phases`` computes the same split from one cumulative
-    sum, and pairs prediction blocks by a scan.
+    sum over windows that double until the phase closes.
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity
@@ -50,9 +50,8 @@ def decompose_phases_restart(seq: TaskSequence):
             for s in range(n)
         )
         end = max(sat)
-        h = next((b.h for b in seq.pst or () if b.phase_start == start), None)
         phases.append(Phase(index=len(phases), start=start, end=min(end, total - 1),
-                            sat_step=sat, complete=end < total, h=h))
+                            sat_step=sat, complete=end < total, h=(seq.pst or {}).get(start)))
         start = end + 1
     return phases
 

@@ -18,10 +18,10 @@ from .analysis import (
     max_forcible_transitions,
     robustness_threshold,
 )
-from .core import TaskSequence, decompose_phases, lv_loss, schedule_cost
+from .core import Phase, TaskSequence, decompose_phases, lv_loss, schedule_cost
 from .engine import run_scheduler
 from .errors import ConfigurationError
-from .opt import opt_units
+from .opt import opt_units, phase_opt_units
 from .oracles import max_footrule_bruteforce, opt_bruteforce
 from .rng import RandomStream, trial_seed
 from .schedulers import SCHEDULERS, Scheduler
@@ -87,7 +87,7 @@ def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed, *,
 
     if seq.pst is not None:
         starts = {p.start for p in decomposed}
-        stray = [b.phase_start for b in seq.pst if b.phase_start not in starts]
+        stray = sorted(seq.pst.keys() - starts)
         missing = [p.start for p in phases if p.h is None]
         result.add(
             "pst-alignment",
@@ -97,18 +97,13 @@ def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed, *,
             if not stray and not missing
             else f"stray block starts {stray}, uncovered phase starts {missing}",
         )
-        errors = [p.pst_error() for p in phases]
-        known = [e for e in errors if e is not None]
         if eta0 is not None:
-            over = [
-                (p.index, e)
-                for p, e in zip(phases, errors)
-                if e is not None and e > eta0
-            ]
+            errors = [(p.index, p.pst_error()) for p in phases if p.h is not None]
+            over = [(index, e) for index, e in errors if e > eta0]
             result.add(
                 "pst-error-budget",
                 not over,
-                f"per-phase prediction error max {max(known) if known else 0} "
+                f"per-phase prediction error max {max((e for _, e in errors), default=0)} "
                 f"within budget {eta0}"
                 if not over
                 else f"budget {eta0} exceeded in phases {over}",
@@ -278,12 +273,12 @@ def footrule_suite(max_m: int = 8) -> VerifyResult:
 
 
 def opt_suite(instances: int = 200, seed: int = 0) -> VerifyResult:
-    """Dynamic-programming optimum against exhaustive enumeration."""
+    """Dynamic-programming optima, whole and per phase, against exhaustive enumeration."""
     if instances < 1:
         raise ConfigurationError("instances must be >= 1")
     result = VerifyResult()
-    first_bad = None
-    checked = 0
+    first_bad = span_bad = None
+    checked = span_checked = 0
     for i in range(instances):
         stream = RandomStream(trial_seed(seed, i))
         n = 1 + stream.randbelow(3)
@@ -297,6 +292,14 @@ def opt_suite(instances: int = 200, seed: int = 0) -> VerifyResult:
             checked += 1
             if dp != brute and first_bad is None:
                 first_bad = (i, n, steps, gran, free_start, dp, brute, tasks)
+        # The per-phase optima of ``simulate``, over the steps split in two.
+        cut = steps // 2
+        spans = [Phase(0, a, b - 1, ()) for a, b in ((0, cut), (cut, steps)) if a < b]
+        dp = phase_opt_units(TaskSequence(n, gran, tasks).tasks, gran, spans)
+        brute = [opt_bruteforce(tasks[p.start:p.end + 1], gran, free_start=True) for p in spans]
+        span_checked += len(spans)
+        if dp != brute and span_bad is None:
+            span_bad = (i, n, steps, gran, dp, brute, tasks)
     result.add(
         "opt-dp-vs-exhaustive",
         first_bad is None,
@@ -305,6 +308,9 @@ def opt_suite(instances: int = 200, seed: int = 0) -> VerifyResult:
         else "mismatch (instance, n, steps, granularity, free_start, dp, brute, "
              f"tasks) = {first_bad}",
     )
+    result.add("phase-opt-vs-exhaustive", span_bad is None,
+               f"{span_checked} per-phase optima match" if span_bad is None
+               else f"mismatch (instance, n, steps, granularity, dp, brute, tasks) = {span_bad}")
     return result
 
 

@@ -18,7 +18,14 @@ from mtslab.adversaries import (
     tail_orders,
 )
 from mtslab.analysis import max_footrule
-from mtslab.core import TaskSequence, decompose_phases, lv_loss, pst_error_per_phase
+from mtslab.core import (
+    TaskSequence,
+    decompose_phases,
+    load_task_sequence,
+    lv_loss,
+    pst_error_per_phase,
+    save_task_sequence,
+)
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
 from mtslab.rng import state_rows, trial_seed
@@ -120,10 +127,10 @@ def test_tail_orders_are_one_geometry_for_kernel_and_files(family, n, data, phas
         seq = shuffled_tail_sequence(n, n, m, phases, seed=seed)
     found = decompose_phases(seq)
     assert len(found) == phases and all(p.complete for p in found)
-    for phase, block, (order, true) in zip(found, seq.pst, tables):
+    assert list(seq.pst) == [phase.start for phase in found]
+    for phase, h, (order, true) in zip(found, seq.pst.values(), tables):
         assert phase.order == tuple(true[0].tolist())
-        assert block.phase_start == phase.start
-        assert [block.h[s] - phase.start for s in true[0].tolist()] == order[0].tolist()
+        assert [h[s] - phase.start for s in true[0].tolist()] == order[0].tolist()
 
 
 def test_reversal_walks_prediction_follower_through_m_states():
@@ -226,9 +233,9 @@ def test_noisy_pst_respects_budget_and_distinctness():
     assert np.array_equal(noisy.tasks, base.tasks)
     errors = pst_error_per_phase(noisy)
     assert len(errors) == 4
-    for block, err in zip(noisy.pst, errors):
+    for h, err in zip(noisy.pst.values(), errors):
         assert err <= 5
-        assert len(set(block.h)) == len(block.h)
+        assert len(set(h)) == len(h)
     # Somewhere the perturbation actually moved a prediction.
     assert any(err > 0 for err in errors)
 
@@ -244,8 +251,20 @@ def test_noisy_pst_leaves_tied_steps_at_zero_budget(deadline, n, granularity, ta
     seq = TaskSequence(n=n, granularity=granularity, tasks=tasks)
     with deadline(10):
         noisy = noisy_pst(seq, 0)
-    assert [block.h for block in noisy.pst] == [(0,) * n]
+    assert noisy.pst == {0: (0,) * n}
     assert pst_error_per_phase(noisy) == [0]
+
+
+def test_noisy_pst_without_a_complete_phase_is_empty(tmp_path):
+    # State 1 never saturates, so the only phase is the trailing one.
+    seq = TaskSequence(n=2, granularity=2, tasks=[[2, 0], [1, 1]])
+    noisy = noisy_pst(seq, 3, seed=1)
+    assert noisy.pst == {}
+    path = tmp_path / "seq.json"
+    save_task_sequence(noisy, path)
+    assert b'"pst":[]' in path.read_bytes()
+    again = load_task_sequence(path)
+    assert again.pst == {} and again == noisy
 
 
 @st.composite
@@ -264,7 +283,7 @@ def test_noisy_pst_stays_in_budget_and_splits_only_distinct_steps(deadline, seq,
     with deadline(10):
         noisy = noisy_pst(seq, eta0, seed=seed)
     phases = [p for p in decompose_phases(noisy) if p.complete]
-    assert [block.phase_start for block in noisy.pst] == [p.start for p in phases]
+    assert list(noisy.pst) == [p.start for p in phases]
     for phase in phases:
         assert phase.pst_error() <= eta0
         for a in range(seq.n):

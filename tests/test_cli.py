@@ -571,6 +571,48 @@ def test_sweep_that_fails_while_computing_leaves_no_output(tmp_path, capsys, mon
     assert not out_dir.exists()
 
 
+def test_sweep_that_fails_while_writing_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    import mtslab.cli as cli
+
+    calls = []
+    write = cli.write_text
+
+    def second_write_fails(path, text):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write(path, text)
+
+    monkeypatch.setattr(cli, "write_text", second_write_fails)
+    cfg = _write_config(tmp_path, algorithms=["lps", "oblivious"])
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    # Without the fault the same call leaves --out and nothing else.
+    monkeypatch.setattr(cli, "write_text", write)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "lps.csv", "manifest.json", "oblivious.csv"]
+
+
+def test_sweep_into_an_existing_directory_replaces_its_files(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "lps.csv").write_text("stale\n")
+    (out_dir / "notes.txt").write_text("kept\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["sweep", "--config", str(cfg), "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert (out_dir / "notes.txt").read_text() == "kept\n"
+    for name in ("lps.csv", "oblivious.csv", "manifest.json"):
+        assert (out_dir / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_sweep_rejects_non_object_config(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text("[1, 2, 3]")

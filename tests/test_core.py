@@ -18,7 +18,6 @@ from mtslab.core import (
     _int_rows,
     _load_canonical,
     _load_text,
-    PhasePrediction,
     TaskSequence,
     canonical_json,
     decompose_phases,
@@ -98,10 +97,7 @@ def test_pst_error_per_phase_matches_manual_sum():
         n=2,
         granularity=1,
         tasks=[[1, 0], [0, 1], [0, 1], [1, 0]],
-        pst=[
-            PhasePrediction(phase_start=0, h=(0, 1)),
-            PhasePrediction(phase_start=2, h=(2, 3)),
-        ],
+        pst={0: (0, 1), 2: (2, 3)},
     )
     assert pst_error_per_phase(seq) == [0, 2]
 
@@ -121,7 +117,7 @@ def test_round_trip_is_byte_exact(tmp_path):
         n=2,
         granularity=3,
         tasks=[[1, 2], [3, 0]],
-        pst=[PhasePrediction(phase_start=0, h=(1, 0))],
+        pst={0: (1, 0)},
         lv=[[0, 2], [-1, 0]],
     )
     path = tmp_path / "seq.json"
@@ -131,6 +127,18 @@ def test_round_trip_is_byte_exact(tmp_path):
     save_task_sequence(again, path)
     assert path.read_bytes() == first
     assert json.loads(first)["version"] == 1
+
+
+def test_prediction_blocks_save_sorted_by_phase_start(tmp_path):
+    seq = TaskSequence(n=2, granularity=1, tasks=[[1, 0], [0, 1], [1, 1]],
+                       pst={2: (2, 2), 0: (0, 1)})
+    path = tmp_path / "seq.json"
+    save_task_sequence(seq, path)
+    assert json.loads(path.read_bytes())["pst"] == [
+        {"phase_start": 0, "h": [0, 1]}, {"phase_start": 2, "h": [2, 2]}]
+    again = load_task_sequence(path)
+    assert list(again.pst) == [0, 2] and again == seq
+    assert [p.h for p in decompose_phases(again)] == [(0, 1), (2, 2)]
 
 
 def test_rejects_malformed_payloads():
@@ -331,9 +339,9 @@ def _assert_same_load(fast, slow):
         if got is not None:
             assert got.dtype == want.dtype == np.int64 and got.flags.c_contiguous
             assert np.array_equal(got, want)
-    assert (fast.pst is None) == (slow.pst is None)
-    for got, want in zip(fast.pst or (), slow.pst or ()):
-        assert got == want and list(map(type, got.h)) == list(map(type, want.h))
+    assert fast.pst == slow.pst
+    for got, want in zip((fast.pst or {}).values(), (slow.pst or {}).values()):
+        assert list(map(type, got)) == list(map(type, want))
 
 
 def _canonical_bytes(payload) -> bytes:
@@ -365,10 +373,9 @@ def test_canonical_loader_takes_adversary_gen_output(tmp_path, capsys, family):
 @pytest.mark.parametrize("seq", [
     random_unit_sequence(3, 4, 5, seed=2),
     TaskSequence(n=1, granularity=2, tasks=[[1], [0], [1]], lv=[[2], [-1], [-1]],
-                 pst=[PhasePrediction(phase_start=0, h=(2,))]),
+                 pst={0: (2,)}),
     TaskSequence(n=2, granularity=1, tasks=[[1, 0], [0, 1]],
-                 pst=[PhasePrediction(phase_start=0, h=(0.5, 1e-7)),
-                      PhasePrediction(phase_start=1, h=(2.25, 1e16))]),
+                 pst={0: (0.5, 1e-7), 1: (2.25, 1e16)}),
     TaskSequence(n=3, granularity=1, tasks=[]),
 ], ids=["random-unit-pst-lv", "n-1", "float-h", "no-steps"])
 def test_canonical_loader_takes_saved_sequences(tmp_path, seq):

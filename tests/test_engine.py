@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtslab.core import (
-    PhasePrediction,
     TaskSequence,
     decompose_phases,
     from_json_dict,
@@ -30,11 +29,7 @@ def _two_phase_sequence():
             [1, 0],  # state 0 saturates; phase 1 ends
             [1, 0],  # trailing suffix step
         ],
-        pst=[
-            PhasePrediction(phase_start=0, h=[0, 1]),
-            PhasePrediction(phase_start=2, h=[3, 2]),
-            PhasePrediction(phase_start=4, h=[9, 9]),
-        ],
+        pst={0: (0, 1), 2: (3, 2), 4: (9, 9)},
     )
 
 
@@ -87,7 +82,7 @@ def test_suffix_needs_its_own_prediction_block():
     seq = _two_phase_sequence()
     trimmed = TaskSequence(
         n=seq.n, granularity=seq.granularity, tasks=seq.tasks,
-        pst=seq.pst[:2])
+        pst={s: seq.pst[s] for s in (0, 2)})
     with pytest.raises(ConfigurationError):
         run_scheduler(trimmed, "lps")
     # Schedulers that ignore predictions run fine without the block.

@@ -158,11 +158,11 @@ def _cli(argv):
 def _cut_random_input(path) -> None:
     """Random unit demands with noisy predictions, cut inside the last phase."""
     base = noisy_pst(random_unit_sequence(4, 3, 3, seed=5), 3, seed=1)
-    last_start = base.pst[-1].phase_start
+    last_start = max(base.pst)
     cut = last_start + 3
     seq = TaskSequence(
         n=base.n, granularity=base.granularity, tasks=base.tasks[:cut],
-        pst=[b for b in base.pst if b.phase_start < cut], lv=base.lv[:cut],
+        pst={s: h for s, h in base.pst.items() if s < cut}, lv=base.lv[:cut],
     )
     save_task_sequence(seq, path)
 

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from mtslab.adversaries import _fit_budget, random_unit_sequence
 from mtslab.analysis import harmonic_number, max_footrule
 from mtslab.core import (
-    PhasePrediction,
     TaskSequence,
     decompose_phases,
     next_demand,
@@ -96,7 +95,7 @@ def task_sequences(draw):
     # Prediction blocks on drawn steps: some open a phase, some do not.
     starts = sorted(draw(st.sets(st.integers(0, max(len(tasks) - 1, 0)), max_size=4)))
     block = st.lists(st.integers(0, 16), min_size=n, max_size=n).map(tuple)
-    pst = [PhasePrediction(phase_start=s, h=draw(block)) for s in starts]
+    pst = {s: draw(block) for s in starts}
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst or None)
 
 

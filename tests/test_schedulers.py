@@ -4,7 +4,7 @@ import pytest
 
 from mtslab.adversaries import forcing_sequence, repeat_block_sequence
 from mtslab.analysis import robustness_threshold
-from mtslab.core import TaskSequence, PhasePrediction
+from mtslab.core import TaskSequence
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError, ProtocolError
 from mtslab.schedulers import (
@@ -68,7 +68,7 @@ def test_lps_walk_on_a_concrete_phase():
             [1, 1, 0],
             [1, 1, 0],
         ],
-        pst=[PhasePrediction(phase_start=0, h=[0, 1, 2])],
+        pst={0: (0, 1, 2)},
     )
     run = run_scheduler(seq, "lps")
     assert run.transitions_per_phase == [2]

@@ -3,7 +3,7 @@
 import pytest
 
 from mtslab.adversaries import random_unit_sequence, reversal_sequence
-from mtslab.core import PhasePrediction, TaskSequence
+from mtslab.core import TaskSequence
 from mtslab.errors import ConfigurationError
 from mtslab.verify import (
     SUITE_NAMES,
@@ -40,9 +40,9 @@ def test_wrong_expectations_are_reported():
 
 def test_tampered_prediction_block_fails_the_budget():
     seq = reversal_sequence(6, 8, 4, 2)
-    h = list(seq.pst[0].h)
+    h = list(seq.pst[0])
     h[0] += 50
-    seq.pst[0] = PhasePrediction(phase_start=seq.pst[0].phase_start, h=tuple(h))
+    seq.pst[0] = tuple(h)
     result = verify_sequence(seq, eta0=4)
     assert not result.passed
     failed = {c.name for c in result.checks if not c.passed}
@@ -70,15 +70,14 @@ def test_block_on_the_trailing_phase_is_aligned():
     seq = TaskSequence(n=5, granularity=5, tasks=base.tasks[:12], pst=base.pst)
     check = {c.name: c for c in verify_sequence(seq).checks}["pst-alignment"]
     assert check.passed, check.detail
-    seq.pst[2] = PhasePrediction(phase_start=11, h=seq.pst[2].h)
+    seq.pst[11] = seq.pst.pop(10)
     check = {c.name: c for c in verify_sequence(seq).checks}["pst-alignment"]
     assert not check.passed and "[11]" in check.detail
 
 
 def test_misaligned_prediction_block_fails_alignment():
     seq = reversal_sequence(5, 5, 2, 2)
-    seq.pst[1] = PhasePrediction(phase_start=seq.pst[1].phase_start + 1,
-                                 h=seq.pst[1].h)
+    seq.pst[6] = seq.pst.pop(5)
     result = verify_sequence(seq)
     failed = {c.name for c in result.checks if not c.passed}
     assert "pst-alignment" in failed
@@ -114,6 +113,17 @@ def test_footrule_suite_bounds():
 def test_opt_suite_is_green():
     result = opt_suite(instances=30, seed=4)
     assert result.passed, result.lines()
+
+
+def test_opt_suite_checks_the_per_phase_optima(monkeypatch):
+    result = opt_suite(instances=30, seed=4)
+    assert [c.name for c in result.checks] == ["opt-dp-vs-exhaustive",
+                                               "phase-opt-vs-exhaustive"]
+    assert result.checks[0].detail.startswith("60 optima match")
+    monkeypatch.setattr("mtslab.verify.phase_opt_units",
+                        lambda arr, granularity, spans: [0] * len(spans))
+    broken = opt_suite(instances=30, seed=4)
+    assert [c.name for c in broken.checks if not c.passed] == ["phase-opt-vs-exhaustive"]
 
 
 def test_invariants_suite_is_green():
