@@ -111,7 +111,7 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
 
     if phases is None:
         phases = decompose_phases(seq)
-    latest_lv = _latest_next_request(seq)
+    latest_lv = _latest_next_request(seq, sched.needs_lv)
 
     result = RunResult(
         scheduler=sched.name,
@@ -165,9 +165,9 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
     return result
 
 
-def _latest_next_request(seq: TaskSequence) -> np.ndarray:
+def _latest_next_request(seq: TaskSequence, needed: bool) -> np.ndarray:
     """Row tau: per state, the last nonzero ``lv`` entry at or before step tau, else 0."""
-    if seq.lv is None:
+    if seq.lv is None or not needed:
         return np.broadcast_to(np.zeros(seq.n, dtype=np.int64), seq.tasks.shape)
     # The step of that entry; a state with none points at row 0, where it is 0.
     issued = np.where(seq.lv != 0, np.arange(len(seq))[:, None], 0)

@@ -7,11 +7,21 @@ from the best state at t-1 at one move of ``granularity`` units::
 
     prev = minimum(prev, prev.min() + granularity) + tasks[t]
 
-``opt_units`` runs it over one sequence. ``phase_opt_units`` runs it over
-many phases at once, one row of a block per phase. ``opt_schedule`` keeps
-the forward table and backtracks one witness schedule, preferring to stay
-and breaking remaining ties toward the lowest state index, so witnesses
-are deterministic.
+``opt_units`` takes a block of steps per array pass (g = granularity).
+Entries are nonnegative, so row minima never fall and any jump after the
+row V costs at least lo + g, lo = V.min(). With D[i] the task sums over
+the next i + 1 steps, the no-jump optimum M[i] = min(V + D[i]) is thus
+exact while below lo + g. Up to the first i where it reaches lo + g, or
+the window's last step, the row is D[i] + minimum(V, lo + g, min over
+j < i of M[j] + g - D[j]), and the next block starts from it. A block
+that closes lifts the optimum by g or more, so at most OPT / g + 1 do.
+The next window is twice the block's length, at least 2n: it doubles
+over blocks that do not close, O(log steps) of them per closed block.
+
+``phase_opt_units`` steps the recurrence over many phases at once, one
+row of a block per phase. ``opt_schedule`` keeps the forward table and
+backtracks one witness schedule, preferring to stay and breaking ties
+toward the lowest state index, so witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -30,39 +40,41 @@ def _step(prev, rows, granularity: int, out) -> None:
     out += rows
 
 
-def _forward(tasks, granularity: int, free_start: bool, keep_table: bool):
-    """(int64 task table, forward rows) of the DP; None when there are no tasks.
-
-    The forward rows are the full (steps, n) table with ``keep_table`` and
-    otherwise just the row after the last step.
-    """
+def _opening(tasks, free_start: bool):
+    """(int64 task table, DP row before step 0); None when there are no tasks."""
     arr = np.asarray(tasks, dtype=np.int64)
     if arr.size == 0:
         return None
-    if arr.ndim != 2:
+    if arr.ndim != 2 or arr.min() < 0:
         raise ConfigurationError("tasks must be a 2d array of unit entries")
-    steps, n = arr.shape
-    prev = np.full(n, 0 if free_start else UNIT_LIMIT, dtype=np.int64)
-    prev[0] = 0
-    if keep_table:
-        table = np.empty((steps, n), dtype=np.int64)
-        for t in range(steps):
-            _step(prev, arr[t], granularity, table[t])
-            prev = table[t]
-        return arr, table
-    for row in arr:
-        _step(prev, row, granularity, prev)
-    return arr, prev
+    row = np.full(arr.shape[1], 0 if free_start else UNIT_LIMIT, dtype=np.int64)
+    row[0] = 0
+    return arr, row
 
 
 def opt_units(tasks, granularity: int, free_start: bool = False) -> int:
-    """Cheapest achievable cost in units over the given task rows.
+    """Cheapest achievable cost in units over the given rows of nonnegative entries.
 
     With ``free_start`` the schedule may open in any state at no charge;
     otherwise it opens in state 0. Empty input costs 0.
     """
-    forward = _forward(tasks, granularity, free_start, keep_table=False)
-    return 0 if forward is None else int(forward[1].min())
+    opening = _opening(tasks, free_start)
+    if opening is None:
+        return 0
+    arr, row = opening
+    steps, n = arr.shape
+    start, window = 0, 2 * n
+    while start < steps:
+        # The block ends where the no-jump optimum reaches lo + g, or at the window's end.
+        jump_in = row.min() + granularity
+        demand = np.cumsum(arr[start:start + window], axis=0)
+        stay = (row + demand).min(axis=1)
+        last = min(int(np.searchsorted(stay, jump_in)), len(stay) - 1)
+        jump_in = (stay[:last, None] + granularity - demand[:last]).min(0, initial=jump_in)
+        row = np.minimum(row, jump_in) + demand[last]
+        window = max(2 * (last + 1), 2 * n)
+        start += last + 1
+    return int(row.min())
 
 
 def phase_opt_units(arr, granularity: int, phases) -> list:
@@ -94,11 +106,15 @@ def phase_opt_units(arr, granularity: int, phases) -> list:
 
 def opt_schedule(tasks, granularity: int, free_start: bool = False):
     """(cost_units, schedule) for one optimal schedule, opening as ``opt_units`` does."""
-    forward = _forward(tasks, granularity, free_start, keep_table=True)
-    if forward is None:
+    opening = _opening(tasks, free_start)
+    if opening is None:
         return 0, []
-    arr, best = forward
+    arr, prev = opening
     steps = len(arr)
+    best = np.empty(arr.shape, dtype=np.int64)
+    for t in range(steps):
+        _step(prev, arr[t], granularity, best[t])
+        prev = best[t]
     state = int(np.argmin(best[-1]))
     cost = int(best[-1, state])
     schedule = [0] * steps

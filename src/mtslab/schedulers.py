@@ -81,6 +81,8 @@ class Scheduler:
         strictly later than ``current``; the choice must come from it.
         ``latest_lv[s]`` is the most recent next-request prediction issued
         for state s (0 when none was ever issued, -1 for "never again").
+        It holds predictions only for a scheduler that sets ``needs_lv``;
+        every other scheduler gets a row of zeros.
         """
         raise NotImplementedError
 

@@ -1,7 +1,12 @@
 """Offline optimum: value, witness schedule, edge cases."""
 
+import math
+
+import numpy as np
 import pytest
 
+from mtslab import opt
+from mtslab.adversaries import random_unit_sequence, reversal_sequence
 from mtslab.core import schedule_cost
 from mtslab.errors import ConfigurationError
 from mtslab.opt import opt_schedule, opt_units
@@ -65,6 +70,14 @@ def test_opt_units_rejects_flat_input():
         opt_units([1, 2, 3], 4)
 
 
+def test_optima_reject_negative_entries():
+    # The blocked optimum relies on row minima that never fall.
+    tasks = [[-2, 3], [0, -1], [-3, 0], [3, 1], [2, -3], [-2, 2], [2, 3], [-1, -3]]
+    for optimum in (opt_units, opt_schedule):
+        with pytest.raises(ConfigurationError):
+            optimum(tasks, 1)
+
+
 def test_opt_units_matches_bruteforce_on_random_instances():
     stream = RandomStream(trial_seed(7, 0))
     for i in range(40):
@@ -83,3 +96,36 @@ def test_opt_units_free_start_never_costs_more():
     fixed = opt_units(tasks, 3)
     free = opt_units(tasks, 3, free_start=True)
     assert free <= fixed
+
+
+class _CountingNumpy:
+    """numpy as ``mtslab.opt`` sees it, logging the rows of each cumsum (one per pass)."""
+
+    def __init__(self):
+        self.windows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cumsum(self, a, axis=None):
+        self.windows.append(len(a))
+        return np.cumsum(a, axis=axis)
+
+
+@pytest.mark.parametrize("tasks, granularity", [
+    (np.zeros((4000, 3), dtype=np.int64), 2),
+    # One long block, then one-step blocks after a wide window.
+    (np.array([[0, 0]] * 1500 + [[2, 2]] * 500), 2),
+    (random_unit_sequence(8, 8, 100, seed=0).tasks, 8),
+    (reversal_sequence(16, 16, 24, 40).tasks, 16),
+], ids=["zeros", "long-then-short", "random-unit", "reversal"])
+def test_opt_units_passes_follow_the_optimum_not_the_steps(monkeypatch, tasks, granularity):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(opt, "np", counting)
+    value = opt_units(tasks, granularity)
+    steps, n = tasks.shape
+    # A block that closes lifts the optimum by g; windows that close none
+    # double, and each window is at most twice the last block plus 2n rows.
+    passes = len(counting.windows)
+    assert passes <= value // granularity + 1 + 2 * math.ceil(math.log2(steps))
+    assert sum(counting.windows) <= 2 * steps + 2 * n * passes

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mtslab.adversaries import _fit_budget, random_unit_sequence
+from mtslab.adversaries import _fit_budget, random_unit_sequence, reversal_sequence
 from mtslab.analysis import harmonic_number, max_footrule
 from mtslab.core import (
     TaskSequence,
     decompose_phases,
+    load_task_sequence,
     next_demand,
+    save_task_sequence,
     schedule_cost,
 )
 from mtslab.engine import run_scheduler
@@ -27,7 +29,7 @@ from mtslab.oracles import (
     opt_bruteforce,
     opt_units_scalar,
 )
-from mtslab.schedulers import LowestIndex, NextRequestGreedy
+from mtslab.schedulers import LowestIndex, NextRequestGreedy, make_scheduler, scheduler_names
 
 
 @pytest.mark.parametrize("m", range(0, 8))
@@ -209,6 +211,45 @@ def test_forward_filled_next_requests_match_replay_oracle(seq):
         assert row == latest_next_request_scalar(lv, now)
 
 
+class _RecordingLowest(LowestIndex):
+    """lowest-index that records the next-request row of every forced move."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def on_saturation(self, current, unsaturated, now, h, latest_lv):
+        self.rows.append([int(v) for v in latest_lv])
+        return super().on_saturation(current, unsaturated, now, h, latest_lv)
+
+
+def _stream_words(sched):
+    stream = sched.stream
+    return None if stream is None else [getattr(stream, w) for w in stream.__slots__]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lv_sequences(), st.integers(0, 3))
+def test_schedulers_without_lv_run_the_same_with_and_without_it(seq, seed):
+    # Every phase gets a prediction block, so the pst schedulers run too.
+    pst = {p.start: p.sat_step[::-1] for p in decompose_phases(seq)}
+    with_lv = TaskSequence(seq.n, seq.granularity, seq.tasks, pst=pst, lv=seq.lv)
+    without_lv = TaskSequence(seq.n, seq.granularity, seq.tasks, pst=pst)
+    names = [name for name in scheduler_names() if not make_scheduler(name).needs_lv]
+    assert names and "oblivious" in names
+    for name in names:
+        runs = []
+        for variant in (with_lv, without_lv):
+            sched = make_scheduler(name)
+            run = run_scheduler(variant, sched, seed=seed)
+            runs.append((run.schedule, run.all_phases, _stream_words(sched)))
+        assert runs[0] == runs[1], name
+
+    custom = _RecordingLowest()
+    run_scheduler(with_lv, custom)
+    assert all(row == [0] * seq.n for row in custom.rows)
+
+
 @st.composite
 def demand_tables(draw):
     n = draw(st.integers(1, 4))
@@ -283,3 +324,55 @@ def test_vectorized_optimum_matches_scalar_oracle(case):
         assert cost == opt_units_scalar(tasks, g, free_start=free_start)
         opening = schedule[0] if free_start and schedule else 0
         assert schedule_cost(tasks, g, schedule, start_state=opening)[0] == cost
+
+
+@st.composite
+def long_opt_cases(draw):
+    """Up to about 400 rows in runs: zero runs, single units, and dense rows past g."""
+    n = draw(st.integers(1, 6))
+    granularity = draw(st.integers(1, 5))
+    runs = []
+    for kind, length, seed in draw(st.lists(
+            st.tuples(st.sampled_from(["zeros", "units", "dense"]),
+                      st.integers(1, 120), st.integers(0, 2**16)),
+            max_size=8)):
+        rng = np.random.default_rng(seed)
+        if kind == "zeros":
+            runs.append(np.zeros((length, n), dtype=np.int64))
+        elif kind == "units":
+            runs.append(np.eye(n, dtype=np.int64)[rng.integers(0, n, length)])
+        else:
+            runs.append(rng.integers(0, 3 * granularity + 1, (length, n)))
+    tasks = np.concatenate(runs) if runs else np.empty((0, n), dtype=np.int64)
+    return granularity, tasks[:400]
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_opt_cases())
+# All zeros: one block runs to the end of the input.
+@example((2, np.zeros((300, 3), dtype=np.int64)))
+@example((3, np.array([[0], [2], [5], [0], [1], [3], [0], [0], [4]] * 30)))
+# The granularity exceeds the whole input's total: no block closes.
+@example((10**6, np.random.default_rng(1).integers(0, 5, (350, 4))))
+# One long block, then many one-step blocks after a wide window.
+@example((2, np.array([[0, 0]] * 150 + [[2, 2]] * 60 + [[1, 3], [3, 1]] * 40)))
+def test_blocked_optimum_matches_scalar_oracle_on_long_inputs(case):
+    g, tasks = case
+    rows = tasks.tolist()
+    for free_start in (False, True):
+        assert opt_units(tasks, g, free_start=free_start) == \
+            opt_units_scalar(rows, g, free_start=free_start)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: reversal_sequence(16, 16, 24, 12),
+    lambda: random_unit_sequence(8, 8, 12, seed=3),
+], ids=["reversal", "random-unit"])
+def test_blocked_optimum_matches_scalar_oracle_on_generated_files(tmp_path, make):
+    path = tmp_path / "input.json"
+    save_task_sequence(make(), path)
+    seq = load_task_sequence(path)
+    rows = seq.tasks.tolist()
+    for free_start in (False, True):
+        assert opt_units(seq.tasks, seq.granularity, free_start=free_start) == \
+            opt_units_scalar(rows, seq.granularity, free_start=free_start)
