@@ -215,9 +215,9 @@ def _check_geometry(n: int, granularity: int, phases: int, least_granularity: in
         )
 
 
-def _live_scheduler(scheduler: str | Scheduler, n: int, granularity: int,
-                    seed: int, allow_pst: bool = True) -> Walk:
-    walk = Walk(scheduler, n, granularity, seed=seed)
+def _live_scheduler(scheduler: str | Scheduler, n: int, seed: int,
+                    allow_pst: bool = True) -> Walk:
+    walk = Walk(scheduler, n, seed=seed)
     sched = walk.scheduler
     if not sched.conforming:
         raise ConfigurationError(
@@ -258,7 +258,7 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
     if eta0 < 0:
         raise ConfigurationError("eta0 must be >= 0")
     m = budget_tail_size(n, eta0)
-    walk = _live_scheduler(scheduler, n, granularity, seed)
+    walk = _live_scheduler(scheduler, n, seed)
 
     victims: list = []
     pst: dict = {}
@@ -303,7 +303,7 @@ def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
         repeat = n + 1
     # The granularity is the repeat count; n + 1 keeps sweeps from saturating.
     _check_geometry(n, repeat, phases, n + 1, name="repeat")
-    walk = _live_scheduler(scheduler, n, repeat, seed, allow_pst=False)
+    walk = _live_scheduler(scheduler, n, seed, allow_pst=False)
 
     # The demanded state of every step.
     requested: list = []

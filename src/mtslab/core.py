@@ -76,9 +76,10 @@ class TaskSequence:
     """One input; ``tasks`` and ``lv`` are C-contiguous int64 (steps, n) tables.
 
     Lists passed in are converted once, here; an int64 array is not copied.
-    ``n`` and ``granularity`` must each be at least 1. ``pst`` maps each
-    prediction block's phase start to its tuple of n predicted saturation
-    steps.
+    ``n`` and ``granularity`` must each be at least 1, task entries at
+    least 0 and ``lv`` entries at least -1 ("never again"). ``pst`` maps
+    each prediction block's phase start to its tuple of n predicted
+    saturation steps.
     """
 
     n: int
@@ -92,9 +93,9 @@ class TaskSequence:
             raise ConfigurationError(
                 f"n and granularity must be >= 1, got {self.n} and {self.granularity}"
             )
-        self.tasks = _table(self.tasks, self.n)
+        self.tasks = _table(self.tasks, self.n, "tasks", 0)
         if self.lv is not None:
-            self.lv = _table(self.lv, self.n)
+            self.lv = _table(self.lv, self.n, "lv", -1)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -106,10 +107,12 @@ class TaskSequence:
         return to_json_dict(self) == to_json_dict(other)
 
 
-def _table(rows, n: int) -> np.ndarray:
+def _table(rows, n: int, what: str, minimum: int) -> np.ndarray:
     # A safe cast: a float entry raises instead of being truncated.
     table = np.asarray(rows if len(rows) else np.empty((0, n), dtype=np.int64))
     table = table.astype(np.int64, casting="safe", copy=False)
+    if table.min(initial=minimum) < minimum:
+        raise ConfigurationError(f"{what} entries must be >= {minimum}")
     return np.ascontiguousarray(table).reshape(len(rows), n)
 
 

@@ -101,7 +101,7 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
     n = seq.n
     threshold = seq.granularity
     total_steps = len(seq.tasks)
-    walk = Walk(scheduler, n, threshold, seed=seed, trial_index=trial_index)
+    walk = Walk(scheduler, n, seed=seed, trial_index=trial_index)
     sched = walk.scheduler
 
     if sched.needs_lv and seq.lv is None:

@@ -40,25 +40,24 @@ def _step(prev, rows, granularity: int, out) -> None:
     out += rows
 
 
-def _opening(tasks, free_start: bool):
-    """(int64 task table, DP row before step 0); None when there are no tasks."""
+def _opening(tasks):
+    """(int64 task table, DP row before step 0 in state 0); None when there are no tasks."""
     arr = np.asarray(tasks, dtype=np.int64)
     if arr.size == 0:
         return None
     if arr.ndim != 2 or arr.min() < 0:
         raise ConfigurationError("tasks must be a 2d array of unit entries")
-    row = np.full(arr.shape[1], 0 if free_start else UNIT_LIMIT, dtype=np.int64)
+    row = np.full(arr.shape[1], UNIT_LIMIT, dtype=np.int64)
     row[0] = 0
     return arr, row
 
 
-def opt_units(tasks, granularity: int, free_start: bool = False) -> int:
-    """Cheapest achievable cost in units over the given rows of nonnegative entries.
+def opt_units(tasks, granularity: int) -> int:
+    """Cheapest cost in units over rows of nonnegative entries, opening in state 0.
 
-    With ``free_start`` the schedule may open in any state at no charge;
-    otherwise it opens in state 0. Empty input costs 0.
+    Empty input costs 0; ``phase_opt_units`` gives free-start optima.
     """
-    opening = _opening(tasks, free_start)
+    opening = _opening(tasks)
     if opening is None:
         return 0
     arr, row = opening
@@ -104,9 +103,9 @@ def phase_opt_units(arr, granularity: int, phases) -> list:
     return best.tolist()
 
 
-def opt_schedule(tasks, granularity: int, free_start: bool = False):
-    """(cost_units, schedule) for one optimal schedule, opening as ``opt_units`` does."""
-    opening = _opening(tasks, free_start)
+def opt_schedule(tasks, granularity: int):
+    """(cost_units, schedule) for one optimal schedule, opening in state 0."""
+    opening = _opening(tasks)
     if opening is None:
         return 0, []
     arr, prev = opening

@@ -1,10 +1,10 @@
 """Online schedulers.
 
 A scheduler occupies one state at a time, pays each step's task entry at
-its current state, and pays one full cost unit (granularity units) per
-state change. Conforming schedulers move only under two circumstances:
-optionally once when a phase opens, and forcedly when their current state
-saturates, in which case they must pick a still-unsaturated state.
+its current state, and pays one full cost unit per state change.
+Conforming schedulers move only under two circumstances: optionally once
+when a phase opens, and forcedly when their current state saturates, in
+which case they must pick a still-unsaturated state.
 Schedulers only pick targets; ``Walk`` is the one place that seeds them,
 applies their answers and enforces this protocol, for the engine and for
 the interactive input generators alike.
@@ -57,12 +57,10 @@ class Scheduler:
 
     def __init__(self) -> None:
         self.n = 0
-        self.granularity = 0
         self.stream: RandomStream | None = None
 
-    def reset(self, n: int, granularity: int, stream: RandomStream | None) -> None:
+    def reset(self, n: int, stream: RandomStream | None) -> None:
         self.n = n
-        self.granularity = granularity
         self.stream = stream
 
     def phase_start(self, current: int, h):
@@ -96,11 +94,10 @@ class Walk:
     occupied from that step on.
     """
 
-    def __init__(self, scheduler, n: int, granularity: int, seed: int = 0,
-                 trial_index: int = 0) -> None:
+    def __init__(self, scheduler, n: int, seed: int = 0, trial_index: int = 0) -> None:
         sched = scheduler if isinstance(scheduler, Scheduler) else make_scheduler(scheduler)
         stream = RandomStream(trial_seed(seed, trial_index)) if sched.uses_rng else None
-        sched.reset(n, granularity, stream)
+        sched.reset(n, stream)
         self.scheduler = sched
         self.n = n
         self.state = 0
@@ -196,8 +193,8 @@ class RobustLatestPredicted(Scheduler):
         self.threshold = 0
         self._count = 0
 
-    def reset(self, n, granularity, stream):
-        super().reset(n, granularity, stream)
+    def reset(self, n, stream):
+        super().reset(n, stream)
         self.threshold = robustness_threshold(n)
         self._count = 0
 

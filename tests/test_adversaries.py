@@ -375,8 +375,8 @@ def _logged(cls):
     """``cls`` with every hook call and its answer appended to ``self.log``."""
 
     class Logged(cls):
-        def reset(self, n, granularity, stream):
-            super().reset(n, granularity, stream)
+        def reset(self, n, stream):
+            super().reset(n, stream)
             self.log = []
 
         def phase_start(self, current, h):

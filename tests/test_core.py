@@ -92,6 +92,31 @@ def test_task_sequence_needs_a_state_and_a_threshold(n, granularity):
         from_json_dict(payload)
 
 
+def test_task_sequence_rejects_negative_task_entries():
+    # A negative entry would let a run's cost fall below zero.
+    tasks = [[0, 0], [0, 3], [-4, 0], [3, 0]]
+    with pytest.raises(ConfigurationError, match="tasks entries must be >= 0"):
+        TaskSequence(n=2, granularity=2, tasks=tasks)
+    with pytest.raises(ConfigurationError, match="tasks entries must be >= 0"):
+        TaskSequence(n=2, granularity=2, tasks=np.array(tasks, dtype=np.int64))
+    payload = {"version": 1, "n": 2, "granularity": 2, "tasks": tasks}
+    with pytest.raises(MalformedInputError, match=r"^tasks\[2\]\[0\] must be >= 0, got -4$"):
+        from_json_dict(payload)
+
+
+def test_task_sequence_rejects_lv_entries_below_never():
+    lv = [[0, 0], [0, -2]]
+    with pytest.raises(ConfigurationError, match="lv entries must be >= -1"):
+        TaskSequence(n=2, granularity=2, tasks=[[0, 0], [1, 0]], lv=lv)
+    never = TaskSequence(n=2, granularity=2, tasks=[[0, 0], [1, 0]], lv=[[-1, 0], [0, -1]])
+    assert never.lv.min() == -1
+    payload = {"version": 1, "n": 2, "granularity": 2, "tasks": [[0, 0], [1, 0]],
+               "lv": {"next_request": lv}}
+    with pytest.raises(MalformedInputError,
+                       match=r"^lv\.next_request\[1\]\[1\] must be >= -1, got -2$"):
+        from_json_dict(payload)
+
+
 def test_pst_error_per_phase_matches_manual_sum():
     seq = TaskSequence(
         n=2,

@@ -254,3 +254,20 @@ def test_sweep_outputs_match_pinned_bytes(name, tmp_path):
         got[f"{name}/{path.name}"] = _sha(path.read_bytes())
     want = {k: v for k, v in SWEEP_PINNED.items() if k.startswith(f"{name}/")}
     assert got == want
+
+
+# ``verify`` prints one line per check; the opt suite's line for the
+# free-start optima stays the same whichever optimum computes them.
+VERIFY_PINNED = {
+    ("--suite", "all", "--seed", "0"):
+        "f1cd6bbe4dc11c2f2a837beefbb7ed4c52564d8273c6805e430bb34548aa4243",
+    ("--suite", "opt", "--seed", "3"):
+        "ec878ce5ae83e5fa40c22e54f88cf0b550b2969d83e061c2e84ac0726ee805e3",
+}
+
+
+@pytest.mark.parametrize("args", VERIFY_PINNED, ids=" ".join)
+def test_verify_output_matches_pinned_bytes(args):
+    rc, out, err = _cli(["verify", *args])
+    assert (rc, err) == (b"0", b"")
+    assert hashlib.sha256(out).hexdigest() == VERIFY_PINNED[args]

@@ -1,6 +1,7 @@
 """Offline optimum: value, witness schedule, edge cases."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,15 @@ from mtslab import opt
 from mtslab.adversaries import random_unit_sequence, reversal_sequence
 from mtslab.core import schedule_cost
 from mtslab.errors import ConfigurationError
-from mtslab.opt import opt_schedule, opt_units
+from mtslab.opt import opt_schedule, opt_units, phase_opt_units
 from mtslab.oracles import opt_bruteforce
 from mtslab.rng import RandomStream, trial_seed
+
+
+def _free_start(tasks, gran):
+    """The free-start optimum: the per-phase optimum of one span over every step."""
+    arr = np.asarray(tasks, dtype=np.int64)
+    return phase_opt_units(arr, gran, [SimpleNamespace(start=0, end=len(arr) - 1)])[0]
 
 
 def test_empty_input_costs_nothing():
@@ -42,15 +49,7 @@ def test_value_matches_bruteforce_both_start_modes():
         tasks = [[stream.randbelow(2 * gran) for _ in range(n)]
                  for _ in range(steps)]
         assert opt_units(tasks, gran) == opt_bruteforce(tasks, gran)
-        assert opt_units(tasks, gran, free_start=True) == \
-            opt_bruteforce(tasks, gran, free_start=True)
-
-
-def test_free_start_schedule_skips_the_opening_charge():
-    tasks = [[4, 0], [4, 0]]
-    cost, schedule = opt_schedule(tasks, 9, free_start=True)
-    assert cost == 0
-    assert schedule == [1, 1]
+        assert _free_start(tasks, gran) == opt_bruteforce(tasks, gran, free_start=True)
 
 
 def test_backtrack_prefers_staying():
@@ -86,15 +85,14 @@ def test_opt_units_matches_bruteforce_on_random_instances():
         gran = 1 + stream.randbelow(4)
         tasks = [[stream.randbelow(2 * gran + 1) for _ in range(n)]
                  for _ in range(steps)]
-        for free_start in (False, True):
-            assert opt_units(tasks, gran, free_start=free_start) == \
-                opt_bruteforce(tasks, gran, free_start=free_start)
+        assert opt_units(tasks, gran) == opt_bruteforce(tasks, gran)
+        assert _free_start(tasks, gran) == opt_bruteforce(tasks, gran, free_start=True)
 
 
 def test_opt_units_free_start_never_costs_more():
     tasks = [[0, 5], [0, 5], [5, 0]]
     fixed = opt_units(tasks, 3)
-    free = opt_units(tasks, 3, free_start=True)
+    free = _free_start(tasks, 3)
     assert free <= fixed
 
 

@@ -312,18 +312,17 @@ _SKEWED = (2, 3, [[1, 0], [0, 2], [3, 3]] * 10 + [[2, 1]] * 12,
 def test_vectorized_optimum_matches_scalar_oracle(case):
     n, g, tasks, spans = case
     assert opt_units(tasks, g) == opt_units_scalar(tasks, g)
-    assert opt_units(tasks, g, free_start=True) == opt_units_scalar(tasks, g, free_start=True)
 
     arr = np.asarray(tasks, dtype=np.int64).reshape(len(tasks), n)
+    whole = _span(0, len(tasks) - 1)
+    assert phase_opt_units(arr, g, [whole]) == [opt_units_scalar(tasks, g, free_start=True)]
     assert phase_opt_units(arr, g, spans) == [
         opt_units_scalar(tasks[p.start : p.end + 1], g, free_start=True) for p in spans
     ]
 
-    for free_start in (False, True):
-        cost, schedule = opt_schedule(tasks, g, free_start=free_start)
-        assert cost == opt_units_scalar(tasks, g, free_start=free_start)
-        opening = schedule[0] if free_start and schedule else 0
-        assert schedule_cost(tasks, g, schedule, start_state=opening)[0] == cost
+    cost, schedule = opt_schedule(tasks, g)
+    assert cost == opt_units_scalar(tasks, g)
+    assert schedule_cost(tasks, g, schedule, start_state=0)[0] == cost
 
 
 @st.composite
@@ -359,9 +358,9 @@ def long_opt_cases(draw):
 def test_blocked_optimum_matches_scalar_oracle_on_long_inputs(case):
     g, tasks = case
     rows = tasks.tolist()
-    for free_start in (False, True):
-        assert opt_units(tasks, g, free_start=free_start) == \
-            opt_units_scalar(rows, g, free_start=free_start)
+    assert opt_units(tasks, g) == opt_units_scalar(rows, g)
+    assert phase_opt_units(tasks, g, [_span(0, len(tasks) - 1)]) == \
+        [opt_units_scalar(rows, g, free_start=True)]
 
 
 @pytest.mark.parametrize("make", [
@@ -373,6 +372,7 @@ def test_blocked_optimum_matches_scalar_oracle_on_generated_files(tmp_path, make
     save_task_sequence(make(), path)
     seq = load_task_sequence(path)
     rows = seq.tasks.tolist()
-    for free_start in (False, True):
-        assert opt_units(seq.tasks, seq.granularity, free_start=free_start) == \
-            opt_units_scalar(rows, seq.granularity, free_start=free_start)
+    g = seq.granularity
+    assert opt_units(seq.tasks, g) == opt_units_scalar(rows, g)
+    assert phase_opt_units(seq.tasks, g, [_span(0, len(rows) - 1)]) == \
+        [opt_units_scalar(rows, g, free_start=True)]

@@ -40,7 +40,7 @@ def test_scheduler_traits():
 
 def _prediction_follower():
     sched = LatestPredictedSaturation()
-    sched.reset(3, 3, None)
+    sched.reset(3, None)
     return sched
 
 
@@ -79,13 +79,13 @@ def test_robust_threshold_tracks_harmonic_ceiling():
     for n, expected in ((1, 1), (2, 2), (16, 4), (64, 5)):
         assert robustness_threshold(n) == expected
     sched = RobustLatestPredicted()
-    sched.reset(16, 16, None)
+    sched.reset(16, None)
     assert sched.threshold == 4
 
 
 def test_robust_follows_predictions_within_budget():
     sched = RobustLatestPredicted()
-    sched.reset(4, 4, None)
+    sched.reset(4, None)
     # ceil(H_4) = 3: opening move plus two forced moves stay on-prediction,
     # so no stream draw happens and a None stream never trips.
     h = [0, 1, 2, 3]
@@ -97,7 +97,7 @@ def test_robust_follows_predictions_within_budget():
 
 def test_lv_greedy_ranking():
     sched = NextRequestGreedy()
-    sched.reset(4, 4, None)
+    sched.reset(4, None)
     # "never again" (-1) outranks a concrete step, which outranks "no
     # prediction" (0); ties break to the lowest index.
     assert sched.on_saturation(0, [1, 2, 3], 0, None, [0, 9, -1, 9]) == 2
@@ -107,10 +107,10 @@ def test_lv_greedy_ranking():
 
 def test_lowest_index_and_stay_put():
     low = LowestIndex()
-    low.reset(4, 4, None)
+    low.reset(4, None)
     assert low.on_saturation(2, [1, 3], 5, None, [0, 0, 0, 0]) == 1
     parked = StayPut()
-    parked.reset(4, 4, None)
+    parked.reset(4, None)
     assert parked.on_saturation(2, [1, 3], 5, None, [0, 0, 0, 0]) == 2
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from mtslab.adversaries import random_unit_sequence, reversal_sequence
-from mtslab.core import TaskSequence
+from mtslab.core import TaskSequence, lv_loss, pst_error_per_phase
+from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
 from mtslab.verify import (
     SUITE_NAMES,
@@ -18,35 +19,26 @@ from mtslab.verify import (
 
 def test_healthy_sequence_passes_every_check():
     seq = reversal_sequence(6, 8, 4, 3)
-    result = verify_sequence(
-        seq, "lps", eta0=4, expect_transitions=3)
+    result = verify_sequence(seq, "lps")
     assert result.passed, result.lines()
     names = [c.name for c in result.checks]
-    for expected in ("phase-structure", "pst-alignment", "pst-error-budget",
-                     "cost-identity", "phase-cost-sandwich",
-                     "transition-count", "offline-sandwich"):
+    for expected in ("phase-structure", "pst-alignment", "cost-identity",
+                     "phase-cost-sandwich", "offline-sandwich"):
         assert expected in names
-
-
-def test_wrong_expectations_are_reported():
-    seq = reversal_sequence(6, 8, 4, 3)
-    result = verify_sequence(seq, "lps", expect_transitions=2)
-    assert not result.passed
-    failed = {c.name for c in result.checks if not c.passed}
-    assert failed == {"transition-count"}
-    floor = verify_sequence(seq, "lps", expect_min_transitions=4)
-    assert {c.name for c in floor.checks if not c.passed} == {"transition-floor"}
+    # Within its budget of 4, the input forces isqrt(2 * 4 + 1) transitions a phase.
+    assert max(pst_error_per_phase(seq)) <= 4
+    assert run_scheduler(seq, "lps").transitions_per_phase == [3, 3, 3]
 
 
 def test_tampered_prediction_block_fails_the_budget():
     seq = reversal_sequence(6, 8, 4, 2)
+    honest = pst_error_per_phase(seq)
     h = list(seq.pst[0])
     h[0] += 50
     seq.pst[0] = tuple(h)
-    result = verify_sequence(seq, eta0=4)
-    assert not result.passed
-    failed = {c.name for c in result.checks if not c.passed}
-    assert "pst-error-budget" in failed
+    tampered = pst_error_per_phase(seq)
+    assert max(honest) <= 4 < tampered[0]
+    assert tampered == [honest[0] + 50, honest[1]]
 
 
 @pytest.mark.parametrize("tasks, passed, detail", [
@@ -85,10 +77,9 @@ def test_misaligned_prediction_block_fails_alignment():
 
 def test_lv_loss_expectation():
     seq = random_unit_sequence(4, 3, 2, seed=5)
-    good = verify_sequence(seq, expect_lv_loss=0)
-    assert good.passed
-    bad = verify_sequence(seq, expect_lv_loss=7)
-    assert {c.name for c in bad.checks if not c.passed} == {"next-request-loss"}
+    assert lv_loss(seq) == 0
+    check = {c.name: c for c in verify_sequence(seq).checks}["next-request-loss"]
+    assert (check.passed, check.detail) == (True, "total loss 0")
 
 
 def test_non_conforming_run_skips_the_sandwich():
@@ -122,8 +113,10 @@ def test_opt_suite_checks_the_per_phase_optima(monkeypatch):
     assert result.checks[0].detail.startswith("60 optima match")
     monkeypatch.setattr("mtslab.verify.phase_opt_units",
                         lambda arr, granularity, spans: [0] * len(spans))
+    # The free-start optima come from phase_opt_units too.
     broken = opt_suite(instances=30, seed=4)
-    assert [c.name for c in broken.checks if not c.passed] == ["phase-opt-vs-exhaustive"]
+    assert [c.name for c in broken.checks if not c.passed] == ["opt-dp-vs-exhaustive",
+                                                                "phase-opt-vs-exhaustive"]
 
 
 def test_invariants_suite_is_green():
