@@ -38,7 +38,7 @@ from .engine import run_scheduler
 from .errors import ConfigurationError, MalformedInputError
 from .kernels import FAMILIES, POLICIES, simulate_family_trials
 from .opt import opt_units, phase_opt_units
-from .rng import MASK64
+from .rng import check_seed
 from .schedulers import make_scheduler, scheduler_names
 from .verify import SUITE_NAMES, run_suite
 
@@ -107,15 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_seed(seed: int, name: str) -> None:
-    """One seed, one stream: the streams read a seed modulo 2**64, so a seed
-    outside [0, 2**64) would silently rerun another seed's streams."""
-    if not 0 <= seed <= MASK64:
-        raise ConfigurationError(f"{name} must be in [0, 2**64)")
-
-
 def _cmd_adversary_gen(args) -> int:
-    _check_seed(args.seed, "--seed")
+    check_seed(args.seed, "--seed")
     seq, info = build_family(
         args.adversary,
         n=args.n,
@@ -146,7 +139,7 @@ SIMULATE_FIELDS = ("trial", "phase_index", "transitions", "alg_cost_units", "opt
 
 
 def _cmd_simulate(args) -> int:
-    _check_seed(args.seed, "--seed")
+    check_seed(args.seed, "--seed")
     seq = load_task_sequence(args.input)
     sched = make_scheduler(args.algorithm)
     if args.trials < 1:
@@ -169,8 +162,8 @@ def _cmd_simulate(args) -> int:
     rows = []
     total_cost = 0
     for trial in range(args.trials):
-        res = run_scheduler(seq, make_scheduler(args.algorithm),
-                            seed=args.seed, trial_index=trial, phases=decomposition)
+        res = run_scheduler(seq, args.algorithm, seed=args.seed, trial_index=trial,
+                            phases=decomposition)
         for p, popt in zip(res.phases, phase_opts):
             rows.append((trial, p.index, p.transitions, p.cost_units, popt))
         total_cost += res.total_units
@@ -208,7 +201,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_seed(args.seed, "--seed")
+    check_seed(args.seed, "--seed")
     result = run_suite(args.suite, max_m=args.max_m, seed=args.seed)
     for line in result.lines():
         print(line)
@@ -277,7 +270,7 @@ def _load_sweep_config(path: str) -> tuple[dict, str]:
         raise ConfigurationError(f"sweep config lists algorithms more than once: {repeated}")
     if config["phases"] < 1 or config["trials"] < 1:
         raise ConfigurationError("phases and trials must be >= 1")
-    _check_seed(config["seed"], "sweep config key 'seed'")
+    check_seed(config["seed"], "sweep config key 'seed'")
     if config["granularity"] < max(config["n"]):
         raise ConfigurationError("granularity must be >= every swept n")
     n_max, trials, phases = max(config["n"]), config["trials"], config["phases"]

@@ -36,7 +36,9 @@ import math
 import os
 import stat
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -124,7 +126,8 @@ class Phase:
     The trailing partial phase (``complete`` False) runs to the end of the
     input, and each state that does not saturate inside the input has
     ``sat_step`` equal to the input length. ``h`` is the prediction block
-    ``seq.pst[start]``, or None.
+    ``seq.pst[start]``, or None. The derived values are computed once per
+    phase, so every trial over one decomposition shares them.
     """
 
     index: int
@@ -134,15 +137,16 @@ class Phase:
     complete: bool = True
     h: tuple | None = None
 
-    @property
+    @cached_property
     def order(self) -> tuple:
         """The states by (sat_step, index)."""
         return tuple(sorted(range(len(self.sat_step)), key=self.sat_step.__getitem__))
 
-    @property
+    @cached_property
     def last_saturated(self) -> int:
         return self.order[-1]
 
+    @cached_property
     def pst_error(self):
         """Sum over states of |h[s] - sat_step[s]|.
 
@@ -151,6 +155,23 @@ class Phase:
         if self.h is None or not self.complete:
             return None
         return sum(abs(hs - sat) for hs, sat in zip(self.h, self.sat_step))
+
+    def later(self, state: int) -> list:
+        """The states that saturate strictly after ``state``, ascending.
+
+        Built on first use for each state and kept; callers must not change it.
+        """
+        try:
+            return self._later[state]
+        except KeyError:
+            step = self.sat_step
+            first = bisect_right(self.order, step[state], key=step.__getitem__)
+            found = self._later[state] = sorted(self.order[first:])
+            return found
+
+    @cached_property
+    def _later(self) -> dict:
+        return {}
 
 
 def decompose_phases(seq: TaskSequence) -> list:
@@ -228,7 +249,7 @@ def pst_error_per_phase(seq: TaskSequence):
     Only phases that have a matching prediction block contribute; the list
     aligns with the complete phases and holds None where no block matches.
     """
-    return [phase.pst_error() for phase in decompose_phases(seq) if phase.complete]
+    return [phase.pst_error for phase in decompose_phases(seq) if phase.complete]
 
 
 def next_demand(tasks: np.ndarray) -> np.ndarray:

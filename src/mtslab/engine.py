@@ -1,11 +1,15 @@
-"""Reference simulator.
+"""Exact simulator of one scheduler over one task sequence.
 
-Drives one scheduler over one task sequence, phase by phase, through the
-movement protocol of ``schedulers.Walk``, with exact integer accounting.
-This is the slow, obviously-correct counterpart to the batched kernels: it
-walks real task streams step-indexed, materializes the full schedule (the
-state occupied at every step), and recomputes costs from that schedule so
-the numbers can be audited independently.
+Drives one scheduler over one task sequence, phase by phase, with exact
+integer accounting. A registered name runs on the event path: the engine
+calls the scheduler's own hooks itself, once per phase opening and once
+per saturation of its current state, and takes each move's candidates
+from the phase's cached list. A ``Scheduler`` instance runs through the
+movement protocol of ``schedulers.Walk``, which checks every answer; that
+path is the only one for custom schedulers and the oracle the event path
+is tested against. Both paths keep the move log, from which
+``RunResult.schedule`` (the state occupied at every step) is built when
+it is read, so a run can be audited against ``core.schedule_cost``.
 
 Runs always open in state 0. Randomized schedulers draw from the stream
 seeded with trial_seed(seed, trial_index), the same derivation the batched
@@ -35,7 +39,8 @@ from .analysis import round_ratio_half_up
 from .core import TaskSequence, decompose_phases
 from .errors import ConfigurationError
 from .opt import opt_units, phase_opt_units
-from .schedulers import Walk
+from .rng import check_seed
+from .schedulers import Scheduler, Walk
 
 __all__ = ["PhaseStats", "RunResult", "run_scheduler", "summarize"]
 
@@ -58,15 +63,27 @@ class PhaseStats:
 
 @dataclass
 class RunResult:
+    """One run's per-phase costs and its move log.
+
+    ``moves`` holds every move as (effective step, target state), the
+    target occupied from that step on; ``steps`` is the input length.
+    """
+
     scheduler: str
     seed: int
     trial_index: int
     n: int
     granularity: int
+    steps: int = 0
     phases: list = field(default_factory=list)
     suffix: PhaseStats | None = None
-    schedule: list = field(default_factory=list)
+    moves: list = field(default_factory=list)
     conforming: bool = True
+
+    @property
+    def schedule(self) -> list:
+        """The state occupied at every step, built from the move log."""
+        return _schedule(self.moves, self.steps).tolist()
 
     @property
     def all_phases(self) -> list:
@@ -94,15 +111,17 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
                   phases=None) -> RunResult:
     """Simulate one scheduler over one sequence; exact integer accounting.
 
-    ``phases``, when given, must be ``decompose_phases(seq)``: every phase,
-    the trailing partial one last. Callers that run many trials over one
-    sequence decompose it once and pass the list to each.
+    ``scheduler`` is a registered name, which runs on the event path, or a
+    ``Scheduler`` instance, which runs through ``Walk``; both give the same
+    result. ``seed`` must be in [0, 2**64). ``phases``, when given, must be
+    ``decompose_phases(seq)``: every phase, the trailing partial one last.
+    Callers that run many trials over one sequence decompose it once and
+    pass the list to each.
     """
-    n = seq.n
-    threshold = seq.granularity
-    total_steps = len(seq.tasks)
-    walk = Walk(scheduler, n, seed=seed, trial_index=trial_index)
+    check_seed(seed)
+    walk = Walk(scheduler, seq.n, seed=seed, trial_index=trial_index)
     sched = walk.scheduler
+    event = not isinstance(scheduler, Scheduler)
 
     if sched.needs_lv and seq.lv is None:
         raise ConfigurationError(
@@ -113,15 +132,8 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         phases = decompose_phases(seq)
     latest_lv = _latest_next_request(seq, sched.needs_lv)
 
-    result = RunResult(
-        scheduler=sched.name,
-        seed=seed,
-        trial_index=trial_index,
-        n=n,
-        granularity=threshold,
-        conforming=sched.conforming,
-    )
-
+    walk_phase = _event_phase if event else _walk_phase
+    counts = []  # (transitions, moves) per phase
     for phase in phases:
         if sched.needs_pst and phase.h is None:
             raise ConfigurationError(
@@ -129,40 +141,90 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
                 f"starting at step {phase.start} and the input has none"
             )
         moved = len(walk.moves)
-        transitions = walk.open(phase.start, phase.h)
-        while sched.conforming:
-            tau = phase.sat_step[walk.state]
-            unsat = [s for s in range(n) if phase.sat_step[s] > tau]
-            if not unsat:
-                break
-            walk.forced(tau, unsat, phase.h, latest_lv[tau])
-            transitions += 1
-        moves = len(walk.moves) - moved
+        transitions = walk_phase(walk, phase, latest_lv)
+        counts.append((transitions, len(walk.moves) - moved))
+    units = (_event_units if event else _walk_units)(seq, walk.moves, phases)
 
-        stats = PhaseStats(
-            index=phase.index,
-            start=phase.start,
-            end=phase.end,
-            transitions=transitions,
-            moves=moves,
-            movement_units=moves * threshold,
-            processing_units=0,
-            pst_error=phase.pst_error(),
-        )
+    threshold = seq.granularity
+    result = RunResult(
+        scheduler=sched.name,
+        seed=seed,
+        trial_index=trial_index,
+        n=seq.n,
+        granularity=threshold,
+        steps=len(seq),
+        moves=walk.moves,
+        conforming=sched.conforming,
+    )
+    for phase, (transitions, moves), processing in zip(phases, counts, units):
+        stats = PhaseStats(phase.index, phase.start, phase.end, transitions, moves,
+                           moves * threshold, processing, phase.pst_error)
         if phase.complete:
             result.phases.append(stats)
         else:
             result.suffix = stats
-
-    # Segment i runs from its entry step to the next one, in states[i].
-    entries, states = zip((0, 0), *walk.moves)
-    schedule = np.repeat(states, np.diff(entries, append=total_steps))
-    result.schedule = schedule.tolist()
-
-    per_step = seq.tasks[np.arange(total_steps), schedule].tolist()
-    for stats in result.all_phases:
-        stats.processing_units = sum(per_step[stats.start : stats.end + 1])
     return result
+
+
+def _walk_phase(walk: Walk, phase, latest_lv) -> int:
+    """One phase through ``Walk``'s checked protocol; returns its transitions."""
+    transitions = walk.open(phase.start, phase.h)
+    while walk.scheduler.conforming:
+        tau = phase.sat_step[walk.state]
+        unsat = [s for s in range(walk.n) if phase.sat_step[s] > tau]
+        if not unsat:
+            break
+        walk.forced(tau, unsat, phase.h, latest_lv[tau])
+        transitions += 1
+    return transitions
+
+
+def _event_phase(walk: Walk, phase, latest_lv) -> int:
+    """One phase of ``Walk``'s moves without its checks, for the built-in
+    schedulers, whose answers are valid by construction: their hooks are
+    called directly, over the phase's cached candidate lists."""
+    sched, state, h = walk.scheduler, walk.state, phase.h
+    target, count_even_if_stay = sched.phase_start(state, h)
+    transitions = 1 if count_even_if_stay else 0
+    if target is not None and target != state:
+        state = target
+        walk.moves.append((phase.start, state))
+        transitions = 1
+    if sched.conforming:
+        sat_step = phase.sat_step
+        while unsat := phase.later(state):
+            tau = sat_step[state]
+            state = sched.on_saturation(state, unsat, tau, h, latest_lv[tau])
+            walk.moves.append((tau + 1, state))
+            transitions += 1
+    walk.state = state
+    return transitions
+
+
+def _walk_units(seq: TaskSequence, moves, phases) -> list:
+    """Processing units per phase: one Python sum per phase over the per-step costs."""
+    per_step = seq.tasks[np.arange(len(seq)), _schedule(moves, len(seq))].tolist()
+    return [sum(per_step[p.start : p.end + 1]) for p in phases]
+
+
+def _event_units(seq: TaskSequence, moves, phases) -> list:
+    """Processing units per phase: one gather of the per-step costs along the
+    schedule and one sum per phase, from its start to the next phase's."""
+    total, n = seq.tasks.shape
+    if not phases:
+        return []
+    per_step = seq.tasks.reshape(-1).take(_schedule(moves, total) + np.arange(0, total * n, n))
+    # The phases tile the input. int64 is exact while no partial sum can reach 2**63.
+    if int(per_step.max()) * total >= 1 << 63:
+        return _walk_units(seq, moves, phases)
+    return np.add.reduceat(per_step, [p.start for p in phases]).tolist()
+
+
+def _schedule(moves, steps: int) -> np.ndarray:
+    """The state at each of ``steps`` steps: state 0, then each move's target."""
+    # Segment i runs from its entry step to the next one, in states[i].
+    entries, states = zip((0, 0), *moves)
+    return np.repeat(states, np.diff(entries, append=steps))
 
 
 def _latest_next_request(seq: TaskSequence, needed: bool) -> np.ndarray:

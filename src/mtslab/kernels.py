@@ -32,7 +32,7 @@ import numpy as np
 from .adversaries import tail_orders
 from .analysis import robustness_threshold
 from .errors import ConfigurationError
-from .rng import _randbelow, state_rows, trial_seed
+from .rng import _randbelow, check_seed, state_rows, trial_seed
 
 __all__ = [
     "backend_name",
@@ -153,8 +153,9 @@ def simulate_family_trials(policy: str, family: str, n: int, m,
     trials on the same streams, as a call with that m alone would.
     The robust policy trusts predictions for ``robustness_threshold(n)``
     transitions per phase, as ``schedulers.RobustLatestPredicted`` does.
-    Trial i draws its scheduler stream from trial_seed(seed, i) and its
-    adversary stream from trial_seed(seed + ADVERSARY_SEED_OFFSET, i),
+    ``seed`` must be in [0, 2**64). Trial i draws its scheduler stream from
+    trial_seed(seed, i) and its adversary stream from
+    trial_seed(seed + ADVERSARY_SEED_OFFSET, i),
     which is exactly how the reference engine and the file-based
     generators are seeded, so counts match them trial for trial.
 
@@ -176,6 +177,7 @@ def simulate_family_trials(policy: str, family: str, n: int, m,
         raise ConfigurationError("m must be in [1, n]")
     if phases < 1 or trials < 1:
         raise ConfigurationError("phases and trials must be >= 1")
+    check_seed(seed)
     if granularity is None:
         granularity = n
     if granularity < n:

@@ -25,9 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "MASK32",
     "MASK64",
+    "check_seed",
     "trial_seed",
     "seed_words",
     "state_rows",
@@ -48,6 +51,13 @@ def _mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
     return z ^ (z >> 31)
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """One seed, one stream: the streams read a seed modulo 2**64, so a seed
+    outside [0, 2**64) would silently rerun another seed's streams."""
+    if not 0 <= seed <= MASK64:
+        raise ConfigurationError(f"{name} must be in [0, 2**64)")
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:

@@ -285,7 +285,7 @@ def test_noisy_pst_stays_in_budget_and_splits_only_distinct_steps(deadline, seq,
     phases = [p for p in decompose_phases(noisy) if p.complete]
     assert list(noisy.pst) == [p.start for p in phases]
     for phase in phases:
-        assert phase.pst_error() <= eta0
+        assert phase.pst_error <= eta0
         for a in range(seq.n):
             for b in range(a):
                 if phase.sat_step[a] != phase.sat_step[b]:

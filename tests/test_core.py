@@ -77,7 +77,7 @@ def test_trailing_phase_gives_unsaturated_states_the_input_length():
     # State 1 saturates at step 1; states 0 and 2 never do inside the input.
     assert trailing.sat_step == (3, 1, 3)
     assert trailing.order == (1, 0, 2)
-    assert dataclasses.replace(trailing, h=(3, 1, 3)).pst_error() is None
+    assert dataclasses.replace(trailing, h=(3, 1, 3)).pst_error is None
 
 
 @pytest.mark.parametrize("n, granularity", [(0, 1), (1, 0), (-2, 3), (2, -1)])

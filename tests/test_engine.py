@@ -1,10 +1,12 @@
 """Reference engine accounting on small frozen inputs."""
 
 import copy
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from mtslab import schedulers
 from mtslab.core import (
     TaskSequence,
     decompose_phases,
@@ -14,7 +16,8 @@ from mtslab.core import (
 )
 from mtslab.engine import run_scheduler, summarize
 from mtslab.errors import ConfigurationError, MalformedInputError
-from mtslab.schedulers import scheduler_names
+from mtslab.kernels import simulate_family_trials
+from mtslab.schedulers import make_scheduler, scheduler_names
 
 
 def _two_phase_sequence():
@@ -182,3 +185,108 @@ def test_spliced_payloads_load_and_run_or_fail_cleanly(payload, data, value):
             run_scheduler(seq, name, seed=0)
         except ConfigurationError:
             pass
+
+
+@st.composite
+def _event_inputs(draw):
+    """Small inputs with many ties, int or float prediction blocks (some
+    missing) and, often, an lv table that holds -1 and 0."""
+    n = draw(st.integers(1, 5))
+    granularity = draw(st.integers(1, 3))
+    steps = draw(st.integers(0, 24))
+    tasks = draw(st.lists(st.lists(st.integers(0, granularity), min_size=n, max_size=n),
+                          min_size=steps, max_size=steps))
+    bare = TaskSequence(n=n, granularity=granularity, tasks=tasks)
+    value = draw(st.sampled_from([st.integers(0, 3), st.floats(0, 3, width=16)]))
+    pst = {}
+    for phase in decompose_phases(bare):
+        if draw(st.integers(0, 9)):  # one block in ten is missing
+            pst[phase.start] = tuple(draw(st.lists(value, min_size=n, max_size=n)))
+    lv = None
+    if draw(st.booleans()):
+        entry = st.sampled_from([-1, 0, 0, 1, 2, steps + 1])
+        lv = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                           min_size=steps, max_size=steps))
+    return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
+
+
+def _outcome(seq, scheduler, seed, trial_index, phases=None):
+    """A run (every field), its schedule and its stream's final words, or the error text."""
+    made = []
+
+    def recording(name):
+        made.append(make_scheduler(name))
+        return made[-1]
+
+    try:
+        with mock.patch.object(schedulers, "make_scheduler", recording):
+            run = run_scheduler(seq, scheduler, seed=seed, trial_index=trial_index,
+                                phases=phases)
+    except ConfigurationError as exc:
+        return str(exc)
+    sched = made[0] if made else scheduler
+    stream = sched.stream and [getattr(sched.stream, w) for w in sched.stream.__slots__]
+    return run, run.schedule, stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(seq=_event_inputs(), seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 3))
+# Ties in sat_step and in h: states saturate together, and every block ties.
+@example(seq=TaskSequence(n=3, granularity=1, tasks=[[1, 1, 1], [0, 1, 1], [1, 1, 0]] * 2,
+                          pst={0: (1, 1, 1), 1: (2, 2, 2), 3: (0, 0, 0), 4: (2, 2, 2)}),
+         seed=0, trials=3)
+# Float blocks, a trailing phase and lv entries of -1 and 0.
+@example(seq=TaskSequence(n=2, granularity=2, tasks=[[2, 0], [0, 2], [1, 0]],
+                          pst={0: (0.5, 1.5), 2: (2.0, 2.0)}, lv=[[-1, 0], [0, 2], [0, -1]]),
+         seed=2**64 - 1, trials=2)
+# States saturate one after another, so a walk reads several candidate
+# lists of one phase.
+@example(seq=TaskSequence(n=3, granularity=1, tasks=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                          pst={0: (0, 1, 2)}), seed=0, trials=1)
+def test_event_walk_matches_checked_walk(deadline, seq, seed, trials):
+    """Each built-in by name, on the event path over one shared decomposition,
+    equals the same scheduler run as an instance through ``Walk``."""
+    shared = decompose_phases(seq)
+    for trial in range(trials):
+        for name in scheduler_names():
+            # The event path trusts its candidate lists, so a wrong list can
+            # loop forever rather than fail a check.
+            with deadline(2):
+                event = _outcome(seq, name, seed, trial, phases=shared)
+            checked = _outcome(seq, make_scheduler(name), seed, trial)
+            assert event == checked, (name, trial)
+
+
+def test_missing_predictions_raise_the_same_text_on_both_paths():
+    seq = _two_phase_sequence()
+    bare = TaskSequence(n=seq.n, granularity=seq.granularity, tasks=seq.tasks)
+    for name, text in (("lps", "needs a prediction block for the phase starting at step 0"),
+                       ("lv-greedy", "needs next-request predictions and the input has none")):
+        assert _outcome(bare, name, 0, 0) == _outcome(bare, make_scheduler(name), 0, 0)
+        assert text in _outcome(bare, name, 0, 0)
+
+
+def test_seeds_outside_the_stream_range_are_rejected():
+    # The streams read a seed modulo 2**64: -1 and 2**64 would rerun 2**64 - 1 and 0.
+    seq = _two_phase_sequence()
+    for seed in (-1, 2**64):
+        for scheduler in ("oblivious", make_scheduler("oblivious")):
+            with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+                run_scheduler(seq, scheduler, seed=seed)
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            simulate_family_trials("oblivious", "rand-lb", 3, 2, 2, 2, seed=seed)
+    top = 2**64 - 1
+    assert (run_scheduler(seq, "oblivious", seed=top)
+            == run_scheduler(seq, make_scheduler("oblivious"), seed=top))
+    counts, _ = simulate_family_trials("oblivious", "rand-lb", 3, 2, 2, 2, seed=top)
+    assert counts.shape == (2, 2)
+
+
+def test_processing_units_stay_exact_past_int64():
+    # Each state saturates on one step of 2**62 units, so the phase's
+    # processing is 2**63, which an int64 sum would wrap.
+    seq = TaskSequence(n=2, granularity=2**62, tasks=[[2**62, 0], [0, 2**62]])
+    for scheduler in ("lowest-index", make_scheduler("lowest-index")):
+        run = run_scheduler(seq, scheduler)
+        assert [p.processing_units for p in run.phases] == [2**63]
+        assert run.total_units == 2**63 + 2**62
