@@ -73,6 +73,13 @@ UNIT_LIMIT = 1 << 60
 CELL_CAP = 1 << 24
 
 
+def unit_total(tasks) -> int:
+    """Exact sum of a task table, in int64 only where no partial sum can reach 2**63."""
+    if int(tasks.max(initial=0)) * tasks.size < 1 << 63:
+        return int(tasks.sum())
+    return sum(tasks.ravel().tolist())
+
+
 @dataclass
 class TaskSequence:
     """One input; ``tasks`` and ``lv`` are C-contiguous int64 (steps, n) tables.
@@ -141,10 +148,6 @@ class Phase:
     def order(self) -> tuple:
         """The states by (sat_step, index)."""
         return tuple(sorted(range(len(self.sat_step)), key=self.sat_step.__getitem__))
-
-    @cached_property
-    def last_saturated(self) -> int:
-        return self.order[-1]
 
     @cached_property
     def pst_error(self):
@@ -359,9 +362,7 @@ def from_json_dict(payload) -> TaskSequence:
     if not isinstance(tasks_raw, (list, np.ndarray)):
         _fail("tasks must be a list of per-step unit vectors")
     tasks = _int_rows(tasks_raw, n, "tasks", minimum=0)
-    # Exact: the int64 sum runs only where no partial sum can reach 2**63.
-    units = (int(tasks.sum()) if int(tasks.max(initial=0)) * tasks.size < 1 << 63
-             else sum(tasks.ravel().tolist()))
+    units = unit_total(tasks)
     if units + len(tasks) * granularity >= UNIT_LIMIT:
         _fail(f"task units plus granularity per step must stay below 2**60, got "
               f"{units} + {len(tasks)} * {granularity}")

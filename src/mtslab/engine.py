@@ -192,7 +192,11 @@ def _event_phase(walk: Walk, phase, latest_lv) -> int:
         transitions = 1
     if sched.conforming:
         sat_step = phase.sat_step
-        while unsat := phase.later(state):
+        # A forced move goes to a state saturating strictly later: at most
+        # n - 1 per phase, even when a faulty candidate list would go on.
+        for _ in range(walk.n - 1):
+            if not (unsat := phase.later(state)):
+                break
             tau = sat_step[state]
             state = sched.on_saturation(state, unsat, tau, h, latest_lv[tau])
             walk.moves.append((tau + 1, state))

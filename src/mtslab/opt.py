@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import UNIT_LIMIT
+from .core import UNIT_LIMIT, unit_total
 from .errors import ConfigurationError
 
 __all__ = ["opt_units", "phase_opt_units", "opt_schedule"]
@@ -40,13 +40,21 @@ def _step(prev, rows, granularity: int, out) -> None:
     out += rows
 
 
-def _opening(tasks):
-    """(int64 task table, DP row before step 0 in state 0); None when there are no tasks."""
+def _opening(tasks, granularity: int):
+    """(int64 task table, DP row before step 0 in state 0); None when there are no tasks.
+
+    Task units plus one move per step must stay below ``UNIT_LIMIT``, the
+    DP's infinity, as in every loaded file; past it the DP could wrap.
+    """
     arr = np.asarray(tasks, dtype=np.int64)
     if arr.size == 0:
         return None
     if arr.ndim != 2 or arr.min() < 0:
         raise ConfigurationError("tasks must be a 2d array of unit entries")
+    room = UNIT_LIMIT - len(arr) * granularity
+    # The exact total is summed only when the largest entry cannot settle it.
+    if int(arr.max()) * arr.size >= room and unit_total(arr) >= room:
+        raise ConfigurationError("task units plus granularity per step must stay below 2**60")
     row = np.full(arr.shape[1], UNIT_LIMIT, dtype=np.int64)
     row[0] = 0
     return arr, row
@@ -57,7 +65,7 @@ def opt_units(tasks, granularity: int) -> int:
 
     Empty input costs 0; ``phase_opt_units`` gives free-start optima.
     """
-    opening = _opening(tasks)
+    opening = _opening(tasks, granularity)
     if opening is None:
         return 0
     arr, row = opening
@@ -105,7 +113,7 @@ def phase_opt_units(arr, granularity: int, phases) -> list:
 
 def opt_schedule(tasks, granularity: int):
     """(cost_units, schedule) for one optimal schedule, opening in state 0."""
-    opening = _opening(tasks)
+    opening = _opening(tasks, granularity)
     if opening is None:
         return 0, []
     arr, prev = opening

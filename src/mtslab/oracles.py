@@ -3,8 +3,9 @@
 Nothing here is used on a hot path. Each function recomputes a quantity by
 direct enumeration, or by the plain loop a fast implementation replaced, so
 the fast implementations can be checked against it. The per-trial family
-walk (``simulate_family_scalar``) draws from ``rng.RandomStream`` over
-Python lists and shares no code with the lockstep kernel it checks.
+walk (``simulate_family_scalar``) runs the registered schedulers through
+``schedulers.Walk`` over its own phase geometry and adversary stream, so
+it shares no geometry or random-number code with the lockstep kernel.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .analysis import robustness_threshold
 from .core import Phase, TaskSequence, schedule_cost
 from .rng import RandomStream, trial_seed
+from .schedulers import Walk
 
 __all__ = [
     "decompose_phases_restart",
@@ -160,29 +161,29 @@ def simulate_family_scalar(policy: str, family: str, n: int, m,
 
     Same arguments and return value; arguments are not validated. A
     sequence of tail sizes runs one tail size at a time, and the results
-    are stacked. Each trial draws from its own
-    ``RandomStream(trial_seed(seed, trial))`` on the scheduler side and
-    ``RandomStream(trial_seed(seed + 1, trial))`` on the adversary side, so
-    this shares no random-number code with the kernel.
+    are stacked. Each trial runs the registered scheduler ``policy``
+    through one ``schedulers.Walk``, seeded as the engine seeds it, with
+    each state's predicted slot as its prediction. The phase geometry and
+    the adversary stream ``RandomStream(trial_seed(seed + 1, trial))`` are
+    this function's own, so it shares no geometry or adversary code with
+    the kernel.
     """
     if np.ndim(m):
         runs = [simulate_family_scalar(policy, family, n, size, phases, trials,
                                        granularity, seed) for size in m]
         return np.stack([c for c, _ in runs]), np.stack([k for _, k in runs])
     gran = n if granularity is None else granularity
-    trust = robustness_threshold(n)
     counts = []
     costs = []
     for trial in range(trials):
-        sch = RandomStream(trial_seed(seed, trial))
+        walk = Walk(policy, n, seed=seed, trial_index=trial)
         adv = RandomStream(trial_seed(seed + 1, trial))
         trial_counts = []
         total = 0
-        cur = 0
         for _ in range(phases):
             # Relabel cyclically so the top predicted slot is never the
             # state the policy parked in at the end of the previous phase.
-            delta = (cur + 2) % n
+            delta = (walk.state + 2) % n
             pred_state = [(j + delta) % n for j in range(n)]
             tail = pred_state[n - m:]
             if family == "reversal":
@@ -202,35 +203,19 @@ def simulate_family_scalar(policy: str, family: str, n: int, m,
             # unit in each earlier slot and gran - j at slot j, so a policy
             # occupying it from slot e + 1 through its saturation processes
             # exactly gran - e - 1 units (gran when present from the start).
-            units = 0
-            cnt = 0
-            if policy == "oblivious":
-                tgt = sch.randbelow(n)
-                cnt = 1
-            elif policy in ("lps", "robust-lps"):
-                tgt = pred_state[n - 1]
-                cnt = int(tgt != cur)
-            else:
-                tgt = cur
-            if tgt != cur:
-                cur = tgt
-                units += gran
+            # The walk's steps are slots within the phase.
+            moved = len(walk.moves)
+            cnt = walk.open(0, pred_rank)
+            units = gran * (len(walk.moves) - moved)
             entry = -1
             while True:
-                r = true_rank[cur]
+                r = true_rank[walk.state]
                 units += gran - entry - 1
                 if r == n - 1:
                     break
-                later = [s for s in range(n) if true_rank[s] > r]
-                if policy == "lowest-index":
-                    nxt = later[0]
-                elif policy == "lps" or (policy == "robust-lps" and cnt + 1 <= trust):
-                    nxt = max(true_state[r + 1:], key=lambda s: pred_rank[s])
-                else:
-                    nxt = later[sch.randbelow(n - 1 - r)]
+                walk.forced(r, [s for s in range(n) if true_rank[s] > r], pred_rank, [0] * n)
                 units += gran
                 entry = r
-                cur = nxt
                 cnt += 1
             trial_counts.append(cnt)
             total += units

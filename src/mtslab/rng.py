@@ -106,7 +106,7 @@ class RandomStream:
         self._w0, self._w1, self._w2, self._w3 = seed_words(seed)
 
     def next_u32(self) -> int:
-        t = (self._w0 ^ ((self._w0 << 11) & MASK32)) & MASK32
+        t = self._w0 ^ ((self._w0 << 11) & MASK32)
         self._w0 = self._w1
         self._w1 = self._w2
         self._w2 = self._w3

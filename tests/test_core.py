@@ -55,7 +55,6 @@ def test_phase_decomposition_counts_and_suffix():
     assert (phase.start, phase.end) == (0, 2)
     assert phase.sat_step == (2, 1)
     assert phase.order == (1, 0)
-    assert phase.last_saturated == 0
     assert phases[-1].start == 3
 
 
@@ -64,7 +63,6 @@ def test_simultaneous_saturation_orders_by_state_index():
     phases = decompose_phases(seq)
     assert phases[0].sat_step == (0, 0)
     assert phases[0].order == (0, 1)
-    assert phases[0].last_saturated == 1
     assert len(phases) == 1 and phases[0].complete
 
 

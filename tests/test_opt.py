@@ -8,10 +8,11 @@ import pytest
 
 from mtslab import opt
 from mtslab.adversaries import random_unit_sequence, reversal_sequence
-from mtslab.core import schedule_cost
+from mtslab.core import UNIT_LIMIT, TaskSequence, schedule_cost
+from mtslab.engine import run_scheduler, summarize
 from mtslab.errors import ConfigurationError
 from mtslab.opt import opt_schedule, opt_units, phase_opt_units
-from mtslab.oracles import opt_bruteforce
+from mtslab.oracles import opt_bruteforce, opt_units_scalar
 from mtslab.rng import RandomStream, trial_seed
 
 
@@ -75,6 +76,24 @@ def test_optima_reject_negative_entries():
     for optimum in (opt_units, opt_schedule):
         with pytest.raises(ConfigurationError):
             optimum(tasks, 1)
+
+
+def test_optima_reject_units_past_the_limit():
+    # Three entries of 2**62 would wrap the int64 DP; the exact optimum is 2.
+    seq = TaskSequence(n=2, granularity=1, tasks=[[2**62, 0], [2**62, 0], [0, 2**62]])
+    assert opt_units_scalar(seq.tasks.tolist(), 1) == 2
+    for optimum in (opt_units, opt_schedule):
+        with pytest.raises(ConfigurationError):
+            optimum(seq.tasks, seq.granularity)
+    with pytest.raises(ConfigurationError):
+        summarize(seq, run_scheduler(seq, "lowest-index"))
+    # Units plus one move per step may reach UNIT_LIMIT - 1, as in a file ...
+    tasks = [[UNIT_LIMIT - 4, 0], [0, 1]]
+    assert opt_units(tasks, 1) == opt_units_scalar(tasks, 1) == 2
+    assert opt_schedule(tasks, 1)[0] == 2
+    # ... but not UNIT_LIMIT itself.
+    with pytest.raises(ConfigurationError):
+        opt_units([[UNIT_LIMIT - 3, 0], [0, 1]], 1)
 
 
 def test_opt_units_matches_bruteforce_on_random_instances():

@@ -1,5 +1,6 @@
 """Reference enumerations agree with the closed forms they certify."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -135,9 +136,18 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
     phases = decompose_phases(seq)
     assert phases == decompose_phases_restart(seq)
     assert all(p.complete for p in phases[:-1])
+    for phase in phases:
+        sat = phase.sat_step
+        for s in range(seq.n):
+            assert phase.later(s) == [t for t in range(seq.n) if sat[t] > sat[s]]
 
     sched = _RecordingWalk()
     run = run_scheduler(seq, sched)
+    starts = [p.start for p in phases]
+    for current, unsaturated, now, _ in sched.calls:
+        truth = phases[bisect_right(starts, now) - 1].sat_step
+        assert now == truth[current]
+        assert unsaturated == [s for s in range(seq.n) if truth[s] > now]
     if not phases or phases[-1].complete:
         # No forced move past the input's end.
         assert run.suffix is None and not [c for c in sched.calls if c[2] >= len(seq)]
@@ -149,9 +159,6 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
     assert trailing.end == len(seq) - 1
     # The engine walks the trailing phase on the same saturation steps.
     assert (run.suffix.start, run.suffix.end) == (suffix_start, len(seq) - 1)
-    for current, unsaturated, now, _ in trailing_calls:
-        assert now == truth[current]
-        assert unsaturated == [s for s in range(seq.n) if truth[s] > now]
     # It stops only on a state that never saturates inside the input.
     final = trailing_calls[-1][3] if trailing_calls else run.schedule[suffix_start]
     assert truth[final] == len(seq)
