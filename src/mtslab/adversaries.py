@@ -16,11 +16,12 @@ Prediction blocks assign each state a predicted saturation step; the
 per-phase prediction error is the footrule distance between the predicted
 and the realized order. The two tail families, reversal and rand-lb, are
 defined once, by ``tail_orders``: the file generators write out its trial
-0, and the batched kernel (kernels.py) walks every row of it, one row per
-(tail size, trial). Cyclic relabeling pins the top predicted state of
-each phase to (carryover + 1) mod n, where the carryover is the state any
-conforming scheduler necessarily occupies when the previous phase closes,
-so a prediction-following scheduler's phase-opening move is always real.
+0, and the batched kernel (kernels.py) reads every row of it, one row per
+(tail size, trial), a block of phases at a time. Cyclic relabeling pins
+the top predicted state of each phase to (carryover + 1) mod n, where the
+carryover is the state any conforming scheduler necessarily occupies when
+the previous phase closes, so a prediction-following scheduler's
+phase-opening move is always real.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .core import (
     next_demand,
 )
 from .errors import ConfigurationError
-from .rng import RandomStream, _randbelow, state_rows, trial_seed
+from .rng import RandomStream, _randbelow, _word_run, state_rows, trial_seed
 from .schedulers import Scheduler, Walk
 
 __all__ = [
@@ -125,77 +126,123 @@ def shuffled_tail_sequence(n: int, granularity: int, tail_size: int, phases: int
     return _tail_sequence("rand-lb", n, granularity, min(tail_size, n), phases, seed)
 
 
-def tail_orders(family: str, n: int, m, phases: int, words):
-    """Phase by phase, the saturation orders of every row of a tail family.
+# Cells (rows x phases x stored slots) in one block of ``tail_orders``; the
+# block's run of drawn words is no larger.
+BLOCK_CELLS = 1 << 13
+
+
+def tail_orders(family: str, n: int, m, phases: int, words, slots: int | None = None):
+    """Block by block, the saturation orders of every row of a tail family.
 
     ``words`` holds one adversary stream per row, word-major (see
     ``rng._randbelow``), and ``m`` the tail size of every row, or one tail
-    size for all of them. Each phase yields (order, true), two new
-    (rows, n) int64 tables: ``true[t, j]`` is the state that saturates at
-    slot j of row t, and ``order[t, j]`` is that state's predicted slot.
-    The last m predicted slots saturate in reverse ("reversal") or in a
-    Fisher-Yates shuffle drawn on the row's stream ("rand-lb").
-    Predicted slot k holds state (k + carry + 2) mod n, where the carry
-    is the state that saturated last in the previous phase (state 0
-    before the first), so the top predicted state is never the carry
-    when n > 1.
+    size for all of them. Each block of consecutive phases yields
+    (order, true), two (rows, phases in the block, slots) int64 tables
+    over the last ``slots`` slots of every phase (all n by default):
+    ``true[t, p, j]`` is the state that saturates at slot n - slots + j of
+    phase p of row t, and ``order[t, p, j]`` is that state's predicted
+    slot. The last m predicted slots saturate in reverse ("reversal") or
+    in a Fisher-Yates shuffle drawn on the row's stream ("rand-lb"); the
+    others saturate in predicted order. Predicted slot k holds state
+    (k + carry + 2) mod n, where the carry is the state that saturated
+    last in the previous phase (state 0 before the first), so the top
+    predicted state is never the carry when n > 1. Nothing a scheduler
+    does feeds back into the chain, so a block holds as many phases as
+    ``BLOCK_CELLS`` allows: its shuffles are one run of words per stream
+    and one Fisher-Yates pass over all its (row, phase) pairs, and its
+    carries one cumulative sum.
     """
     streams = words.shape[1]
-    rows = np.arange(streams)
-    slots = np.arange(n)
     size = np.broadcast_to(m, streams)
+    width = int(size.max())
+    keep = n if slots is None else slots
+    cols = np.arange(n - keep, n)  # the stored slots
     first = n - size[:, None]  # the first tail slot of each row
+    head = cols < first
     if family == "reversal":
-        fixed = np.where(slots < first, slots, n - 1 + first - slots)
+        fixed = np.where(head, cols, n - 1 + first - cols)
     else:
-        # The shuffle runs on a (rows, width + n) buffer: each row's tail
-        # left-aligned in the first width columns, then the identity head.
-        # Past its own tail a row repeats its first tail entry and draws
-        # with a bound of 1, which draws nothing and swaps two equal
-        # values, so every step is one column swap across all rows.
-        width = int(size.max())
-        cols = np.arange(width)
-        start = np.where(cols < size[:, None], first + cols, first)
-        bounds = np.where(cols[:, None] < size, cols[:, None] + 1, 1)  # (step, row)
-        buf = np.empty((streams, width + n), np.int64)
-        buf[:, width:] = slots
-        tail = buf[:, :width]
-        # Flat buffer index of every (row, slot) of the order.
-        pick = np.where(slots < first, width + slots, slots - first) + rows[:, None] * (width + n)
+        at = np.where(head, 0, cols - first)[:, None]  # each stored tail slot's offset
+    block = max(1, BLOCK_CELLS // (streams * max(keep, width)))
     carry = np.zeros(streams, np.int64)
-    for _ in range(phases):
+    for done in range(0, phases, block):
+        count = min(block, phases - done)
         if family == "reversal":
-            order = fixed.copy()
+            order = np.broadcast_to(fixed[:, None], (streams, count, keep))
         else:
-            tail[:] = start
-            for i in range(width - 1, 0, -1):
-                j = _randbelow(words, rows, bounds[i])
-                swap = tail[rows, j]
-                tail[rows, j] = tail[:, i]
-                tail[:, i] = swap
-            order = buf.take(pick)
-        true = (order + (carry + 2)[:, None]) % n
+            tails = _shuffled_tails(size, count, words)
+            order = tails[at, np.arange(streams)[:, None, None], np.arange(count)[:, None]]
+            order += first[:, None]
+            np.copyto(order, cols, where=head[:, None])
+        # Every phase ends on its last slot, whose state is the next carry.
+        lift = carry[:, None] + np.cumsum(order[:, :, -1] + 2, axis=1)
+        true = order + (lift - order[:, :, -1])[:, :, None]
+        true %= n
+        carry = lift[:, -1] % n
         yield order, true
-        carry = true[:, -1]
+
+
+def _shuffled_tails(size, count: int, words) -> np.ndarray:
+    """``count`` phases of Fisher-Yates shuffles of range(size[t]) drawn on
+    stream t, as a (max size, streams, count) table: entry i of phase p's
+    shuffle on stream t is ``[i, t, p]``, up to the stream's own size.
+
+    Step i (i = size - 1 down to 1) swaps entry i with entry
+    ``randbelow(i + 1)``, so a row draws size - 1 words per phase unless
+    one is rejected. The words of the whole block come from one lockstep
+    run; a row whose run holds a rejected word redraws its block one draw
+    at a time, so every stream ends where its ``RandomStream`` would.
+    """
+    streams = len(size)
+    width = int(size.max())
+    need = size - 1
+    run = _word_run(words, count * (width - 1))
+    step = np.arange(width)[:, None, None]
+    live = (step >= 1) & (step <= need[:, None])  # the steps that draw
+    # Step i of phase p draws word p * need + need - i of the row's run.
+    index = np.where(live, need[:, None] * (np.arange(count) + 1) - step, -1)
+    word = run[4 + index, np.arange(streams)[:, None]]
+    bound = step + 1
+    pick = np.where(live, word % bound, step)
+    words[:] = run[need * count + np.arange(4)[:, None], np.arange(streams)]
+    redo = np.flatnonzero((live & (word >= (1 << 32) // bound * bound)).any(axis=(0, 2)))
+    if redo.size:
+        words[:, redo] = run[:4, redo]
+        for p in range(count):
+            for i in range(width - 1, 0, -1):
+                drawn = _randbelow(words, redo, np.where(live[i, redo, 0], i + 1, 1))
+                pick[i, redo, p] = np.where(live[i, redo, 0], drawn, i)
+    # One swap per step over every (stream, phase) at once, on flat indices.
+    cells = streams * count
+    tail = np.repeat(np.arange(width), cells)
+    pick = pick.reshape(width, cells) * cells + np.arange(cells)
+    for i in range(width - 1, 0, -1):
+        j = pick[i]
+        swap = tail[j]
+        tail[j] = tail[i * cells:(i + 1) * cells]
+        tail[i * cells:(i + 1) * cells] = swap
+    return tail.reshape(width, streams, count)
 
 
 def _tail_sequence(family: str, n: int, granularity: int, m: int, phases: int,
                    seed: int) -> TaskSequence:
     """Trial 0 of ``tail_orders`` on the stream trial_seed(seed, 0), written out.
 
-    Each phase realizes ``true[0]`` and records ``order[0]`` as its
+    Each phase realizes ``true[0, p]`` and records ``order[0, p]`` as its
     prediction block: the state at slot j is predicted to saturate at the
-    phase's step ``order[0, j]``.
+    phase's step ``order[0, p, j]``.
     """
     tasks = np.empty((phases * n, n), np.int64)
     pst: dict = {}
     h = np.empty(n, np.int64)
     words = state_rows([trial_seed(seed, 0)]).T.copy()
-    for p, (order, true) in enumerate(tail_orders(family, n, m, phases, words)):
-        offset = p * n
-        tasks[offset:offset + n] = _spike_rows(granularity, true[0])
-        h[true[0]] = offset + order[0]
-        pst[offset] = tuple(h.tolist())
+    offset = 0
+    for order, true in tail_orders(family, n, m, phases, words):
+        for pred, realized in zip(order[0], true[0]):
+            tasks[offset:offset + n] = _spike_rows(granularity, realized)
+            h[realized] = offset + pred
+            pst[offset] = tuple(h.tolist())
+            offset += n
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst)
 
 

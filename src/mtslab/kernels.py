@@ -1,23 +1,28 @@
-"""Batched family simulation: every row of a call walked in lockstep.
+"""Batched family simulation: every row of a call at once, by blocks of phases.
 
 The batched simulator runs a scheduling policy over synthetic inputs that
 are described at the event level: per phase only the predicted and the
 realized saturation orders matter for transition counts, so phases are
-walked saturation by saturation instead of step by step. Every trial
-therefore runs the same walk on different random draws, and the kernel
-advances all rows of a call together, phase by phase, as numpy
-operations over (rows, n) blocks. A call takes one tail size m or a
-sequence of them, and has one row per (m, trial):
+walked saturation by saturation instead of step by step. A call takes one
+tail size m or a sequence of them, and has one row per (m, trial):
 
 * each trial owns one xorshift stream per side, repeated once per tail
   size; the four words of every stream are stored word-major, shape
   (4, rows), and drawn on with ``rng._randbelow``;
 * the phase orders come from ``adversaries.tail_orders``, the one
   definition of the reversal and rand-lb families (the file generators
-  read it too), which takes each row's m and draws the rand-lb shuffles
-  on the adversary streams;
-* a phase walk keeps a shrinking index of the rows still walking and
-  takes at most n steps.
+  read it too). Every policy ends a phase on its last realized slot, so
+  no walk feeds back into the orders, and they come a block of phases
+  at a time, the rand-lb shuffles drawn in bulk on the adversary streams;
+* lps, lowest-index and robust-lps's trusted moves are closed forms over
+  a block: moving to the latest predicted (lowest-index) state that
+  saturates later enters exactly the right-to-left maxima of the
+  predicted slots (minima of the states) after the phase's first slot,
+  all within its last max(2, m) slots;
+* only uniform moves walk, at most n - 1 per phase: oblivious one phase
+  at a time, and robust-lps, once its trust runs out, in rounds that take
+  every row's next such phase, so each scheduler stream is read in phase
+  order.
 
 Every stream is consumed in the order of the per-trial walk, so results
 are identical to ``oracles.simulate_family_scalar``, the scalar reference
@@ -60,77 +65,115 @@ ADVERSARY_SEED_OFFSET = 1
 
 # ---- batched policy simulation over synthetic phase families ----
 
-def _follow(order, true_state, slots, act, r):
-    """lps: among the states saturating after slot r, the one predicted last."""
-    later = np.where(slots > r[:, None], order[act], -1)
-    return true_state[act, later.argmax(1)]
-
-
-def _uniform_later(words, true_rank, act, r):
-    """A uniform draw among the states saturating after slot r, by state index."""
-    n = true_rank.shape[1]
-    pick = _randbelow(words, act, n - 1 - r)
-    seen = np.cumsum(true_rank[act] > r[:, None], axis=1)
+def _uniform_later(words, cols, rank, r):
+    """A uniform draw among the states saturating after slot r, by state index:
+    row i draws on stream ``cols[i]`` and ``rank[i]`` holds each state's slot."""
+    pick = _randbelow(words, cols, rank.shape[1] - 1 - r)
+    seen = np.cumsum(rank > r[:, None], axis=1)
     return (seen > pick[:, None]).argmax(1)
 
 
+def _walk_later(words, cols, rank, r, gran):
+    """Uniform forced moves from slot r until the last slot, as (moves, units)
+    per row; each move goes to a later slot, so there are at most n - 1."""
+    n = rank.shape[1]
+    moves = np.zeros(len(cols), np.int64)
+    units = np.zeros(len(cols), np.int64)
+    act = np.arange(len(cols))
+    for _ in range(n - 1):
+        live = r < n - 1
+        act, r = act[live], r[live]
+        if not act.size:
+            break
+        units[act] += 2 * gran - 1 - r
+        moves[act] += 1
+        nxt = _uniform_later(words, cols[act], rank[act], r)
+        r = rank[act, nxt]
+    return moves, units
+
+
 def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
-    """Every row at once, phase by phase; row t has tail size ``m[t]``, owns
-    column t of ``sch`` and ``adv`` and consumes it in the order a scalar
-    walk would."""
+    """Every row at once, block by block of phases; row t has tail size
+    ``m[t]``, owns column t of ``sch`` and ``adv`` and consumes it in the
+    order a scalar walk would."""
     trials = sch.shape[1]
     rows = np.arange(trials)
-    slots = np.arange(n)
-    counts = np.zeros((trials, phases), np.int64)
+    counts = np.empty((trials, phases), np.int64)
     costs = np.zeros(trials, np.int64)
-    true_rank = np.empty((trials, n), np.int64)
+    # The deterministic rules enter only the top predicted slot or the
+    # carry's slot and later ones, all within the last max(2, m) slots.
+    keep = n if policy == "oblivious" else min(n, max(2, int(m.max())))
+    slot = np.arange(n - keep, n)
+    # Spike realization: a state saturating at slot j collects one unit in
+    # each earlier slot and gran - j at slot j, so a policy that enters it
+    # after the state at slot r saturates processes exactly gran - r - 1
+    # units there (gran when present from the start). A phase costs its
+    # opening move, gran in the first state, and gran + gran - r - 1 per
+    # forced move out of slot r.
+    leave = np.where(slot < n - 1, 2 * gran - 1 - slot, 0)
+    opened = int(n > 1)  # the top predicted state is never the carry
+    trust = robustness_threshold(n) - opened
+    rank = np.empty((trials, n), np.int64)
     cur = np.zeros(trials, np.int64)
-    for p, (order, true_state) in enumerate(tail_orders(family, n, m, phases, adv)):
-        true_rank[rows[:, None], true_state] = slots
-
+    done = 0
+    for order, true in tail_orders(family, n, m, phases, adv, keep):
+        block = order.shape[1]
         if policy == "oblivious":
-            tgt = _randbelow(sch, rows, np.full(trials, n))
-            cnt = np.ones(trials, np.int64)
+            cnt = np.ones((trials, block), np.int64)
+            units = np.empty((trials, block), np.int64)
+            for p in range(block):
+                rank[rows[:, None], true[:, p]] = slot
+                tgt = _randbelow(sch, rows, np.full(trials, n))
+                moves, walked = _walk_later(sch, rows, rank, rank[rows, tgt], gran)
+                cnt[:, p] += moves
+                units[:, p] = gran * (tgt != cur) + gran + walked
+                cur = true[:, p, -1]
         elif policy == "lowest-index":
-            tgt = cur
-            cnt = np.zeros(trials, np.int64)
+            # From the carry's slot, the lowest state index saturating later
+            # is the next right-to-left minimum of the states.
+            low = true == np.minimum.accumulate(true[:, :, ::-1], axis=2)[:, :, ::-1]
+            start = order == (n - 2) % n  # the carry's predicted slot
+            entered = low & (np.cumsum(start, axis=2) > 0) & ~start
+            cnt = entered.sum(2)
+            units = gran + ((entered | start) * leave).sum(2)
         else:
-            tgt = true_state[rows, order.argmax(1)]  # the top predicted state
-            cnt = (tgt != cur).astype(np.int64)
-        # Spike realization: a state saturating at slot j collects one unit
-        # in each earlier slot and gran - j at slot j, so a policy that
-        # enters it after the state at slot r saturates processes exactly
-        # gran - r - 1 units there (gran when present from the start). A
-        # phase costs its opening move, gran in the first state, and
-        # gran + gran - r - 1 per forced move out of slot r.
-        units = gran * (tgt != cur) + gran
-        cur = tgt
-        act = rows
-        r = true_rank[rows, cur]
-        while True:
-            live = r < n - 1
-            act, r = act[live], r[live]
-            if not act.size:
-                break
-            if policy == "lowest-index":
-                nxt = (true_rank[act] > r[:, None]).argmax(1)
-            elif policy == "lps":
-                nxt = _follow(order, true_state, slots, act, r)
-            elif policy == "oblivious":
-                nxt = _uniform_later(sch, true_rank, act, r)
-            else:
-                follow = cnt[act] < robustness_threshold(n)
-                rest = ~follow
-                nxt = np.empty(act.size, np.int64)
-                nxt[follow] = _follow(order, true_state, slots, act[follow], r[follow])
-                nxt[rest] = _uniform_later(sch, true_rank, act[rest], r[rest])
-            units[act] += 2 * gran - 1 - r
-            cnt[act] += 1
-            cur[act] = nxt
-            r = true_rank[act, nxt]
-        counts[:, p] = cnt
-        costs += units
+            # From the top predicted slot on, the latest predicted state
+            # saturating later is the next right-to-left maximum of the
+            # predicted slots; the top one is the first of them.
+            peak = order == np.maximum.accumulate(order[:, :, ::-1], axis=2)[:, :, ::-1]
+            entered = peak.sum(2) - 1
+            left = peak
+            if policy == "robust-lps":
+                nth = np.cumsum(peak, axis=2)
+                entered = np.minimum(entered, trust)
+                left = peak & (nth <= trust)
+            cnt = entered + opened
+            units = gran * opened + gran + (left * leave).sum(2)
+            if policy == "robust-lps":
+                _walk_untrusted(sch, n, gran, slot, true, nth, trust, cnt, units)
+        counts[:, done:done + block] = cnt
+        costs += units.sum(1)
+        done += block
     return counts, costs
+
+
+def _walk_untrusted(sch, n, gran, slot, true, nth, trust, cnt, units):
+    """robust-lps's uniform walks on from the (trust + 1)-th right-to-left
+    maximum, in every (row, phase) of the block that has a later one
+    (``nth`` counts the maxima up to each slot); adds their moves and
+    units to ``cnt`` and ``units``.
+
+    Round k walks the k-th such phase of every row, so each row's
+    scheduler stream is read in phase order."""
+    row, phase = np.nonzero(nth[:, :, -1] > trust + 1)  # each row's phases in order
+    kth = np.arange(len(row)) - np.searchsorted(row, row)
+    for k in range(kth.max(initial=-1) + 1):
+        t, p = row[kth == k], phase[kth == k]
+        rank = np.full((len(t), n), -1, np.int64)  # head states never saturate later
+        rank[np.arange(len(t))[:, None], true[t, p]] = slot
+        moves, walked = _walk_later(sch, t, rank, slot[(nth[t, p] == trust + 1).argmax(1)], gran)
+        cnt[t, p] += moves
+        units[t, p] += walked
 
 
 def _streams(seed, trials, copies):

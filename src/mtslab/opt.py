@@ -88,13 +88,16 @@ def phase_opt_units(arr, granularity: int, phases) -> list:
     """Free-start optimum of ``arr[p.start : p.end + 1]`` for every phase p.
 
     ``arr`` is the (steps, n) int64 task table and each phase needs only
-    ``start`` and ``end``. All phases advance in lockstep, one row of a
+    ``start`` and ``end``; the whole table must pass ``opt_units``' unit
+    check. All phases advance in lockstep, one row of a
     (phases, n) block each, longest first: step k advances only the prefix
     of phases longer than k, so the work is one DP step per covered step
     and the loop runs as often as the longest phase is long.
     """
     if not phases:
         return []
+    if _opening(arr, granularity) is None:  # no steps: every span is empty
+        return [0] * len(phases)
     starts = np.array([p.start for p in phases], dtype=np.int64)
     lengths = np.array([p.end + 1 - p.start for p in phases], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")

@@ -3,7 +3,8 @@
 The reference engine draws from one Python stream per trial
 (``RandomStream``); the lockstep draws (``_randbelow``) step the same
 streams for every trial at once as int64 numpy columns, for the batched
-kernel's scheduler draws and for the family shuffles of
+kernel's scheduler draws, and ``_word_run`` draws a run of words from
+every stream at once, for the family shuffles of
 ``adversaries.tail_orders``. Both must see bit-identical draws so that a
 run is reproducible whichever path executed it, so the package carries its
 own small generator rather than numpy's:
@@ -147,6 +148,32 @@ def _next_u32(words, rows):
     w = (w ^ (w >> 19)) ^ (t ^ (t >> 8))
     words[3, rows] = w
     return w
+
+
+def _word_run(words, count):
+    """The next ``count`` words of every stream, shape (4 + count, streams).
+
+    Rows k .. k + 3 hold every stream's four words after k draws, so row
+    k + 4 is the k-th word drawn; ``words`` itself is not advanced. Word
+    k + 4 is G(word k + 3) ^ T(word k), with G(w) = w ^ (w >> 19) and T
+    the shifts of word k. G is its own inverse on 32-bit words, so the
+    next four words follow from the last four in one pass over a
+    (4, streams) block: that halves the array operations per word.
+    """
+    run = np.empty((4 + 4 * -(-count // 4), words.shape[1]), np.int64)
+    run[:4] = words
+    for k in range(0, len(run) - 4, 4):
+        t = run[k:k + 4] ^ ((run[k:k + 4] << 11) & MASK32)
+        t ^= t >> 8  # T(word k + i)
+        g = t ^ (t >> 19)
+        g[:3] ^= t[1:]  # G(T(word k + i)) ^ T(word k + i + 1)
+        d = run[k + 3]
+        out = run[k + 4:k + 8]
+        out[0] = d ^ (d >> 19) ^ t[0]
+        out[1] = d ^ g[0]
+        out[2] = out[0] ^ g[1]
+        out[3] = out[1] ^ g[2]
+    return run[:count + 4]
 
 
 def _randbelow(words, rows, bounds):

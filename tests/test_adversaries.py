@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtslab.adversaries import (
+    BLOCK_CELLS,
     FAMILY_NAMES,
     build_family,
     canonical_family,
@@ -28,7 +29,7 @@ from mtslab.core import (
 )
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
-from mtslab.rng import state_rows, trial_seed
+from mtslab.rng import RandomStream, state_rows, trial_seed
 from mtslab.schedulers import SCHEDULERS
 
 
@@ -61,8 +62,10 @@ def test_realize_order_validation():
 
 
 def _tail_tables(family, n, m, phases, seeds):
+    """(order, true) per phase, each (rows, n), from ``tail_orders``' blocks."""
     words = state_rows(seeds).T.copy()
-    return list(tail_orders(family, n, m, phases, words))
+    return [(order[:, p], true[:, p]) for order, true in tail_orders(family, n, m, phases, words)
+            for p in range(order.shape[1])]
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -131,6 +134,62 @@ def test_tail_orders_are_one_geometry_for_kernel_and_files(family, n, data, phas
     for phase, h, (order, true) in zip(found, seq.pst.values(), tables):
         assert phase.order == tuple(true[0].tolist())
         assert [h[s] - phase.start for s in true[0].tolist()] == order[0].tolist()
+
+
+def test_tail_orders_blocks_stay_within_their_cell_budget():
+    # The kernel oracle tests' two-block examples: 8 rows and 16 rows of 12 slots.
+    for rows, phases in ((8, 100), (16, 60)):
+        words = state_rows([trial_seed(1, t) for t in range(rows)]).T.copy()
+        blocks = [order.shape for order, _ in tail_orders("rand-lb", 12, 12, phases, words)]
+        assert len(blocks) == 2 and sum(shape[1] for shape in blocks) == phases
+        assert all(rows * shape[1] * 12 <= BLOCK_CELLS for shape in blocks)
+
+
+def _stream_at(words):
+    stream = RandomStream(0)
+    stream._w0, stream._w1, stream._w2, stream._w3 = words
+    return stream
+
+
+def _step_back(words):
+    """The xorshift128 words one draw earlier: ``RandomStream.next_u32`` inverted."""
+    w0, w1, w2, w3 = words
+    u = w3 ^ w2 ^ (w2 >> 19)  # t ^ (t >> 8), t the shifted oldest word
+    t = u ^ (u >> 8) ^ (u >> 16) ^ (u >> 24)
+    return ((t ^ (t << 11) ^ (t << 22)) & 0xFFFFFFFF, w0, w1, w2)
+
+
+@pytest.mark.parametrize("earlier", [0, 6])
+def test_rejected_word_in_a_block_is_redrawn_as_the_stream_would(earlier):
+    # After w0 = 0 and w3 = 0xFFFFE000 comes the word 0xFFFFFFFF, which
+    # every bound that is not a power of two rejects. Tail size 5 draws
+    # with bounds 5, 4, 3, 2, so word 0 and word 6 of a row's run are
+    # drawn below 5 and below 3: first in the block, and mid-block.
+    crafted = (0, 0x12345678, 0x9ABCDEF0, 0xFFFFE000)
+    assert _stream_at(crafted).next_u32() == 0xFFFFFFFF
+    for _ in range(earlier):
+        crafted = _step_back(crafted)
+    ahead = _stream_at(crafted)
+    assert [ahead.next_u32() for _ in range(earlier + 1)][-1] == 0xFFFFFFFF
+    n, m, phases = 7, [5, 5, 3], 4
+    seeds = [trial_seed(2, t) for t in range(3)]
+    words = state_rows(seeds).T.copy()
+    words[:, 1] = crafted
+    replay = [_stream_at(column) for column in words.T.tolist()]
+    (order, _), = tail_orders("rand-lb", n, m, phases, words)
+    for t, (stream, size) in enumerate(zip(replay, m)):
+        for p in range(phases):
+            tail = list(range(n - size, n))
+            for i in range(size - 1, 0, -1):
+                j = stream.randbelow(i + 1)
+                tail[i], tail[j] = tail[j], tail[i]
+            assert order[t, p, n - size:].tolist() == tail
+    assert words.T.tolist() == [[s._w0, s._w1, s._w2, s._w3] for s in replay]
+    # The crafted row took one word more than its 16 draws: the rejected one.
+    ahead = _stream_at(crafted)
+    for _ in range(phases * (m[1] - 1) + 1):
+        ahead.next_u32()
+    assert words[:, 1].tolist() == [ahead._w0, ahead._w1, ahead._w2, ahead._w3]
 
 
 def test_reversal_walks_prediction_follower_through_m_states():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtslab.adversaries import reversal_sequence, shuffled_tail_sequence
 from mtslab.analysis import max_footrule
@@ -90,20 +90,42 @@ def test_kernel_rejects_bad_arguments(kwargs):
         simulate_family_trials(**base)
 
 
+# n, then one tail size in [1, n] or a list of them.
+one_tail = st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+tail_lists = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=6)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     policy=st.sampled_from(sorted(POLICIES)),
     family=st.sampled_from(sorted(FAMILIES)),
-    n=st.integers(1, 12),
-    data=st.data(),
+    nm=one_tail,
     phases=st.integers(1, 6),
     trials=st.integers(1, 8),
     extra_gran=st.integers(0, 3),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_lockstep_kernel_matches_scalar_oracle(policy, family, n, data, phases, trials,
+# 100 phases of 8 rows of 12 slots take two blocks of tail_orders.
+@example(policy="oblivious", family="rand-lb", nm=(12, 12), phases=100, trials=8,
+         extra_gran=0, seed=1)
+@example(policy="lps", family="rand-lb", nm=(12, 12), phases=100, trials=8,
+         extra_gran=1, seed=2)
+@example(policy="robust-lps", family="rand-lb", nm=(12, 12), phases=100, trials=8,
+         extra_gran=0, seed=3)
+@example(policy="lowest-index", family="rand-lb", nm=(12, 12), phases=100, trials=8,
+         extra_gran=2, seed=4)
+# Every phase of every trial runs out of trust and walks on uniformly.
+@example(policy="robust-lps", family="reversal", nm=(12, 12), phases=5, trials=6,
+         extra_gran=0, seed=5)
+@example(policy="oblivious", family="rand-lb", nm=(1, 1), phases=3, trials=3, extra_gran=1, seed=6)
+@example(policy="robust-lps", family="rand-lb", nm=(2, 2), phases=4, trials=3, extra_gran=0, seed=7)
+@example(policy="lowest-index", family="reversal", nm=(2, 1), phases=4, trials=2, extra_gran=0,
+         seed=8)
+@example(policy="lps", family="rand-lb", nm=(9, 1), phases=4, trials=2, extra_gran=0, seed=9)
+def test_lockstep_kernel_matches_scalar_oracle(policy, family, nm, phases, trials,
                                                extra_gran, seed):
-    m = data.draw(st.integers(1, n), label="m")
+    n, m = nm
     args = (policy, family, n, m, phases, trials)
     kwargs = dict(granularity=n + extra_gran, seed=seed)
     counts, costs = simulate_family_trials(*args, **kwargs)
@@ -116,16 +138,23 @@ def test_lockstep_kernel_matches_scalar_oracle(policy, family, n, data, phases, 
 @given(
     policy=st.sampled_from(sorted(POLICIES)),
     family=st.sampled_from(sorted(FAMILIES)),
-    n=st.integers(1, 12),
-    data=st.data(),
+    nms=tail_lists,
     phases=st.integers(1, 5),
     trials=st.integers(1, 6),
     seed=st.integers(0, 2**64 - 1),
 )
+# 60 phases of 16 rows of 12 slots take two blocks of tail_orders.
+@example(policy="robust-lps", family="rand-lb", nms=(12, [12, 3, 7, 1]), phases=60, trials=4,
+         seed=1)
+@example(policy="lowest-index", family="rand-lb", nms=(12, [1, 12, 2, 12]), phases=60, trials=4,
+         seed=2)
+@example(policy="robust-lps", family="reversal", nms=(12, [12, 11]), phases=5, trials=6, seed=3)
+@example(policy="oblivious", family="reversal", nms=(1, [1, 1]), phases=3, trials=2, seed=4)
+@example(policy="lps", family="rand-lb", nms=(2, [1, 2]), phases=4, trials=3, seed=5)
 def test_kernel_over_several_tail_sizes_matches_oracle_and_one_call_each(
-        policy, family, n, data, phases, trials, seed):
+        policy, family, nms, phases, trials, seed):
     # Repeats and any order: each row of a call runs its own tail size.
-    ms = tuple(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6), label="m"))
+    n, ms = nms[0], tuple(nms[1])
     args = (policy, family, n, ms, phases, trials)
     counts, costs = simulate_family_trials(*args, seed=seed)
     assert counts.shape == (len(ms), trials, phases)

@@ -96,6 +96,16 @@ def test_optima_reject_units_past_the_limit():
         opt_units([[UNIT_LIMIT - 3, 0], [0, 1]], 1)
 
 
+def test_phase_optima_reject_units_past_the_limit():
+    # The int64 DP would wrap to -2**62; the exact free-start optimum is 3 * 2**62.
+    seq = TaskSequence(n=2, granularity=1, tasks=[[2**62, 2**62]] * 3)
+    with pytest.raises(ConfigurationError):
+        phase_opt_units(seq.tasks, seq.granularity, [SimpleNamespace(start=0, end=2)])
+    # A span below the limit still gives the free-start optimum.
+    tasks = [[2**57, 0], [0, 2**57], [2**57, 1]]
+    assert _free_start(tasks, 1) == opt_bruteforce(tasks, 1, free_start=True) == 3
+
+
 def test_opt_units_matches_bruteforce_on_random_instances():
     stream = RandomStream(trial_seed(7, 0))
     for i in range(40):

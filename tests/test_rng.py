@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mtslab.rng import _GAMMA, RandomStream, seed_words, state_rows, trial_seed
+from mtslab.rng import _GAMMA, RandomStream, _word_run, seed_words, state_rows, trial_seed
 
 
 def test_stream_is_deterministic_for_a_seed():
@@ -83,3 +83,16 @@ def test_randbelow_covers_small_range():
     stream = RandomStream(5)
     seen = {stream.randbelow(4) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("count", range(10))
+def test_word_run_draws_the_streams_words_in_order(count):
+    seeds = [trial_seed(5, t) for t in range(3)]
+    words = state_rows(seeds).T.copy()
+    run = _word_run(words, count)
+    assert run.shape == (count + 4, 3)
+    assert (words == state_rows(seeds).T).all()  # not advanced
+    for t, seed in enumerate(seeds):
+        stream = RandomStream(seed)
+        assert run[4:, t].tolist() == [stream.next_u32() for _ in range(count)]
+        assert run[count:, t].tolist() == [stream._w0, stream._w1, stream._w2, stream._w3]
