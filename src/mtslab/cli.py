@@ -209,7 +209,7 @@ def _cmd_verify(args) -> int:
 
 
 # Sweep config bounds, checked before anything is computed. The largest n
-# keeps robustness_threshold's exact harmonic sum cheap; core.CELL_CAP
+# bounds the kernel's walks at n - 1 moves per phase; core.CELL_CAP
 # bounds the (trials, phases) count block and the (trials, n) walk blocks;
 # and a trial costs at most 2 * n * granularity units per phase, so the
 # unit bound keeps every cost sum in int64.

@@ -14,15 +14,16 @@ tail size m or a sequence of them, and has one row per (m, trial):
   read it too). Every policy ends a phase on its last realized slot, so
   no walk feeds back into the orders, and they come a block of phases
   at a time, the rand-lb shuffles drawn in bulk on the adversary streams;
-* lps, lowest-index and robust-lps's trusted moves are closed forms over
-  a block: moving to the latest predicted (lowest-index) state that
-  saturates later enters exactly the right-to-left maxima of the
+* every policy reads the same window of each phase, its last max(2, m)
+  slots; lps, lowest-index and robust-lps's trusted moves are closed
+  forms over a block: moving to the latest predicted (lowest-index) state
+  that saturates later enters exactly the right-to-left maxima of the
   predicted slots (minima of the states) after the phase's first slot,
-  all within its last max(2, m) slots;
-* only uniform moves walk, at most n - 1 per phase: oblivious one phase
-  at a time, and robust-lps, once its trust runs out, in rounds that take
-  every row's next such phase, so each scheduler stream is read in phase
-  order.
+  all within the window;
+* only uniform moves walk, at most n - 1 per phase: oblivious's from its
+  opening draw, and robust-lps's once its trust runs out. One loop walks
+  both, phase by phase, so each scheduler stream is read in phase order;
+  a state before the window saturates at its predicted slot.
 
 Every stream is consumed in the order of the per-trial walk, so results
 are identical to ``oracles.simulate_family_scalar``, the scalar reference
@@ -97,12 +98,12 @@ def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
     ``m[t]``, owns column t of ``sch`` and ``adv`` and consumes it in the
     order a scalar walk would."""
     trials = sch.shape[1]
-    rows = np.arange(trials)
     counts = np.empty((trials, phases), np.int64)
     costs = np.zeros(trials, np.int64)
-    # The deterministic rules enter only the top predicted slot or the
-    # carry's slot and later ones, all within the last max(2, m) slots.
-    keep = n if policy == "oblivious" else min(n, max(2, int(m.max())))
+    # Only oblivious's opening draw enters a state before the last
+    # max(2, m) slots, the window: every other move enters the top
+    # predicted slot, the carry's slot or a later one, all in the window.
+    keep = min(n, max(2, int(m.max())))
     slot = np.arange(n - keep, n)
     # Spike realization: a state saturating at slot j collects one unit in
     # each earlier slot and gran - j at slot j, so a policy that enters it
@@ -111,69 +112,57 @@ def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
     # opening move, gran in the first state, and gran + gran - r - 1 per
     # forced move out of slot r.
     leave = np.where(slot < n - 1, 2 * gran - 1 - slot, 0)
+    carry = (n - 2) % n  # the predicted slot of the state a phase opens in
     opened = int(n > 1)  # the top predicted state is never the carry
-    trust = robustness_threshold(n) - opened
-    rank = np.empty((trials, n), np.int64)
-    cur = np.zeros(trials, np.int64)
+    # lps is robust-lps with a trust no phase can use up.
+    trust = robustness_threshold(n) - opened if policy == "robust-lps" else n
     done = 0
     for order, true in tail_orders(family, n, m, phases, adv, keep):
         block = order.shape[1]
+        walks = np.full((trials, block), policy == "oblivious")
         if policy == "oblivious":
             cnt = np.ones((trials, block), np.int64)
-            units = np.empty((trials, block), np.int64)
-            for p in range(block):
-                rank[rows[:, None], true[:, p]] = slot
-                tgt = _randbelow(sch, rows, np.full(trials, n))
-                moves, walked = _walk_later(sch, rows, rank, rank[rows, tgt], gran)
-                cnt[:, p] += moves
-                units[:, p] = gran * (tgt != cur) + gran + walked
-                cur = true[:, p, -1]
+            units = np.full((trials, block), gran, np.int64)
         elif policy == "lowest-index":
             # From the carry's slot, the lowest state index saturating later
             # is the next right-to-left minimum of the states.
             low = true == np.minimum.accumulate(true[:, :, ::-1], axis=2)[:, :, ::-1]
-            start = order == (n - 2) % n  # the carry's predicted slot
+            start = order == carry
             entered = low & (np.cumsum(start, axis=2) > 0) & ~start
             cnt = entered.sum(2)
             units = gran + ((entered | start) * leave).sum(2)
         else:
             # From the top predicted slot on, the latest predicted state
             # saturating later is the next right-to-left maximum of the
-            # predicted slots; the top one is the first of them.
+            # predicted slots; the top one is the first of them. Trust
+            # leaves the first ``trust`` maxima, then walks on uniformly.
             peak = order == np.maximum.accumulate(order[:, :, ::-1], axis=2)[:, :, ::-1]
-            entered = peak.sum(2) - 1
-            left = peak
-            if policy == "robust-lps":
-                nth = np.cumsum(peak, axis=2)
-                entered = np.minimum(entered, trust)
-                left = peak & (nth <= trust)
-            cnt = entered + opened
-            units = gran * opened + gran + (left * leave).sum(2)
-            if policy == "robust-lps":
-                _walk_untrusted(sch, n, gran, slot, true, nth, trust, cnt, units)
+            nth = np.cumsum(peak, axis=2)
+            cnt = np.minimum(nth[:, :, -1] - 1, trust) + opened
+            units = gran * opened + gran + ((peak & (nth <= trust)) * leave).sum(2)
+            walks = nth[:, :, -1] > trust + 1
+        # The uniform walks, phase by phase so that each row reads its
+        # scheduler stream in phase order. A state before the window
+        # saturates at its predicted slot, (state - shift) mod n, and a
+        # window state at its realized one.
+        shift = true[:, :, -1] - order[:, :, -1]
+        for p in np.flatnonzero(walks.any(0)):
+            t = np.flatnonzero(walks[:, p])
+            i = np.arange(t.size)
+            rank = (np.arange(n) - shift[t, p, None]) % n
+            if policy == "oblivious":
+                tgt = _randbelow(sch, t, np.full(t.size, n))
+                units[t, p] += gran * (rank[i, tgt] != carry)
+            else:  # the state at robust-lps's (trust + 1)-th maximum
+                tgt = true[t, p, (nth[t, p] == trust + 1).argmax(1)]
+            rank[i[:, None], true[t, p]] = slot
+            moves, walked = _walk_later(sch, t, rank, rank[i, tgt], gran)
+            cnt[t, p] += moves
+            units[t, p] += walked
         counts[:, done:done + block] = cnt
         costs += units.sum(1)
         done += block
     return counts, costs
-
-
-def _walk_untrusted(sch, n, gran, slot, true, nth, trust, cnt, units):
-    """robust-lps's uniform walks on from the (trust + 1)-th right-to-left
-    maximum, in every (row, phase) of the block that has a later one
-    (``nth`` counts the maxima up to each slot); adds their moves and
-    units to ``cnt`` and ``units``.
-
-    Round k walks the k-th such phase of every row, so each row's
-    scheduler stream is read in phase order."""
-    row, phase = np.nonzero(nth[:, :, -1] > trust + 1)  # each row's phases in order
-    kth = np.arange(len(row)) - np.searchsorted(row, row)
-    for k in range(kth.max(initial=-1) + 1):
-        t, p = row[kth == k], phase[kth == k]
-        rank = np.full((len(t), n), -1, np.int64)  # head states never saturate later
-        rank[np.arange(len(t))[:, None], true[t, p]] = slot
-        moves, walked = _walk_later(sch, t, rank, slot[(nth[t, p] == trust + 1).argmax(1)], gran)
-        cnt[t, p] += moves
-        units[t, p] += walked
 
 
 def _streams(seed, trials, copies):

@@ -5,9 +5,10 @@ its current state, and pays one full cost unit per state change.
 Conforming schedulers move only under two circumstances: optionally once
 when a phase opens, and forcedly when their current state saturates, in
 which case they must pick a still-unsaturated state.
-Schedulers only pick targets; ``Walk`` is the one place that seeds them,
-applies their answers and enforces this protocol, for the engine and for
-the interactive input generators alike.
+Schedulers only pick targets. ``Walk`` seeds them, applies their answers
+and enforces this protocol, for custom schedulers and for the interactive
+input generators; the engine's event path calls the built-in schedulers'
+hooks directly, since their answers are valid by construction.
 
 Transition counting convention: a real state change always counts. The
 uniform-restart scheduler additionally counts its phase-opening draw even
@@ -135,9 +136,6 @@ class StayPut(Scheduler):
 
     name = "stay-put"
     conforming = False
-
-    def on_saturation(self, current, unsaturated, now, h, latest_lv):
-        return current
 
 
 class UniformRestart(Scheduler):

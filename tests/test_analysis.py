@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,30 @@ def test_robustness_threshold_frozen_values():
     assert robustness_threshold(1) == 1
     assert robustness_threshold(16) == 4
     assert robustness_threshold(64) == 5
+
+
+def test_robustness_threshold_is_the_exact_harmonic_ceiling_up_to_3000():
+    # Past n = 1000 the threshold comes from the asymptotic expansion.
+    total = Fraction(0)
+    for n in range(1, 3001):
+        total += Fraction(1, n)
+        assert robustness_threshold(n) == math.ceil(total), n
+
+
+# OEIS A002387: the least n with H_n > k, for k = 1..17.
+HARMONIC_CROSSINGS = [2, 4, 11, 31, 83, 227, 616, 1674, 4550, 12367, 33617, 91380,
+                      248397, 675214, 1835421, 4989191, 13562027]
+
+
+@pytest.mark.parametrize("k,n", enumerate(HARMONIC_CROSSINGS, start=1))
+def test_robustness_threshold_steps_at_each_harmonic_crossing(k, n):
+    assert robustness_threshold(n - 1) == k
+    assert robustness_threshold(n) == k + 1
+
+
+def test_robustness_threshold_is_fast_at_the_largest_loadable_n(deadline):
+    with deadline(1):
+        assert robustness_threshold.__wrapped__(2**24) == 18
 
 
 def test_footrule_distance_basics():

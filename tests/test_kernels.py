@@ -123,6 +123,11 @@ tail_lists = st.integers(1, 12).flatmap(
 @example(policy="lowest-index", family="reversal", nm=(2, 1), phases=4, trials=2, extra_gran=0,
          seed=8)
 @example(policy="lps", family="rand-lb", nm=(9, 1), phases=4, trials=2, extra_gran=0, seed=9)
+# Opening draws land before a window of 2 of 12 slots, over two blocks.
+@example(policy="oblivious", family="rand-lb", nm=(12, 2), phases=100, trials=64,
+         extra_gran=1, seed=10)
+@example(policy="oblivious", family="reversal", nm=(2, 2), phases=6, trials=4, extra_gran=0,
+         seed=11)
 def test_lockstep_kernel_matches_scalar_oracle(policy, family, nm, phases, trials,
                                                extra_gran, seed):
     n, m = nm
@@ -151,6 +156,10 @@ def test_lockstep_kernel_matches_scalar_oracle(policy, family, nm, phases, trial
 @example(policy="robust-lps", family="reversal", nms=(12, [12, 11]), phases=5, trials=6, seed=3)
 @example(policy="oblivious", family="reversal", nms=(1, [1, 1]), phases=3, trials=2, seed=4)
 @example(policy="lps", family="rand-lb", nms=(2, [1, 2]), phases=4, trials=3, seed=5)
+# 64 rows with a window of 2 of 12 slots take two blocks of tail_orders.
+@example(policy="oblivious", family="reversal", nms=(12, [2, 1]), phases=100, trials=32,
+         seed=6)
+@example(policy="oblivious", family="rand-lb", nms=(2, [2, 1, 2]), phases=5, trials=3, seed=7)
 def test_kernel_over_several_tail_sizes_matches_oracle_and_one_call_each(
         policy, family, nms, phases, trials, seed):
     # Repeats and any order: each row of a call runs its own tail size.

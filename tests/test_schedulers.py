@@ -109,9 +109,12 @@ def test_lowest_index_and_stay_put():
     low = LowestIndex()
     low.reset(4, None)
     assert low.on_saturation(2, [1, 3], 5, None, [0, 0, 0, 0]) == 1
+    # stay-put is not conforming, so no path asks it for a forced move.
     parked = StayPut()
     parked.reset(4, None)
-    assert parked.on_saturation(2, [1, 3], 5, None, [0, 0, 0, 0]) == 2
+    assert not parked.conforming
+    with pytest.raises(NotImplementedError):
+        parked.on_saturation(2, [1, 3], 5, None, [0, 0, 0, 0])
 
 
 def test_stay_put_never_moves_on_a_run():
