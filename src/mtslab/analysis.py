@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -78,25 +78,19 @@ def max_footrule_consistency(limit: int):
     return None
 
 
-_EULER_GAMMA = 0.5772156649015329
+# OEIS A002387: the least n with H_n > k, for k = 1..18. The last entry
+# bounds the n the table decides, past core.CELL_CAP = 2**24.
+_HARMONIC_CROSSINGS = (2, 4, 11, 31, 83, 227, 616, 1674, 4550, 12367, 33617, 91380,
+                       248397, 675214, 1835421, 4989191, 13562027, 36865412)
 
 
-@functools.cache
 def robustness_threshold(n: int) -> int:
     """Transition count at which the robust scheduler stops trusting
-    predictions within a phase: ceil(harmonic_number(n)).
-
-    From n = 1000 on, H_n comes from its asymptotic expansion, within
-    1e-11 of the exact sum up to n = 2**24; the exact sum, quadratic in n,
-    decides only a value within 1e-9 of an integer (none up to 2**24).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n >= 1000:
-        h = math.log(n) + _EULER_GAMMA + 1 / (2 * n) - 1 / (12 * n**2) + 1 / (120 * n**4)
-        if abs(h - round(h)) > 1e-9:
-            return math.ceil(h)
-    return math.ceil(harmonic_number(n))
+    predictions within a phase: ceil(harmonic_number(n)), read off the
+    crossings of H_n for 1 <= n < 36,865,412."""
+    if not 1 <= n < _HARMONIC_CROSSINGS[-1]:
+        raise ValueError(f"n must be in 1..{_HARMONIC_CROSSINGS[-1] - 1}")
+    return bisect.bisect_right(_HARMONIC_CROSSINGS, n) + 1
 
 
 RATIO_DIGITS = 6

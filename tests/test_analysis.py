@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from mtslab.analysis import (
     robustness_threshold,
     round_ratio_half_up,
 )
+from mtslab.core import CELL_CAP
 
 
 def test_max_footrule_frozen_values():
@@ -74,27 +76,40 @@ def test_robustness_threshold_frozen_values():
 
 
 def test_robustness_threshold_is_the_exact_harmonic_ceiling_up_to_3000():
-    # Past n = 1000 the threshold comes from the asymptotic expansion.
     total = Fraction(0)
     for n in range(1, 3001):
         total += Fraction(1, n)
         assert robustness_threshold(n) == math.ceil(total), n
 
 
-# OEIS A002387: the least n with H_n > k, for k = 1..17.
+# OEIS A002387: the least n with H_n > k, for k = 1..18.
 HARMONIC_CROSSINGS = [2, 4, 11, 31, 83, 227, 616, 1674, 4550, 12367, 33617, 91380,
-                      248397, 675214, 1835421, 4989191, 13562027]
+                      248397, 675214, 1835421, 4989191, 13562027, 36865412]
+EULER_GAMMA = Decimal("0.5772156649015328606065120900824024310422")
+
+
+def _harmonic_bounds(n):
+    """Strict bounds on H_n: its Euler-Maclaurin expansion up to the
+    -1/(12 n^2) term, plus 0 and plus the next term, 1/(120 n^4)."""
+    with localcontext(prec=40):
+        n = Decimal(n)
+        low = n.ln() + EULER_GAMMA + 1 / (2 * n) - 1 / (12 * n * n)
+        return low, low + 1 / (120 * n**4)
 
 
 @pytest.mark.parametrize("k,n", enumerate(HARMONIC_CROSSINGS, start=1))
 def test_robustness_threshold_steps_at_each_harmonic_crossing(k, n):
+    if n > 3000:  # the exact test above covers the smaller crossings
+        assert _harmonic_bounds(n - 1)[1] < k < _harmonic_bounds(n)[0]
     assert robustness_threshold(n - 1) == k
-    assert robustness_threshold(n) == k + 1
+    if n < HARMONIC_CROSSINGS[-1]:
+        assert robustness_threshold(n) == k + 1
 
 
-def test_robustness_threshold_is_fast_at_the_largest_loadable_n(deadline):
-    with deadline(1):
-        assert robustness_threshold.__wrapped__(2**24) == 18
+def test_robustness_threshold_covers_every_loadable_n():
+    assert robustness_threshold(CELL_CAP) == 18
+    with pytest.raises(ValueError):
+        robustness_threshold(HARMONIC_CROSSINGS[-1])
 
 
 def test_footrule_distance_basics():
