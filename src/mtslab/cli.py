@@ -14,6 +14,7 @@ reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import shutil
@@ -294,6 +295,8 @@ def _load_sweep_config(path: str) -> tuple[dict, str]:
 
 
 def _cmd_sweep(args) -> int:
+    if not args.out:
+        raise ConfigurationError("--out must name a directory")
     config, family = _load_sweep_config(args.config)
     seed = config["seed"]
     gran = config["granularity"]
@@ -334,20 +337,33 @@ def _cmd_sweep(args) -> int:
 
     manifest = {"config": config, "version": __version__, "records": written}
     outputs.append(("manifest.json", canonical_json(manifest) + "\n", ""))
-    # A new --out appears whole: the files fill a temporary sibling that is
-    # renamed to --out after the last one and removed on any failure.
+    # The files fill a temporary directory that is removed on any failure.
+    # For a new --out it is a sibling, renamed to --out after the last file.
+    # For an existing --out it lies inside it, on the same filesystem even
+    # when --out is a mount point, and each file replaces its target only
+    # after every file is written and no target is a directory.
     fresh = not os.path.lexists(args.out)
     parent, base = os.path.split(os.path.normpath(args.out))
-    folder = os.path.join(parent, f".{base}.{os.urandom(8).hex()}.tmp") if fresh else args.out
-    os.makedirs(folder, exist_ok=True)
+    folder = os.path.join(parent if fresh else args.out, f".{base}.{os.urandom(8).hex()}.tmp")
+    try:
+        os.makedirs(folder, exist_ok=True)
+    except OSError as exc:  # name --out, not the temporary directory
+        raise OSError(exc.errno, exc.strerror, args.out) from None
     try:
         for name, text, _ in outputs:
             write_text(os.path.join(folder, name), text)
         if fresh:
             os.rename(folder, args.out)
+        else:
+            targets = [os.path.join(args.out, name) for name, _, _ in outputs]
+            for target in targets:
+                if os.path.isdir(target) and not os.path.islink(target):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+            for (name, _, _), target in zip(outputs, targets):
+                os.replace(os.path.join(folder, name), target)
     finally:
-        if fresh:  # after the rename there is nothing left to remove
-            shutil.rmtree(folder, ignore_errors=True)
+        # Gone after the rename, and empty after the replacements.
+        shutil.rmtree(folder, ignore_errors=True)
     for name, _, note in outputs:
         print(f"wrote {os.path.join(args.out, name)}{note}")
     return 0

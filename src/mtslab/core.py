@@ -86,9 +86,9 @@ class TaskSequence:
 
     Lists passed in are converted once, here; an int64 array is not copied.
     ``n`` and ``granularity`` must each be at least 1, task entries at
-    least 0 and ``lv`` entries at least -1 ("never again"). ``pst`` maps
-    each prediction block's phase start to its tuple of n predicted
-    saturation steps.
+    least 0 and ``lv`` entries at least -1 ("never again"), with one
+    ``lv`` row per step. ``pst`` maps each prediction block's phase start
+    to its tuple of n predicted saturation steps.
     """
 
     n: int
@@ -105,6 +105,13 @@ class TaskSequence:
         self.tasks = _table(self.tasks, self.n, "tasks", 0)
         if self.lv is not None:
             self.lv = _table(self.lv, self.n, "lv", -1)
+            if len(self.lv) != len(self.tasks):
+                raise ConfigurationError(
+                    f"lv must have one row per step, got {len(self.lv)} rows "
+                    f"for {len(self.tasks)} steps"
+                )
+        if self.pst is not None and any(len(h) != self.n for h in self.pst.values()):
+            raise ConfigurationError(f"every pst block must hold n = {self.n} entries")
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -444,7 +451,10 @@ def write_text(path, text: str) -> None:
         return
     folder, name = os.path.split(os.fspath(path))
     temp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the caller's path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

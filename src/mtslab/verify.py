@@ -1,8 +1,9 @@
 """Consistency checks for task sequences and recorded runs.
 
-Each check is a named pass/fail with a human-readable detail line. The
-command line maps any failed check to a nonzero exit status; library
-callers get the full list back.
+Each check is a named pass/fail with a human-readable detail line. Some
+read the input alone, the offline-optimum sandwich among them; the rest
+check one scheduler run over it. The command line maps any failed check
+to a nonzero exit status; library callers get the full list back.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ def verify_sequence(seq: TaskSequence, scheduler: str | Scheduler | None = None,
     decomposed = decompose_phases(seq)
     _check_sequence(result, seq, decomposed)
     if scheduler is not None:
-        _check_run(result, seq, decomposed, scheduler, _offline_sandwich(seq, decomposed),
-                   seed=seed)
+        _check_run(result, seq, decomposed, scheduler, seed=seed)
     return result
 
 
@@ -95,28 +95,23 @@ def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed) -> None
     if seq.lv is not None:
         result.add("next-request-loss", True, f"total loss {lv_loss(seq)}")
 
-
-def _offline_sandwich(seq: TaskSequence, decomposed) -> CheckResult | None:
-    """The offline optimum over the complete phases against its k*g..2k*g band."""
-    phases = [p for p in decomposed if p.complete]
-    if not phases:
-        return None
-    opt = opt_units(seq.tasks[: phases[-1].end + 1], seq.granularity)
-    count = len(phases)
-    lo, hi = count * seq.granularity, 2 * count * seq.granularity
-    ok = lo <= opt <= hi
-    return CheckResult(
-        "offline-sandwich",
-        ok,
-        f"offline optimum {opt} within [{lo}, {hi}] over {count} complete phases"
-        if ok
-        else f"offline optimum {opt} outside [{lo}, {hi}]",
-    )
+    if phases:
+        # Over k complete phases the offline optimum costs k*g to 2k*g units.
+        opt = opt_units(seq.tasks[: phases[-1].end + 1], seq.granularity)
+        lo, hi = len(phases) * seq.granularity, 2 * len(phases) * seq.granularity
+        ok = lo <= opt <= hi
+        result.add(
+            "offline-sandwich",
+            ok,
+            f"offline optimum {opt} within [{lo}, {hi}] over {len(phases)} complete phases"
+            if ok
+            else f"offline optimum {opt} outside [{lo}, {hi}]",
+        )
 
 
-def _check_run(result: VerifyResult, seq: TaskSequence, decomposed, scheduler,
-               sandwich: CheckResult | None, *, seed: int) -> None:
-    """Run ``scheduler`` and check the run; ``sandwich`` closes the list."""
+def _check_run(result: VerifyResult, seq: TaskSequence, decomposed, scheduler, *,
+               seed: int) -> None:
+    """Run ``scheduler`` over ``seq`` and check the run."""
     run = run_scheduler(seq, scheduler, seed=seed, phases=decomposed)
     _, audit_move, audit_proc = schedule_cost(seq.tasks, seq.granularity, run.schedule)
     engine_move = sum(p.movement_units for p in run.all_phases)
@@ -146,9 +141,6 @@ def _check_run(result: VerifyResult, seq: TaskSequence, decomposed, scheduler,
             if not bad
             else f"violations (phase, transitions, units): {bad}",
         )
-
-    if sandwich is not None:
-        result.checks.append(sandwich)
 
 
 # ---- self-contained property suites (command line `verify`) ----
@@ -264,11 +256,11 @@ def opt_suite(instances: int = 200, seed: int = 0) -> VerifyResult:
 def invariants_suite(inputs: int = 60, seed: int = 0) -> VerifyResult:
     """Protocol conformance of every scheduler on random unit-demand inputs.
 
-    Each input is a fresh tie-free random stream over 2 to 8 states;
-    every registered scheduler runs on it and the recorded run must
-    satisfy the cost identity, the per-phase cost sandwich (conforming
-    schedulers), and the offline-optimum sandwich. Failures carry the
-    offending input's parameters in the check name.
+    Each input is a fresh tie-free random stream over 2 to 8 states; its
+    own checks, the offline-optimum sandwich among them, run once, and
+    every registered scheduler's run must satisfy the cost identity and,
+    when conforming, the per-phase cost sandwich. Failures carry the
+    offending input's parameters and the scheduler in their detail.
     """
     if inputs < 1:
         raise ConfigurationError("inputs must be >= 1")
@@ -281,14 +273,13 @@ def invariants_suite(inputs: int = 60, seed: int = 0) -> VerifyResult:
         gran = 2 + stream.randbelow(9)
         phase_count = 1 + stream.randbelow(2)
         seq = random_unit_sequence(n, gran, phase_count, seed=trial_seed(seed, i))
-        # The input's own checks and its optimum are the same for every run.
+        # The input's own checks are the same for every run.
         decomposed = decompose_phases(seq)
         shared = VerifyResult()
         _check_sequence(shared, seq, decomposed)
-        sandwich = _offline_sandwich(seq, decomposed)
         for name in sorted(SCHEDULERS):
             sub = VerifyResult(list(shared.checks))
-            _check_run(sub, seq, decomposed, name, sandwich, seed=seed)
+            _check_run(sub, seq, decomposed, name, seed=seed)
             runs += 1
             for check in sub.checks:
                 if not check.passed:

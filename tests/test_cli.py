@@ -613,6 +613,94 @@ def test_sweep_into_an_existing_directory_replaces_its_files(tmp_path, capsys):
         assert (out_dir / name).read_bytes() == (fresh / name).read_bytes()
 
 
+def _old_out(tmp_path):
+    """An existing --out whose robust-lps.csv is a directory."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "lps.csv").write_text("old\n")
+    (out_dir / "manifest.json").write_text("{}\n")
+    (out_dir / "robust-lps.csv").mkdir()
+    return out_dir
+
+
+def _tree(folder):
+    return {str(p.relative_to(folder)): p.read_bytes() if p.is_file() else None
+            for p in sorted(folder.rglob("*"))}
+
+
+def test_sweep_into_an_existing_directory_replaces_all_files_or_none(tmp_path, capsys):
+    cfg = _write_config(tmp_path, algorithms=["lps", "robust-lps"])
+    out_dir = _old_out(tmp_path)
+    before = _tree(out_dir)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"Is a directory: '{out_dir / 'robust-lps.csv'}'" in err
+    assert ".tmp" not in err
+    assert _tree(out_dir) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+
+def test_sweep_that_fails_while_writing_keeps_an_existing_directory(tmp_path, capsys,
+                                                                   monkeypatch):
+    import mtslab.cli as cli
+
+    calls = []
+    write = cli.write_text
+
+    def second_write_fails(path, text):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write(path, text)
+
+    monkeypatch.setattr(cli, "write_text", second_write_fails)
+    cfg = _write_config(tmp_path, algorithms=["lps", "oblivious"])
+    out_dir = _old_out(tmp_path)
+    before = _tree(out_dir)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert _tree(out_dir) == before
+
+
+@pytest.mark.parametrize("command", [
+    ["adversary-gen", "--adversary", "reversal", "--n", "4", "--eta0", "2", "--out"],
+    ["simulate", "--algorithm", "lps", "--out"],
+])
+def test_an_unwritable_out_is_named_in_the_error(tmp_path, capsys, command):
+    _, inp = _gen(tmp_path, "--adversary", "reversal", "--n", "4", "--eta0", "2")
+    capsys.readouterr()
+    if command[0] == "simulate":
+        command = command[:1] + ["--input", str(inp)] + command[1:]
+    target = tmp_path / "missing" / "x.json"
+    assert main(command + [str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{target}'" in err
+    assert ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.json"]
+
+
+def test_sweep_onto_a_file_names_it_in_the_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    target = tmp_path / "out"
+    target.write_text("a file\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"Not a directory: '{target}'" in err and ".tmp" not in err
+    assert target.read_text() == "a file\n"
+
+
+def test_sweep_to_an_empty_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import mtslab.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "simulate_family_trials", None)  # nothing may be computed
+    cfg = _write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: --out must name a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_sweep_rejects_non_object_config(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text("[1, 2, 3]")

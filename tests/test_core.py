@@ -115,6 +115,23 @@ def test_task_sequence_rejects_lv_entries_below_never():
         from_json_dict(payload)
 
 
+def test_task_sequence_rejects_an_lv_table_of_another_length():
+    # One lv row for four steps would be broadcast by lv-greedy's walk.
+    with pytest.raises(ConfigurationError, match="lv must have one row per step, got 1 rows"):
+        TaskSequence(n=2, granularity=2, tasks=[[1, 1]] * 4, lv=[[0, 0]])
+    with pytest.raises(ConfigurationError, match="got 5 rows for 4 steps"):
+        TaskSequence(n=2, granularity=2, tasks=[[1, 1]] * 4, lv=[[0, 0]] * 5)
+    TaskSequence(n=2, granularity=2, tasks=[[1, 1]] * 4, lv=[[0, 0]] * 4)
+
+
+def test_task_sequence_rejects_a_prediction_block_of_another_width():
+    with pytest.raises(ConfigurationError, match="every pst block must hold n = 3 entries"):
+        TaskSequence(n=3, granularity=2, tasks=[[1, 1, 1]] * 4, pst={0: (1, 2)})
+    with pytest.raises(ConfigurationError, match="every pst block must hold n = 3 entries"):
+        TaskSequence(n=3, granularity=2, tasks=[[1, 1, 1]] * 4, pst={0: (0, 1, 1), 2: (0,) * 4})
+    TaskSequence(n=3, granularity=2, tasks=[[1, 1, 1]] * 4, pst={0: (0, 1, 1)})
+
+
 def test_pst_error_per_phase_matches_manual_sum():
     seq = TaskSequence(
         n=2,

@@ -82,6 +82,18 @@ def test_lv_loss_expectation():
     assert (check.passed, check.detail) == (True, "total loss 0")
 
 
+def test_offline_sandwich_is_an_input_check():
+    seq = reversal_sequence(5, 5, 2, 2)
+    assert [c.name for c in verify_sequence(seq).checks] == [
+        "phase-structure", "pst-alignment", "offline-sandwich"]
+    check = verify_sequence(seq, "lps").checks[2]
+    assert (check.name, check.passed) == ("offline-sandwich", True)
+    assert check.detail.endswith("within [10, 20] over 2 complete phases")
+    # No complete phase, no optimum to bound.
+    partial = TaskSequence(n=2, granularity=2, tasks=[[1, 0]])
+    assert "offline-sandwich" not in {c.name for c in verify_sequence(partial).checks}
+
+
 def test_non_conforming_run_skips_the_sandwich():
     seq = random_unit_sequence(3, 4, 2, seed=8)
     result = verify_sequence(seq, "stay-put")
@@ -122,6 +134,13 @@ def test_opt_suite_checks_the_per_phase_optima(monkeypatch):
 def test_invariants_suite_is_green():
     result = invariants_suite(inputs=12, seed=2)
     assert result.passed, result.lines()
+
+
+def test_invariants_suite_reports_a_failing_offline_sandwich(monkeypatch):
+    monkeypatch.setattr("mtslab.verify.opt_units", lambda tasks, granularity: 0)
+    check, = invariants_suite(inputs=2, seed=2).checks
+    assert (check.name, check.passed) == ("random-input-conformance", False)
+    assert "offline-sandwich: offline optimum 0 outside [" in check.detail
 
 
 def test_run_suite_dispatch():
