@@ -110,8 +110,10 @@ class TaskSequence:
                     f"lv must have one row per step, got {len(self.lv)} rows "
                     f"for {len(self.tasks)} steps"
                 )
-        if self.pst is not None and any(len(h) != self.n for h in self.pst.values()):
-            raise ConfigurationError(f"every pst block must hold n = {self.n} entries")
+        if self.pst is not None and not (isinstance(self.pst, dict) and all(
+                isinstance(h, (tuple, list)) and len(h) == self.n for h in self.pst.values())):
+            raise ConfigurationError(
+                f"pst must be a dict, and every pst block must hold n = {self.n} entries")
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -124,12 +126,17 @@ class TaskSequence:
 
 
 def _table(rows, n: int, what: str, minimum: int) -> np.ndarray:
+    try:
+        table = np.asarray(rows if len(rows) else np.empty((0, n), dtype=np.int64))
+    except ValueError:  # ragged rows
+        table = None
+    if table is None or table.shape != (len(rows), n):
+        raise ConfigurationError(f"{what} must be a table of rows of n = {n} entries")
     # A safe cast: a float entry raises instead of being truncated.
-    table = np.asarray(rows if len(rows) else np.empty((0, n), dtype=np.int64))
     table = table.astype(np.int64, casting="safe", copy=False)
     if table.min(initial=minimum) < minimum:
         raise ConfigurationError(f"{what} entries must be >= {minimum}")
-    return np.ascontiguousarray(table).reshape(len(rows), n)
+    return np.ascontiguousarray(table)
 
 
 @dataclass(frozen=True)

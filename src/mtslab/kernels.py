@@ -15,15 +15,17 @@ tail size m or a sequence of them, and has one row per (m, trial):
   no walk feeds back into the orders, and they come a block of phases
   at a time, the rand-lb shuffles drawn in bulk on the adversary streams;
 * every policy reads the same window of each phase, its last max(2, m)
-  slots; lps, lowest-index and robust-lps's trusted moves are closed
-  forms over a block: moving to the latest predicted (lowest-index) state
-  that saturates later enters exactly the right-to-left maxima of the
-  predicted slots (minima of the states) after the phase's first slot,
-  all within the window;
-* only uniform moves walk, at most n - 1 per phase: oblivious's from its
-  opening draw, and robust-lps's once its trust runs out. One loop walks
-  both, phase by phase, so each scheduler stream is read in phase order;
-  a state before the window saturates at its predicted slot.
+  slots, and follows one of two rules;
+* a follower moves to the later-saturating state that ranks highest by
+  its key: the predicted slot for lps and robust-lps's trusted moves, the
+  lowest state index for lowest-index. From its first state on it enters
+  exactly the right-to-left maxima of the key, all within the window, so
+  one closed form over a block serves all three;
+* a uniform walk moves to a uniformly drawn later-saturating state, at
+  most n - 1 times per phase: oblivious from its opening draw, and
+  robust-lps once its trust runs out. One loop walks both, phase by phase,
+  so each scheduler stream is read in phase order; a state before the
+  window saturates at its predicted slot.
 
 Every stream is consumed in the order of the per-trial walk, so results
 are identical to ``oracles.simulate_family_scalar``, the scalar reference
@@ -66,17 +68,10 @@ ADVERSARY_SEED_OFFSET = 1
 
 # ---- batched policy simulation over synthetic phase families ----
 
-def _uniform_later(words, cols, rank, r):
-    """A uniform draw among the states saturating after slot r, by state index:
-    row i draws on stream ``cols[i]`` and ``rank[i]`` holds each state's slot."""
-    pick = _randbelow(words, cols, rank.shape[1] - 1 - r)
-    seen = np.cumsum(rank > r[:, None], axis=1)
-    return (seen > pick[:, None]).argmax(1)
-
-
 def _walk_later(words, cols, rank, r, gran):
     """Uniform forced moves from slot r until the last slot, as (moves, units)
-    per row; each move goes to a later slot, so there are at most n - 1."""
+    per row; row i draws on stream ``cols[i]`` among the later states by
+    index, ``rank[i]`` holding each state's slot. At most n - 1 moves."""
     n = rank.shape[1]
     moves = np.zeros(len(cols), np.int64)
     units = np.zeros(len(cols), np.int64)
@@ -88,8 +83,9 @@ def _walk_later(words, cols, rank, r, gran):
             break
         units[act] += 2 * gran - 1 - r
         moves[act] += 1
-        nxt = _uniform_later(words, cols[act], rank[act], r)
-        r = rank[act, nxt]
+        pick = _randbelow(words, cols[act], n - 1 - r)
+        seen = np.cumsum(rank[act] > r[:, None], axis=1)
+        r = rank[act, (seen > pick[:, None]).argmax(1)]
     return moves, units
 
 
@@ -113,30 +109,25 @@ def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
     # forced move out of slot r.
     leave = np.where(slot < n - 1, 2 * gran - 1 - slot, 0)
     carry = (n - 2) % n  # the predicted slot of the state a phase opens in
-    opened = int(n > 1)  # the top predicted state is never the carry
-    # lps is robust-lps with a trust no phase can use up.
+    # lps and robust-lps open by moving to the top predicted state, never
+    # the carry; lowest-index follows on from the carry itself.
+    opened = int(n > 1) if policy != "lowest-index" else 0
+    # lps and lowest-index follow with a trust no phase can use up.
     trust = robustness_threshold(n) - opened if policy == "robust-lps" else n
     done = 0
     for order, true in tail_orders(family, n, m, phases, adv, keep):
         block = order.shape[1]
-        walks = np.full((trials, block), policy == "oblivious")
         if policy == "oblivious":
             cnt = np.ones((trials, block), np.int64)
             units = np.full((trials, block), gran, np.int64)
-        elif policy == "lowest-index":
-            # From the carry's slot, the lowest state index saturating later
-            # is the next right-to-left minimum of the states.
-            low = true == np.minimum.accumulate(true[:, :, ::-1], axis=2)[:, :, ::-1]
-            start = order == carry
-            entered = low & (np.cumsum(start, axis=2) > 0) & ~start
-            cnt = entered.sum(2)
-            units = gran + ((entered | start) * leave).sum(2)
+            walks = np.ones((trials, block), bool)
         else:
-            # From the top predicted slot on, the latest predicted state
-            # saturating later is the next right-to-left maximum of the
-            # predicted slots; the top one is the first of them. Trust
-            # leaves the first ``trust`` maxima, then walks on uniformly.
-            peak = order == np.maximum.accumulate(order[:, :, ::-1], axis=2)[:, :, ::-1]
+            # A follower enters the right-to-left maxima of its key, the
+            # first being the state it follows from: the top predicted slot,
+            # or lowest-index's carry, keyed above every state. Trust leaves
+            # the first ``trust`` maxima, then walks on uniformly.
+            key = np.where(order == carry, n, -true) if policy == "lowest-index" else order
+            peak = key == np.maximum.accumulate(key[:, :, ::-1], axis=2)[:, :, ::-1]
             nth = np.cumsum(peak, axis=2)
             cnt = np.minimum(nth[:, :, -1] - 1, trust) + opened
             units = gran * opened + gran + ((peak & (nth <= trust)) * leave).sum(2)

@@ -129,7 +129,23 @@ def test_task_sequence_rejects_a_prediction_block_of_another_width():
         TaskSequence(n=3, granularity=2, tasks=[[1, 1, 1]] * 4, pst={0: (1, 2)})
     with pytest.raises(ConfigurationError, match="every pst block must hold n = 3 entries"):
         TaskSequence(n=3, granularity=2, tasks=[[1, 1, 1]] * 4, pst={0: (0, 1, 1), 2: (0,) * 4})
+    with pytest.raises(ConfigurationError, match="every pst block must hold n = 3 entries"):
+        TaskSequence(n=3, granularity=2, tasks=[[1, 1, 1]] * 4, pst={0: 5})
+    with pytest.raises(ConfigurationError, match="^pst must be a dict"):
+        TaskSequence(n=3, granularity=2, tasks=[[1, 1, 1]] * 4, pst=[(0, 1, 1)])
     TaskSequence(n=3, granularity=2, tasks=[[1, 1, 1]] * 4, pst={0: (0, 1, 1)})
+
+
+@pytest.mark.parametrize("what,kwargs", [
+    ("tasks", {"tasks": [[1, 1, 1]]}),
+    ("tasks", {"tasks": [[1], [1, 1]]}),
+    ("tasks", {"tasks": [1, 1]}),
+    ("lv", {"tasks": [[1, 1]], "lv": [[0, 0, 0]]}),
+    ("lv", {"tasks": [[1, 1], [1, 1]], "lv": [[0], [0, 0]]}),
+])
+def test_task_sequence_rejects_a_table_whose_rows_are_not_n_wide(what, kwargs):
+    with pytest.raises(ConfigurationError, match=f"^{what} must be a table of rows of n = 2"):
+        TaskSequence(n=2, granularity=2, **kwargs)
 
 
 def test_pst_error_per_phase_matches_manual_sum():

@@ -128,6 +128,14 @@ tail_lists = st.integers(1, 12).flatmap(
          extra_gran=1, seed=10)
 @example(policy="oblivious", family="reversal", nm=(2, 2), phases=6, trials=4, extra_gran=0,
          seed=11)
+# lowest-index follows from the carry's slot: at n = 1, in a reversed tail
+# of 3 of 3, and as the first slot of a window of 2 of 300.
+@example(policy="lowest-index", family="rand-lb", nm=(1, 1), phases=3, trials=2, extra_gran=1,
+         seed=12)
+@example(policy="lowest-index", family="reversal", nm=(3, 3), phases=4, trials=2, extra_gran=0,
+         seed=13)
+@example(policy="lowest-index", family="rand-lb", nm=(300, 1), phases=3, trials=2,
+         extra_gran=0, seed=14)
 def test_lockstep_kernel_matches_scalar_oracle(policy, family, nm, phases, trials,
                                                extra_gran, seed):
     n, m = nm
@@ -160,6 +168,9 @@ def test_lockstep_kernel_matches_scalar_oracle(policy, family, nm, phases, trial
 @example(policy="oblivious", family="reversal", nms=(12, [2, 1]), phases=100, trials=32,
          seed=6)
 @example(policy="oblivious", family="rand-lb", nms=(2, [2, 1, 2]), phases=5, trials=3, seed=7)
+@example(policy="lowest-index", family="reversal", nms=(1, [1, 1]), phases=3, trials=2, seed=8)
+@example(policy="lowest-index", family="reversal", nms=(3, [3, 1, 3]), phases=4, trials=2, seed=9)
+@example(policy="lowest-index", family="rand-lb", nms=(300, [1, 1]), phases=3, trials=2, seed=10)
 def test_kernel_over_several_tail_sizes_matches_oracle_and_one_call_each(
         policy, family, nms, phases, trials, seed):
     # Repeats and any order: each row of a call runs its own tail size.
