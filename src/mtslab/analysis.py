@@ -176,9 +176,15 @@ class SweepRecord:
             ratio=ratio,
         )
 
-    def csv_row(self) -> str:
-        return ",".join(str(getattr(self, f.name)) for f in fields(self))
+    def csv_row(self, eta0: int | None = None) -> str:
+        """The fields in column order. Sweep cells that differ only in
+        eta0 share one record: ``eta0`` gives another such cell's row."""
+        values = vars(self) if eta0 is None else {**vars(self), "eta0": eta0}
+        return ",".join([str(values[name]) for name in _SWEEP_COLUMNS])
 
     @classmethod
     def csv_header(cls) -> str:
-        return ",".join(f.name for f in fields(cls))
+        return ",".join(_SWEEP_COLUMNS)
+
+
+_SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))

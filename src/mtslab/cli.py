@@ -20,8 +20,6 @@ import os
 import shutil
 import sys
 
-import numpy as np
-
 from . import __version__
 from .adversaries import FAMILY_NAMES, budget_tail_size, build_family, canonical_family
 from .analysis import SweepRecord, round_ratio_half_up, transition_stats
@@ -306,34 +304,45 @@ def _cmd_sweep(args) -> int:
     # Every state collects exactly one threshold of units per phase, so
     # parking in any single state is offline-optimal.
     opt_total = trials * phases * gran
+    algorithms = config["algorithms"]
+    lines = {algorithm: [SweepRecord.csv_header()] for algorithm in algorithms}
+    for n in config["n"]:
+        # A cell depends on eta0 only through m, and seeds, phases, trials
+        # and granularity are fixed per sweep: one kernel pass runs every
+        # algorithm over every distinct m of this n on one phase chain, and
+        # one record per (algorithm, m) gives the rows of all its eta0. A
+        # pass holds every algorithm's counts at once, so the cell cap
+        # charges algorithms x tail sizes x trials x max(n, phases), and the
+        # algorithms are split only where one tail size cannot hold them all.
+        ms = [budget_tail_size(n, eta0) for eta0 in config["eta0"]]
+        first = {}  # the first eta0 of each distinct m
+        for eta0, m in zip(config["eta0"], ms):
+            first.setdefault(m, eta0)
+        tails = sorted(first)
+        room = CELL_CAP // (trials * max(n, phases))
+        group = min(room, len(algorithms))
+        step = max(1, room // len(algorithms))
+        records = {}
+        for i in range(0, len(tails), step):
+            for a in range(0, len(algorithms), group):
+                names, chunk = tuple(algorithms[a:a + group]), tuple(tails[i:i + step])
+                counts, costs = simulate_family_trials(names, family, n, chunk, phases, trials,
+                                                       granularity=gran, seed=seed)
+                for algorithm, cells, totals in zip(names, counts, costs.sum(axis=-1)):
+                    for m, cell, total in zip(chunk, cells, totals):
+                        records[algorithm, m] = SweepRecord.from_counts(
+                            n=n, eta0=first[m], m=m, algorithm=algorithm, seed=seed,
+                            phases=phases, counts=cell, total_cost_units=int(total),
+                            opt_cost_units=opt_total,
+                        )
+        for algorithm in algorithms:
+            lines[algorithm].extend(records[algorithm, m].csv_row(eta0=eta0)
+                                    for eta0, m in zip(config["eta0"], ms))
     # (file name, text, note): every output is built before anything is
     # written, so a sweep that fails while computing leaves nothing behind.
-    outputs = []
-    written = {}
-    for algorithm in config["algorithms"]:
-        lines = [SweepRecord.csv_header()]
-        for n in config["n"]:
-            # A cell depends on eta0 only through m, and seeds, phases,
-            # trials and granularity are fixed per sweep: one kernel call
-            # runs every distinct m of this n, split only where its
-            # (rows, n) and (rows, phases) blocks would pass the cell cap.
-            ms = [budget_tail_size(n, eta0) for eta0 in config["eta0"]]
-            tails = sorted(set(ms))
-            step = CELL_CAP // (trials * max(n, phases))
-            runs = [simulate_family_trials(algorithm, family, n, tuple(tails[i:i + step]),
-                                           phases, trials, granularity=gran, seed=seed)
-                    for i in range(0, len(tails), step)]
-            counts = np.concatenate([c for c, _ in runs])
-            totals = np.concatenate([k for _, k in runs]).sum(axis=1)
-            for eta0, m, cell in zip(config["eta0"], ms, np.searchsorted(tails, ms)):
-                lines.append(SweepRecord.from_counts(
-                    n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed,
-                    phases=phases, counts=counts[cell],
-                    total_cost_units=int(totals[cell]), opt_cost_units=opt_total,
-                ).csv_row())
-        written[algorithm] = len(lines) - 1
-        outputs.append((f"{algorithm}.csv", "\n".join(lines) + "\n",
-                        f": {written[algorithm]} records"))
+    written = {algorithm: len(rows) - 1 for algorithm, rows in lines.items()}
+    outputs = [(f"{algorithm}.csv", "\n".join(rows) + "\n", f": {written[algorithm]} records")
+               for algorithm, rows in lines.items()]
 
     manifest = {"config": config, "version": __version__, "records": written}
     outputs.append(("manifest.json", canonical_json(manifest) + "\n", ""))

@@ -132,8 +132,10 @@ def _table(rows, n: int, what: str, minimum: int) -> np.ndarray:
         table = None
     if table is None or table.shape != (len(rows), n):
         raise ConfigurationError(f"{what} must be a table of rows of n = {n} entries")
-    # A safe cast: a float entry raises instead of being truncated.
-    table = table.astype(np.int64, casting="safe", copy=False)
+    try:  # a safe cast: a float entry raises instead of being truncated
+        table = table.astype(np.int64, casting="safe", copy=False)
+    except TypeError:
+        raise ConfigurationError(f"{what} entries must be integers") from None
     if table.min(initial=minimum) < minimum:
         raise ConfigurationError(f"{what} entries must be >= {minimum}")
     return np.ascontiguousarray(table)

@@ -1,26 +1,30 @@
 """Batched family simulation: every row of a call at once, by blocks of phases.
 
-The batched simulator runs a scheduling policy over synthetic inputs that
+The batched simulator runs scheduling policies over synthetic inputs that
 are described at the event level: per phase only the predicted and the
 realized saturation orders matter for transition counts, so phases are
 walked saturation by saturation instead of step by step. A call takes one
-tail size m or a sequence of them, and has one row per (m, trial):
+policy or a sequence of them, and one tail size m or a sequence of them;
+it has one row per (m, trial), and every policy walks every row:
 
 * each trial owns one xorshift stream per side, repeated once per tail
-  size; the four words of every stream are stored word-major, shape
-  (4, rows), and drawn on with ``rng._randbelow``;
+  size, and each policy its own copy of the scheduler streams; the four
+  words of every stream are stored word-major, shape (4, rows), and
+  drawn on with ``rng._randbelow``;
 * the phase orders come from ``adversaries.tail_orders``, the one
   definition of the reversal and rand-lb families (the file generators
   read it too). Every policy ends a phase on its last realized slot, so
   no walk feeds back into the orders, and they come a block of phases
-  at a time, the rand-lb shuffles drawn in bulk on the adversary streams;
+  at a time, the rand-lb shuffles drawn in bulk on the adversary streams.
+  One pass draws each block once, and every policy of the call reads it;
 * every policy reads the same window of each phase, its last max(2, m)
   slots, and follows one of two rules;
 * a follower moves to the later-saturating state that ranks highest by
   its key: the predicted slot for lps and robust-lps's trusted moves, the
   lowest state index for lowest-index. From its first state on it enters
   exactly the right-to-left maxima of the key, all within the window, so
-  one closed form over a block serves all three;
+  one closed form over a block serves all three, and lps and robust-lps
+  share its maxima;
 * a uniform walk moves to a uniformly drawn later-saturating state, at
   most n - 1 times per phase: oblivious from its opening draw, and
   robust-lps once its trust runs out. One loop walks both, phase by phase,
@@ -89,13 +93,15 @@ def _walk_later(words, cols, rank, r, gran):
     return moves, units
 
 
-def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
-    """Every row at once, block by block of phases; row t has tail size
-    ``m[t]``, owns column t of ``sch`` and ``adv`` and consumes it in the
-    order a scalar walk would."""
-    trials = sch.shape[1]
-    counts = np.empty((trials, phases), np.int64)
-    costs = np.zeros(trials, np.int64)
+def _simulate_family(policies, family, n, m, gran, phases, sch, adv):
+    """Every policy on every row at once, block by block of phases; row t
+    has tail size ``m[t]`` and owns column t of ``adv`` and of policy k's
+    ``sch[k]``, and consumes them in the order a scalar walk would. The
+    policies share each block of the phase chain, and the followers of
+    one key share its right-to-left maxima."""
+    rows = adv.shape[1]
+    counts = np.empty((len(policies), rows, phases), np.int64)
+    costs = np.zeros((len(policies), rows), np.int64)
     # Only oblivious's opening draw enters a state before the last
     # max(2, m) slots, the window: every other move enters the top
     # predicted slot, the carry's slot or a later one, all in the window.
@@ -110,48 +116,55 @@ def _simulate_family(policy, family, n, m, gran, phases, sch, adv):
     leave = np.where(slot < n - 1, 2 * gran - 1 - slot, 0)
     carry = (n - 2) % n  # the predicted slot of the state a phase opens in
     # lps and robust-lps open by moving to the top predicted state, never
-    # the carry; lowest-index follows on from the carry itself.
-    opened = int(n > 1) if policy != "lowest-index" else 0
-    # lps and lowest-index follow with a trust no phase can use up.
-    trust = robustness_threshold(n) - opened if policy == "robust-lps" else n
+    # the carry; lowest-index follows on from the carry itself. lps and
+    # lowest-index follow with a trust no phase can use up.
+    opened = [int(n > 1) if policy != "lowest-index" else 0 for policy in policies]
+    trust = [robustness_threshold(n) - o if policy == "robust-lps" else n
+             for policy, o in zip(policies, opened)]
     done = 0
     for order, true in tail_orders(family, n, m, phases, adv, keep):
         block = order.shape[1]
-        if policy == "oblivious":
-            cnt = np.ones((trials, block), np.int64)
-            units = np.full((trials, block), gran, np.int64)
-            walks = np.ones((trials, block), bool)
-        else:
-            # A follower enters the right-to-left maxima of its key, the
-            # first being the state it follows from: the top predicted slot,
-            # or lowest-index's carry, keyed above every state. Trust leaves
-            # the first ``trust`` maxima, then walks on uniformly.
-            key = np.where(order == carry, n, -true) if policy == "lowest-index" else order
-            peak = key == np.maximum.accumulate(key[:, :, ::-1], axis=2)[:, :, ::-1]
-            nth = np.cumsum(peak, axis=2)
-            cnt = np.minimum(nth[:, :, -1] - 1, trust) + opened
-            units = gran * opened + gran + ((peak & (nth <= trust)) * leave).sum(2)
-            walks = nth[:, :, -1] > trust + 1
-        # The uniform walks, phase by phase so that each row reads its
-        # scheduler stream in phase order. A state before the window
-        # saturates at its predicted slot, (state - shift) mod n, and a
-        # window state at its realized one.
         shift = true[:, :, -1] - order[:, :, -1]
-        for p in np.flatnonzero(walks.any(0)):
-            t = np.flatnonzero(walks[:, p])
-            i = np.arange(t.size)
-            rank = (np.arange(n) - shift[t, p, None]) % n
+        maxima = {}  # (peak, nth) per follower key, by whether it is lowest-index's
+        for k, policy in enumerate(policies):
             if policy == "oblivious":
-                tgt = _randbelow(sch, t, np.full(t.size, n))
-                units[t, p] += gran * (rank[i, tgt] != carry)
-            else:  # the state at robust-lps's (trust + 1)-th maximum
-                tgt = true[t, p, (nth[t, p] == trust + 1).argmax(1)]
-            rank[i[:, None], true[t, p]] = slot
-            moves, walked = _walk_later(sch, t, rank, rank[i, tgt], gran)
-            cnt[t, p] += moves
-            units[t, p] += walked
-        counts[:, done:done + block] = cnt
-        costs += units.sum(1)
+                cnt = np.ones((rows, block), np.int64)
+                units = np.full((rows, block), gran, np.int64)
+                walks = np.ones((rows, block), bool)
+            else:
+                # A follower enters the right-to-left maxima of its key, the
+                # first being the state it follows from: the top predicted
+                # slot, or lowest-index's carry, keyed above every state.
+                # Trust leaves the first ``trust`` maxima, then walks on
+                # uniformly.
+                by_index = policy == "lowest-index"
+                if by_index not in maxima:
+                    key = np.where(order == carry, n, -true) if by_index else order
+                    peak = key == np.maximum.accumulate(key[:, :, ::-1], axis=2)[:, :, ::-1]
+                    maxima[by_index] = peak, np.cumsum(peak, axis=2)
+                peak, nth = maxima[by_index]
+                cnt = np.minimum(nth[:, :, -1] - 1, trust[k]) + opened[k]
+                units = gran * opened[k] + gran + ((peak & (nth <= trust[k])) * leave).sum(2)
+                walks = nth[:, :, -1] > trust[k] + 1
+            # The uniform walks, phase by phase so that each row reads its
+            # scheduler stream in phase order. A state before the window
+            # saturates at its predicted slot, (state - shift) mod n, and a
+            # window state at its realized one.
+            for p in np.flatnonzero(walks.any(0)):
+                t = np.flatnonzero(walks[:, p])
+                i = np.arange(t.size)
+                rank = (np.arange(n) - shift[t, p, None]) % n
+                if policy == "oblivious":
+                    tgt = _randbelow(sch[k], t, np.full(t.size, n))
+                    units[t, p] += gran * (rank[i, tgt] != carry)
+                else:  # the state at robust-lps's (trust + 1)-th maximum
+                    tgt = true[t, p, (nth[t, p] == trust[k] + 1).argmax(1)]
+                rank[i[:, None], true[t, p]] = slot
+                moves, walked = _walk_later(sch[k], t, rank, rank[i, tgt], gran)
+                cnt[t, p] += moves
+                units[t, p] += walked
+            counts[k, :, done:done + block] = cnt
+            costs[k] += units.sum(1)
         done += block
     return counts, costs
 
@@ -164,16 +177,20 @@ def _streams(seed, trials, copies):
     return np.tile(words, (copies, 1)).T.copy()
 
 
-def simulate_family_trials(policy: str, family: str, n: int, m,
+def simulate_family_trials(policy, family: str, n: int, m,
                            phases: int, trials: int,
                            granularity: int | None = None, seed: int = 0):
-    """Counts and costs per trial for a policy on a synthetic family.
+    """Counts and costs per trial for policies on a synthetic family.
 
+    ``policy`` is one name from ``POLICIES`` or a 1-D sequence of them.
     ``family`` "reversal" realizes predictions whose last m slots are
     saturated in reverse; "rand-lb" shuffles the last m slots uniformly
     using the adversary stream. ``m`` is one tail size or a 1-D sequence
-    of them, each already clamped to [1, n]; every tail size runs all
-    trials on the same streams, as a call with that m alone would.
+    of them, each already clamped to [1, n]. Every policy and every tail
+    size runs all trials on the same streams, as a call with that policy
+    and that m alone would: one pass draws the phase chain once for all
+    of them, and each policy draws on its own copy of the scheduler
+    streams.
     The robust policy trusts predictions for ``robustness_threshold(n)``
     transitions per phase, as ``schedulers.RobustLatestPredicted`` does.
     ``seed`` must be in [0, 2**64). Trial i draws its scheduler stream from
@@ -183,12 +200,17 @@ def simulate_family_trials(policy: str, family: str, n: int, m,
     generators are seeded, so counts match them trial for trial.
 
     Returns (counts, costs): transition events per (trial, phase) as an
-    int64 array of shape ``np.shape(m) + (trials, phases)``, and total
-    movement plus processing units per trial as an int64 array of shape
-    ``np.shape(m) + (trials,)``.
+    int64 array of shape ``np.shape(policy) + np.shape(m) + (trials,
+    phases)``, and total movement plus processing units per trial as an
+    int64 array of shape ``np.shape(policy) + np.shape(m) + (trials,)``.
     """
-    if policy not in POLICIES:
-        raise ConfigurationError(f"no batched kernel for policy {policy!r}")
+    names = np.asarray(policy)
+    if names.ndim > 1 or not names.size:
+        raise ConfigurationError("policy must be a name or a non-empty 1-D sequence of them")
+    policies = names.reshape(-1).tolist()
+    for name in policies:
+        if name not in POLICIES:
+            raise ConfigurationError(f"no batched kernel for policy {name!r}")
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown input family {family!r}")
     if n < 1:
@@ -205,10 +227,9 @@ def simulate_family_trials(policy: str, family: str, n: int, m,
         granularity = n
     if granularity < n:
         raise ConfigurationError("granularity must be >= n to realize an order")
-    sizes = sizes.reshape(-1)
     sch = _streams(seed, trials, sizes.size)
     adv = _streams(seed + ADVERSARY_SEED_OFFSET, trials, sizes.size)
-    counts, costs = _simulate_family(policy, family, n, sizes.repeat(trials),
-                                     granularity, phases, sch, adv)
-    shape = np.shape(m)
+    counts, costs = _simulate_family(policies, family, n, sizes.reshape(-1).repeat(trials),
+                                     granularity, phases, [sch.copy() for _ in policies], adv)
+    shape = names.shape + sizes.shape
     return counts.reshape(shape + (trials, phases)), costs.reshape(shape + (trials,))

@@ -154,20 +154,25 @@ def opt_units_scalar(tasks, granularity: int, free_start: bool = False) -> int:
     return min(prev)
 
 
-def simulate_family_scalar(policy: str, family: str, n: int, m,
+def simulate_family_scalar(policy, family: str, n: int, m,
                            phases: int, trials: int,
                            granularity: int | None = None, seed: int = 0):
     """``kernels.simulate_family_trials``, one trial and one state at a time.
 
     Same arguments and return value; arguments are not validated. A
-    sequence of tail sizes runs one tail size at a time, and the results
-    are stacked. Each trial runs the registered scheduler ``policy``
-    through one ``schedulers.Walk``, seeded as the engine seeds it, with
-    each state's predicted slot as its prediction. The phase geometry and
-    the adversary stream ``RandomStream(trial_seed(seed + 1, trial))`` are
-    this function's own, so it shares no geometry or adversary code with
-    the kernel.
+    sequence of policies runs one policy at a time, a sequence of tail
+    sizes one tail size at a time, and the results are stacked. Each trial
+    runs the registered scheduler ``policy`` through one
+    ``schedulers.Walk``, seeded as the engine seeds it, with each state's
+    predicted slot as its prediction. The phase geometry and the adversary
+    stream ``RandomStream(trial_seed(seed + 1, trial))`` are this
+    function's own, so it shares no geometry or adversary code with the
+    kernel.
     """
+    if not isinstance(policy, str):
+        runs = [simulate_family_scalar(name, family, n, m, phases, trials,
+                                       granularity, seed) for name in policy]
+        return np.stack([c for c, _ in runs]), np.stack([k for _, k in runs])
     if np.ndim(m):
         runs = [simulate_family_scalar(policy, family, n, size, phases, trials,
                                        granularity, seed) for size in m]

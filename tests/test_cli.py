@@ -10,9 +10,10 @@ import threading
 import pytest
 
 from mtslab import adversaries
-from mtslab.analysis import max_forcible_transitions
+from mtslab.analysis import SweepRecord, max_forcible_transitions
 from mtslab.cli import SWEEP_MAX_N, main
 from mtslab.core import CELL_CAP, UNIT_LIMIT, load_task_sequence
+from mtslab.kernels import simulate_family_trials
 from mtslab.oracles import simulate_family_scalar
 from mtslab.verify import VerifyResult
 
@@ -370,18 +371,21 @@ def _sweep_rows(out_dir, algorithm):
 
 
 def _counted_kernel(monkeypatch):
-    """Patch the sweep's kernel to record (n, m, algorithm) of every call."""
+    """Patch the sweep's kernel to record (n, m, algorithms) of every call."""
     import mtslab.cli as cli
 
     calls = []
     kernel = cli.simulate_family_trials
 
-    def counted(algorithm, family, n, m, *args, **kwargs):
-        calls.append((n, m, algorithm))
-        return kernel(algorithm, family, n, m, *args, **kwargs)
+    def counted(algorithms, family, n, m, *args, **kwargs):
+        calls.append((n, m, algorithms))
+        return kernel(algorithms, family, n, m, *args, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_family_trials", counted)
     return calls
+
+
+ALL_POLICIES = tuple(CACHE_CONFIG["algorithms"])
 
 
 def test_sweep_runs_the_kernel_once_per_distinct_cell(tmp_path, capsys, monkeypatch):
@@ -392,11 +396,31 @@ def test_sweep_runs_the_kernel_once_per_distinct_cell(tmp_path, capsys, monkeypa
     distinct = {(n, min(max_forcible_transitions(e), n))
                 for n in CACHE_CONFIG["n"] for e in CACHE_CONFIG["eta0"]}
     assert len(distinct) < len(CACHE_CONFIG["n"]) * len(CACHE_CONFIG["eta0"])
-    # One call per (algorithm, n), over that n's distinct tail sizes, sorted.
-    assert calls == [(n, tuple(sorted(m for k, m in distinct if k == n)), algorithm)
-                     for algorithm in CACHE_CONFIG["algorithms"] for n in CACHE_CONFIG["n"]]
-    covered = [(n, m, algorithm) for n, ms, algorithm in calls for m in ms]
-    assert len(covered) == len(set(covered)) == len(distinct) * len(CACHE_CONFIG["algorithms"])
+    # One call per n, over every algorithm and that n's distinct tail
+    # sizes, sorted.
+    assert calls == [(n, tuple(sorted(m for k, m in distinct if k == n)), ALL_POLICIES)
+                     for n in CACHE_CONFIG["n"]]
+    covered = [(n, m, algorithm) for n, ms, algorithms in calls
+               for m in ms for algorithm in algorithms]
+    assert len(covered) == len(set(covered)) == len(distinct) * len(ALL_POLICIES)
+
+
+# (kernel cells of room per call, as (algorithm, tail size) pairs at the
+# largest n; the calls that room gives). n = 3 has tail sizes 1 to 3 and
+# n = 5 has 1 to 5, and a pair at n = 3 takes 3/5 of one at n = 5.
+_SPLITS = {
+    # Every algorithm in each call, over 3 tail sizes at n = 3 and 2 at n = 5.
+    "tail-sizes": (8, [(3, (1, 2, 3), ALL_POLICIES),
+                       (5, (1, 2), ALL_POLICIES),
+                       (5, (3, 4), ALL_POLICIES),
+                       (5, (5,), ALL_POLICIES)]),
+    # One tail size cannot hold all four algorithms: one tail size per
+    # call, and as many algorithms as fit, 3 at n = 3 and 2 at n = 5.
+    "algorithms": (2, [(3, (m,), group) for m in (1, 2, 3)
+                       for group in (ALL_POLICIES[:3], ALL_POLICIES[3:])]
+                   + [(5, (m,), group) for m in (1, 2, 3, 4, 5)
+                      for group in (ALL_POLICIES[:2], ALL_POLICIES[2:])]),
+}
 
 
 def test_sweep_splits_kernel_calls_at_the_cell_cap(tmp_path, capsys, monkeypatch):
@@ -405,19 +429,54 @@ def test_sweep_splits_kernel_calls_at_the_cell_cap(tmp_path, capsys, monkeypatch
     cfg = _write_config(tmp_path, **CACHE_CONFIG)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "whole")]) == 0
     trials, phases = CACHE_CONFIG["trials"], CACHE_CONFIG["phases"]
-    # Room for two tail sizes per call at the largest n, which has five.
-    cap = 2 * trials * max(CACHE_CONFIG["n"])
-    monkeypatch.setattr(cli, "CELL_CAP", cap)
     calls = _counted_kernel(monkeypatch)
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "split")]) == 0
+    for case, (pairs, expected) in _SPLITS.items():
+        cap = pairs * trials * max(CACHE_CONFIG["n"])
+        monkeypatch.setattr(cli, "CELL_CAP", cap)
+        calls.clear()
+        out = tmp_path / case
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert calls == expected, case
+        for n, ms, algorithms in calls:
+            # A pass holds every algorithm's counts for its tail sizes at once.
+            assert len(algorithms) * len(ms) * trials * max(n, phases) <= cap
+        for n in CACHE_CONFIG["n"]:
+            # The algorithms are split only where one tail size cannot hold
+            # them all, and then into groups as large as fit.
+            group = max(len(algorithms) for k, _, algorithms in calls if k == n)
+            if group < len(ALL_POLICIES):
+                assert all(len(ms) == 1 for k, ms, _ in calls if k == n)
+                assert (group + 1) * trials * max(n, phases) > cap
+        for name in (*CACHE_CONFIG["algorithms"], "manifest"):
+            suffix = "json" if name == "manifest" else "csv"
+            assert (out / f"{name}.{suffix}").read_bytes() == \
+                (tmp_path / "whole" / f"{name}.{suffix}").read_bytes()
+
+
+def test_sweep_rows_equal_one_record_per_eta0(tmp_path, capsys):
+    # The rows of eta0 values that share a tail size come from one record;
+    # each must equal the record built for its own eta0 from the kernel's
+    # single-policy call for that cell.
+    cfg = _write_config(tmp_path, **CACHE_CONFIG)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
-    assert len(calls) > len(CACHE_CONFIG["n"]) * len(CACHE_CONFIG["algorithms"])
-    for n, ms, _ in calls:
-        assert len(ms) * trials * max(n, phases) <= cap
-    for name in (*CACHE_CONFIG["algorithms"], "manifest"):
-        suffix = "json" if name == "manifest" else "csv"
-        assert (tmp_path / "split" / f"{name}.{suffix}").read_bytes() == \
-            (tmp_path / "whole" / f"{name}.{suffix}").read_bytes()
+    trials, phases, gran, seed = (CACHE_CONFIG[k] for k in
+                                  ("trials", "phases", "granularity", "seed"))
+    for algorithm in CACHE_CONFIG["algorithms"]:
+        expected = [SweepRecord.csv_header()]
+        for n in CACHE_CONFIG["n"]:
+            for eta0 in CACHE_CONFIG["eta0"]:
+                m = min(max_forcible_transitions(eta0), n)
+                counts, costs = simulate_family_trials(algorithm, CACHE_CONFIG["adversary"], n,
+                                                       m, phases, trials, granularity=gran,
+                                                       seed=seed)
+                expected.append(SweepRecord.from_counts(
+                    n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed, phases=phases,
+                    counts=counts, total_cost_units=int(costs.sum()),
+                    opt_cost_units=trials * phases * gran,
+                ).csv_row())
+        assert _sweep_rows(tmp_path / "o", algorithm) == expected
 
 
 def test_sweep_cache_matches_one_oracle_run_per_cell(tmp_path, capsys, monkeypatch):
@@ -563,7 +622,8 @@ def test_sweep_that_fails_while_computing_leaves_no_output(tmp_path, capsys, mon
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(cli, "simulate_family_trials", second_call_fails)
-    cfg = _write_config(tmp_path, n=[4], eta0=[2], algorithms=["lps", "oblivious"])
+    # One call per n: the pass over the second n fails.
+    cfg = _write_config(tmp_path, n=[4, 8], eta0=[2], algorithms=["lps", "oblivious"])
     out_dir = tmp_path / "o"
     with pytest.raises(RuntimeError, match="kernel failed"):
         main(["sweep", "--config", str(cfg), "--out", str(out_dir)])

@@ -307,8 +307,11 @@ def test_tables_are_int64_arrays_converted_once():
     kept = TaskSequence(n=2, granularity=1, tasks=seq.tasks, lv=seq.lv)
     assert np.shares_memory(kept.tasks, seq.tasks) and np.shares_memory(kept.lv, seq.lv)
     assert TaskSequence(n=3, granularity=1, tasks=[]).tasks.shape == (0, 3)
-    with pytest.raises(TypeError):
-        TaskSequence(n=1, granularity=1, tasks=[[1.5]])
+    for tasks in ([[1.5]], [["a"]], [[2**70]]):
+        with pytest.raises(ConfigurationError, match="tasks entries must be integers"):
+            TaskSequence(n=1, granularity=1, tasks=tasks)
+    with pytest.raises(ConfigurationError, match="lv entries must be integers"):
+        TaskSequence(n=1, granularity=1, tasks=[[1]], lv=[[0.5]])
     loaded = from_json_dict(to_json_dict(seq))
     assert loaded.tasks.dtype == np.int64 and loaded.lv.tolist() == [[2, 0], [0, -1]]
     assert loaded == seq and kept == seq

@@ -71,6 +71,9 @@ def test_kernel_shapes_and_dtypes():
 
 @pytest.mark.parametrize("kwargs", [
     {"policy": "stay-put"},
+    {"policy": ()},
+    {"policy": ("lps", "stay-put")},
+    {"policy": (("lps",),)},
     {"family": "forcing"},
     {"n": 0},
     {"m": 0},
@@ -186,6 +189,48 @@ def test_kernel_over_several_tail_sizes_matches_oracle_and_one_call_each(
              for m in ms]
     assert counts.tolist() == np.stack([c for c, _ in alone]).tolist()
     assert costs.tolist() == np.stack([k for _, k in alone]).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    policies=st.lists(st.sampled_from(POLICIES), min_size=1, max_size=len(POLICIES),
+                      unique=True),
+    family=st.sampled_from(sorted(FAMILIES)),
+    nms=tail_lists,
+    phases=st.integers(1, 5),
+    trials=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+# 60 phases of 16 rows of 12 slots take two blocks of tail_orders.
+@example(policies=["lowest-index", "robust-lps", "oblivious", "lps"], family="rand-lb",
+         nms=(12, [12, 3, 7, 1]), phases=60, trials=4, seed=1)
+@example(policies=["lps", "lowest-index"], family="rand-lb", nms=(12, [12, 2]), phases=60,
+         trials=8, seed=2)
+# Every robust-lps phase runs out of trust and walks on uniformly, on the
+# same rows as oblivious's walks, after a policy that opens no move.
+@example(policies=["lowest-index", "oblivious", "robust-lps"], family="reversal",
+         nms=(12, [12, 11]), phases=5, trials=6, seed=3)
+@example(policies=["robust-lps", "oblivious"], family="rand-lb", nms=(12, [12]), phases=6,
+         trials=4, seed=4)
+@example(policies=["oblivious", "lowest-index", "robust-lps", "lps"], family="reversal",
+         nms=(1, [1, 1]), phases=3, trials=2, seed=5)
+@example(policies=["lps", "robust-lps", "lowest-index", "oblivious"], family="rand-lb",
+         nms=(1, [1]), phases=4, trials=3, seed=6)
+def test_one_pass_over_several_policies_matches_one_call_each_and_oracle(
+        policies, family, nms, phases, trials, seed):
+    # Each policy of a pass runs on its own copy of the scheduler streams
+    # over the phase chain they share, as a call with that policy alone.
+    n, ms = nms[0], tuple(nms[1])
+    args = (family, n, ms, phases, trials)
+    counts, costs = simulate_family_trials(tuple(policies), *args, seed=seed)
+    assert counts.shape == (len(policies), len(ms), trials, phases)
+    assert costs.shape == (len(policies), len(ms), trials)
+    alone = [simulate_family_trials(policy, *args, seed=seed) for policy in policies]
+    assert counts.tolist() == [c.tolist() for c, _ in alone]
+    assert costs.tolist() == [k.tolist() for _, k in alone]
+    want_counts, want_costs = simulate_family_scalar(tuple(policies), *args, seed=seed)
+    assert counts.tolist() == want_counts.tolist()
+    assert costs.tolist() == want_costs.tolist()
 
 
 class _CountingStream(RandomStream):

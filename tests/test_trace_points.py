@@ -63,9 +63,9 @@ def test_installed_tracer_records_the_sweep_layers(spans, tmp_path, capsys):
     with tracer.installed():
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
     names = [span.name for span in tracer.take()]
-    # Two algorithms, one n: two kernel calls, each over both distinct
-    # tail sizes and seeding its streams, and one record per
-    # (algorithm, eta0) cell.
-    assert names.count("kernels.family") == 2
+    # Two algorithms, one n: one kernel call over both algorithms and both
+    # distinct tail sizes, seeding its streams, and one record per
+    # (algorithm, m) cell; eta0 = 0 and 2 give m = 1 and 2.
+    assert names.count("kernels.family") == 1
     assert names.count("analysis.records") == 4
     assert "rng.seed" in names
