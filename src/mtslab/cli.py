@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import shutil
@@ -42,7 +43,12 @@ from .schedulers import make_scheduler, scheduler_names
 from .verify import SUITE_NAMES, run_suite
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every call.
+
+    Parsing leaves it unchanged, so callers must not change it either.
+    """
     parser = argparse.ArgumentParser(
         prog="mtslab",
         description="Simulation laboratory for uniform metrical task systems "

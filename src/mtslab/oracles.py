@@ -37,8 +37,9 @@ def decompose_phases_restart(seq: TaskSequence):
 
     A state whose running sum never reaches the threshold gets the input
     length as its saturation step. Costs O(phases * steps * n);
-    ``core.decompose_phases`` computes the same split from one cumulative
-    sum over windows that double until the phase closes.
+    ``core.decompose_phases`` computes the same split from sums taken from
+    step 0, held one run of steps at a time, over windows that double until
+    the phase closes.
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity

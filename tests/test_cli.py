@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from mtslab import adversaries
+from mtslab import adversaries, cli
 from mtslab.analysis import SweepRecord, max_forcible_transitions
 from mtslab.cli import SWEEP_MAX_N, main
 from mtslab.core import CELL_CAP, UNIT_LIMIT, load_task_sequence
@@ -781,6 +781,26 @@ def test_unknown_subcommand_is_a_parse_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_main_builds_its_parser_once_and_keeps_its_usage_errors(tmp_path, capsys):
+    usage_error = ["simulate", "--input", str(tmp_path / "input.json")]
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(usage_error)
+    fresh = exc.value.code, capsys.readouterr().err
+    assert fresh[0] == 2 and "the following arguments are required: --algorithm" in fresh[1]
+
+    cli.build_parser.cache_clear()
+    rc, inp = _gen(tmp_path, "--adversary", "reversal", "--n", "4", "--eta0", "0")
+    assert rc == 0
+    assert main(["simulate", "--input", str(inp), "--algorithm", "lps"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(usage_error)
+    assert (exc.value.code, capsys.readouterr().err) == fresh
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_console_entry_point_runs():

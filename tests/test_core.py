@@ -3,13 +3,14 @@ import json
 import os
 import re
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mtslab import core
-from mtslab.adversaries import FAMILY_NAMES, random_unit_sequence
+from mtslab.adversaries import FAMILY_NAMES, random_unit_sequence, reversal_sequence
 from mtslab.cli import main
 from mtslab.core import (
     CELL_CAP,
@@ -45,6 +46,20 @@ def test_schedule_cost_charges_processing_at_current_state():
     assert move == 4
     assert proc == 3 + 0 + 1
     assert total == move + proc
+
+
+def test_decomposition_holds_cumulative_sums_for_one_window_not_the_input():
+    # 51,200 steps at n = 64; a whole-input table of cumulative sums would
+    # take as much memory as the tasks.
+    seq = reversal_sequence(64, 64, 128, 800)
+    tracemalloc.start()
+    try:
+        phases = decompose_phases(seq)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(phases) == 800
+    assert peak - retained < seq.tasks.nbytes // 4
 
 
 def test_phase_decomposition_counts_and_suffix():

@@ -165,7 +165,8 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
 
 
 def test_decomposition_across_cumsum_blocks_matches_restart_oracle():
-    # Past 1,024 steps at n = 64, the cumulative table is summed in blocks.
+    # Past 1,024 steps at n = 64, the cumulative sums are summed in blocks
+    # and held in more than one run.
     full = random_unit_sequence(64, 2, 8, seed=1)
     cut = TaskSequence(n=64, granularity=2, tasks=full.tasks[:-100], pst=full.pst)
     for seq in (full, cut):
@@ -173,6 +174,63 @@ def test_decomposition_across_cumsum_blocks_matches_restart_oracle():
         phases = decompose_phases(seq)
         assert phases == decompose_phases_restart(seq)
         assert phases[-1].complete == (seq is full)
+
+
+def _unit_phases(n, lengths, trailing=0, seed=0):
+    """Tasks at granularity 1 whose phases have the given lengths.
+
+    Each state takes one unit at a random step of each phase, one state on
+    its last step. A trailing block of `trailing` steps follows, in which
+    every state but state 0 takes a unit, so it never closes.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for length in [*lengths, trailing]:
+        block = np.zeros((length, n), dtype=np.int64)
+        if length:
+            steps = rng.integers(0, length, size=n)
+            steps[rng.integers(n)] = length - 1
+            block[steps, np.arange(n)] = 1
+        blocks.append(block)
+    blocks[-1][:, 0] = 0
+    return np.concatenate(blocks)
+
+
+def _wide_few_steps():
+    # n = 70,000 sums one step per block. Phases [0, 0] and [1, 3] close,
+    # and the trailing one, [4, 5], leaves a state unsaturated.
+    tasks = np.random.default_rng(3).integers(0, 2, size=(6, 70_000))
+    tasks[0] = tasks[3] = 1
+    return TaskSequence(n=70_000, granularity=1, tasks=tasks)
+
+
+# At n = 64 a block is 1,024 steps and the first window 128 steps, so the
+# first run of cumulative sums covers steps 0 .. 1,024.
+@pytest.mark.parametrize("seq, spans, closes", [
+    # Phases of 100 steps: the second run opens at 900 and copies steps
+    # 900 .. 1,024 from the first, so the phase at 1,000 reads copied and
+    # newly summed steps.
+    pytest.param(TaskSequence(n=64, granularity=1, tasks=_unit_phases(64, [100] * 12)),
+                 [(1000, 1099)], True, id="phase-across-runs"),
+    # The phase at 320 doubles its window past the end of three runs.
+    pytest.param(TaskSequence(n=64, granularity=1,
+                              tasks=_unit_phases(64, [64] * 5 + [3000] + [64] * 3, seed=1)),
+                 [(320, 3319)], True, id="window-past-run-end"),
+    # The trailing phase is longer than a whole block.
+    pytest.param(TaskSequence(n=64, granularity=1,
+                              tasks=_unit_phases(64, [64] * 3, trailing=2500, seed=2)),
+                 [(192, 2691)], False, id="long-trailing-phase"),
+    # One state: a block is 65,536 steps, and the phases cross it.
+    pytest.param(TaskSequence(n=1, granularity=1000,
+                              tasks=np.random.default_rng(4).integers(0, 3, size=(70_000, 1))),
+                 [(961, 1969)], False, id="n-1"),
+    pytest.param(_wide_few_steps(), [(0, 0), (1, 3), (4, 5)], False, id="n-70000"),
+])
+def test_decomposition_across_cumsum_runs_matches_restart_oracle(seq, spans, closes):
+    phases = decompose_phases(seq)
+    assert phases == decompose_phases_restart(seq)
+    assert set(spans) <= {(p.start, p.end) for p in phases}
+    assert phases[-1].complete == closes
 
 
 class _RecordingGreedy(NextRequestGreedy):
