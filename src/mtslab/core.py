@@ -204,39 +204,30 @@ def decompose_phases(seq: TaskSequence) -> list:
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity
-    # cum[t - base, s] is the demand state s receives before step t, for
-    # the steps base .. stop - 1, so state s saturates in the phase opening
-    # at `start` on the step before the first t with cum[t - base, s] >=
-    # cum[start - base, s] + threshold. The loop reads only the steps
-    # start .. start + window, so cum holds one run of steps, never the
-    # whole input: when a window runs past `stop`, a new run opens at
-    # `start`, keeps the steps it shares with the old one and reaches at
-    # least one block further. A run is a view of a state-major array,
-    # whose cumsum runs along contiguous rows, in blocks of about 2**16
-    # entries so that each block stays in cache. Each block carries on
-    # from the step before it, so every value is the sum from step 0 and
-    # wraps in int64 as one whole-input table would.
+    # cum[t - base, s] is the demand state s receives in the steps base ..
+    # t - 1, for t in base .. stop - 1. A run of these sums opens at a phase
+    # start, base, whenever a window runs past `stop`, and covers at least
+    # max(window, rows) steps in one cumsum along the contiguous rows of a
+    # state-major array; later phases that fit in it read it too. State s
+    # saturates in the phase opening at `start` on the step before the first
+    # t with cum[t - base, s] - cum[start - base, s] >= threshold, a sum of
+    # the phase's own steps. The difference is exact whenever the phase's own
+    # running sums fit in int64, even where the run's sums wrap.
     rows = max(1, (1 << 16) // n)
-    cum, base, stop = np.zeros((1, n), dtype=np.int64), 0, 1
+    cum, base, stop = None, 0, 0
     phases: list[Phase] = []
     start, window = 0, 2 * n
     while start < total:
         # One comparison over the steps start .. start + window - 1, with
         # the window doubled until every state saturates or the input ends.
-        need = cum[start - base] + threshold
         while True:
-            if stop <= total and start + window >= stop:
-                kept = cum[start - base:].T
-                width = min(max(start + window + 1, stop + rows), total + 1) - start
-                run = np.empty((n, width), dtype=np.int64)
-                run[:, :kept.shape[1]] = kept
-                for first in range(kept.shape[1], width, rows):
-                    part = run[:, first:first + rows]
-                    step = start + first - 1
-                    np.cumsum(seq.tasks[step:step + part.shape[1]].T, axis=1, out=part)
-                    part += run[:, first - 1:first]
-                cum, base, stop = run.T, start, start + width
-            reached = cum[start + 1 - base:start + 1 - base + window] >= need
+            if min(start + window, total) >= stop:
+                width = min(max(window, rows), total - start)
+                run = np.zeros((n, width + 1), dtype=np.int64)
+                np.cumsum(seq.tasks[start:start + width].T, axis=1, out=run[:, 1:])
+                cum, base, stop = run.T, start, start + width + 1
+            first = start - base
+            reached = cum[first + 1:first + 1 + window] - cum[first] >= threshold
             saturated = reached.any(axis=0)
             if saturated.all() or start + window >= total:
                 break

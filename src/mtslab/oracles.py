@@ -35,20 +35,22 @@ __all__ = [
 def decompose_phases_restart(seq: TaskSequence):
     """Every phase, the trailing partial one last, re-summing from each phase start.
 
-    A state whose running sum never reaches the threshold gets the input
-    length as its saturation step. Costs O(phases * steps * n);
-    ``core.decompose_phases`` computes the same split from sums taken from
-    step 0, held one run of steps at a time, over windows that double until
-    the phase closes.
+    Each state saturates on the first step at which its running sum from the
+    phase start reaches the threshold, and gets the input length when it
+    never does. The first crossing is read without assuming the sums are
+    sorted, so it stays exact while a phase's own running sums fit in int64.
+    Costs O(phases * steps * n); ``core.decompose_phases`` computes the same
+    split from runs of sums, each opened at a phase start, over windows that
+    double until the phase closes.
     """
     total, n = seq.tasks.shape
     threshold = seq.granularity
     phases: list[Phase] = []
     start = 0
     while start < total:
-        cum = np.cumsum(seq.tasks[start:], axis=0)
+        reached = np.cumsum(seq.tasks[start:], axis=0) >= threshold
         sat = tuple(
-            start + int(np.searchsorted(cum[:, s], threshold, side="left"))
+            start + int(reached[:, s].argmax()) if reached[:, s].any() else total
             for s in range(n)
         )
         end = max(sat)

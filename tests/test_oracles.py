@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mtslab.adversaries import _fit_budget, random_unit_sequence, reversal_sequence
 from mtslab.analysis import harmonic_number, max_footrule
@@ -132,6 +132,10 @@ class _RecordingWalk(LowestIndex):
 @example(TaskSequence(n=3, granularity=2, tasks=[[2, 2, 0], [2, 2, 1], [0, 0, 0], [2, 2, 0]]))
 # A trailing phase that runs long past its window.
 @example(TaskSequence(n=1, granularity=3, tasks=[[3]] + [[0]] * 20 + [[1]]))
+# Sums from step 0 wrap in int64 where each phase's own sums do not.
+@example(TaskSequence(n=1, granularity=2**63 - 1, tasks=[[2**63 - 1], [0], [0]]))
+@example(TaskSequence(n=2, granularity=2**62,
+                      tasks=[[2**62, 0], [2**62, 0], [2**62, 2**62], [2**62, 2**62]]))
 def test_single_sum_decomposition_matches_restart_oracle(seq):
     phases = decompose_phases(seq)
     assert phases == decompose_phases_restart(seq)
@@ -164,9 +168,76 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
     assert truth[final] == len(seq)
 
 
+@pytest.mark.parametrize("seq, expected", [
+    # Step 0 saturates the one state at the largest threshold. The phase
+    # from step 1 has no demand and never closes, though step 0's sum plus
+    # the threshold wraps in int64.
+    pytest.param(TaskSequence(n=1, granularity=2**63 - 1, tasks=[[2**63 - 1], [0], [0]]),
+                 [(0, 0, (0,), True), (1, 2, (3,), False)], id="top"),
+    # State 0's sums from step 0 pass 2**63 on step 1; its sums from each
+    # phase start never do.
+    pytest.param(TaskSequence(n=2, granularity=2**62,
+                              tasks=[[2**62, 0], [2**62, 0], [2**62, 2**62], [2**62, 2**62]]),
+                 [(0, 2, (0, 2), True), (3, 3, (3, 3), True)], id="pair"),
+])
+def test_decomposition_near_the_int64_limit_is_pinned(seq, expected):
+    for decompose in (decompose_phases, decompose_phases_restart):
+        phases = decompose(seq)
+        assert [(p.start, p.end, p.sat_step, p.complete) for p in phases] == expected
+
+
+_NEAR_LIMIT = [0, 1, 2**60, 2**61, 2**62, 2**62 + 2**61, 2**63 - 1]
+
+
+def _scan_phases(tasks, n, granularity):
+    """Phases as (start, end, sat_step, complete), summed in Python ints.
+
+    Also returns the largest running sum on any saturation step.
+    """
+    total = len(tasks)
+    phases, peak, start = [], 0, 0
+    while start < total:
+        sat = []
+        for s in range(n):
+            run, t = 0, start
+            while t < total:
+                run += tasks[t][s]
+                if run >= granularity:
+                    peak = max(peak, run)
+                    break
+                t += 1
+            sat.append(t)
+        end = max(sat)
+        phases.append((start, min(end, total - 1), tuple(sat), end < total))
+        start = end + 1
+    return phases, peak
+
+
+@st.composite
+def near_limit_sequences(draw):
+    n = draw(st.integers(1, 3))
+    granularity = draw(st.sampled_from(_NEAR_LIMIT[1:]))
+    row = st.lists(st.sampled_from(_NEAR_LIMIT), min_size=n, max_size=n)
+    return n, granularity, draw(st.lists(row, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_limit_sequences())
+def test_decomposition_is_exact_while_phase_sums_fit_in_int64(drawn):
+    n, granularity, tasks = drawn
+    expected, peak = _scan_phases(tasks, n, granularity)
+    # Past 2**63 a phase's own running sum wraps in int64; below it both
+    # decompositions must be exact, whatever the sums from step 0 do.
+    assume(peak < 2**63)
+    seq = TaskSequence(n=n, granularity=granularity, tasks=tasks)
+    for decompose in (decompose_phases, decompose_phases_restart):
+        phases = decompose(seq)
+        assert [(p.start, p.end, p.sat_step, p.complete) for p in phases] == expected
+
+
 def test_decomposition_across_cumsum_blocks_matches_restart_oracle():
-    # Past 1,024 steps at n = 64, the cumulative sums are summed in blocks
-    # and held in more than one run.
+    # Past 1,024 steps at n = 64, the cumulative sums are held in more than
+    # one run, each opened at a phase start.
     full = random_unit_sequence(64, 2, 8, seed=1)
     cut = TaskSequence(n=64, granularity=2, tasks=full.tasks[:-100], pst=full.pst)
     for seq in (full, cut):
@@ -197,30 +268,32 @@ def _unit_phases(n, lengths, trailing=0, seed=0):
 
 
 def _wide_few_steps():
-    # n = 70,000 sums one step per block. Phases [0, 0] and [1, 3] close,
-    # and the trailing one, [4, 5], leaves a state unsaturated.
+    # At n = 70,000 the first window, 140,000 steps, puts the whole input
+    # in one run. Phases [0, 0] and [1, 3] close, and the trailing one,
+    # [4, 5], leaves a state unsaturated.
     tasks = np.random.default_rng(3).integers(0, 2, size=(6, 70_000))
     tasks[0] = tasks[3] = 1
     return TaskSequence(n=70_000, granularity=1, tasks=tasks)
 
 
-# At n = 64 a block is 1,024 steps and the first window 128 steps, so the
-# first run of cumulative sums covers steps 0 .. 1,024.
+# At n = 64 a run sums at least 1,024 steps and the first window is 128
+# steps, so the first run of cumulative sums covers steps 0 .. 1,023.
 @pytest.mark.parametrize("seq, spans, closes", [
-    # Phases of 100 steps: the second run opens at 900 and copies steps
-    # 900 .. 1,024 from the first, so the phase at 1,000 reads copied and
-    # newly summed steps.
+    # Phases of 100 steps: the second run opens at the phase start 900, so
+    # the phase at 1,000 reads its own sums as differences from step 900's.
     pytest.param(TaskSequence(n=64, granularity=1, tasks=_unit_phases(64, [100] * 12)),
                  [(1000, 1099)], True, id="phase-across-runs"),
-    # The phase at 320 doubles its window past the end of three runs.
+    # The phase at 320 doubles its window past the end of three runs; the
+    # last three open at 320, the last one reaching the input's end.
     pytest.param(TaskSequence(n=64, granularity=1,
                               tasks=_unit_phases(64, [64] * 5 + [3000] + [64] * 3, seed=1)),
                  [(320, 3319)], True, id="window-past-run-end"),
-    # The trailing phase is longer than a whole block.
+    # The trailing phase is longer than a whole run of 1,024 steps.
     pytest.param(TaskSequence(n=64, granularity=1,
                               tasks=_unit_phases(64, [64] * 3, trailing=2500, seed=2)),
                  [(192, 2691)], False, id="long-trailing-phase"),
-    # One state: a block is 65,536 steps, and the phases cross it.
+    # One state: a run sums at least 65,536 steps, and the phases cross
+    # the end of the first.
     pytest.param(TaskSequence(n=1, granularity=1000,
                               tasks=np.random.default_rng(4).integers(0, 3, size=(70_000, 1))),
                  [(961, 1969)], False, id="n-1"),
