@@ -88,11 +88,12 @@ RATIO_DIGITS = 6
 
 
 def round_ratio_half_up(numerator: int, denominator: int) -> str:
-    """Exact decimal string of numerator/denominator, half-up at RATIO_DIGITS."""
+    """Exact decimal string of numerator/denominator, half-up at RATIO_DIGITS;
+    empty when the denominator is zero (flagged rather than divided)."""
     if numerator < 0 or denominator < 0:
         raise ValueError("ratio parts must be >= 0")
     if denominator == 0:
-        return "1." + "0" * RATIO_DIGITS if numerator == 0 else "inf"
+        return ""
     scaled = numerator * 10**RATIO_DIGITS
     q, r = divmod(scaled, denominator)
     if 2 * r >= denominator:
@@ -140,18 +141,13 @@ class SweepRecord:
                     phases: int, counts, total_cost_units: int,
                     opt_cost_units: int) -> "SweepRecord":
         mean, peak = transition_stats(counts)
-        ratio = (
-            round_ratio_half_up(total_cost_units, opt_cost_units)
-            if opt_cost_units > 0
-            else ""
-        )
         return cls(
             n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed, phases=phases,
             mean_transitions_per_phase=mean,
             max_transitions_per_phase=peak,
             total_cost_units=total_cost_units,
             opt_cost_units=opt_cost_units,
-            ratio=ratio,
+            ratio=round_ratio_half_up(total_cost_units, opt_cost_units),
         )
 
     def csv_row(self, eta0: int | None = None) -> str:

@@ -169,8 +169,9 @@ def _cmd_simulate(args) -> int:
     for trial in range(args.trials):
         res = run_scheduler(seq, args.algorithm, seed=args.seed, trial_index=trial,
                             phases=decomposition)
+        # The trailing phase, if any, comes last and has no optimum: zip drops it.
         for p, popt in zip(res.phases, phase_opts):
-            rows.append((trial, p.index, p.transitions, p.cost_units, popt))
+            rows.append((trial, p.phase.index, p.transitions, p.cost_units, popt))
         total_cost += res.total_units
 
     mean_transitions, max_transitions = transition_stats([row[2] for row in rows])
@@ -186,9 +187,7 @@ def _cmd_simulate(args) -> int:
         "max_transitions_per_phase": max_transitions,
         "total_cost_units": total_cost,
         "opt_cost_units": opt_total,
-        "mean_cost_ratio": round_ratio_half_up(total_cost, opt_total * args.trials)
-        if opt_total > 0
-        else "",
+        "mean_cost_ratio": round_ratio_half_up(total_cost, opt_total * args.trials),
     }
 
     # An empty --out, like none, means standard output.

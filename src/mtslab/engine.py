@@ -26,7 +26,8 @@ the last complete phase form a trailing phase that has not closed. The
 decomposition lists it last, with ``complete`` False, and gives each state
 that never saturates in it the input length as its saturation step, so
 the same loop walks it and stops once the scheduler sits on such a state.
-Its costs are reported separately, as ``RunResult.suffix``.
+``RunResult.phases`` follows the decomposition: one ``PhaseStats`` per
+phase, the trailing one last.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import round_ratio_half_up
-from .core import TaskSequence, decompose_phases
+from .core import Phase, TaskSequence, decompose_phases
 from .errors import ConfigurationError
 from .opt import opt_units, phase_opt_units
 from .rng import check_seed
@@ -47,14 +48,13 @@ __all__ = ["PhaseStats", "RunResult", "run_scheduler", "summarize"]
 
 @dataclass
 class PhaseStats:
-    index: int
-    start: int
-    end: int
+    """One phase's counts and costs in a run; ``phase`` is the decomposed phase."""
+
+    phase: Phase
     transitions: int
     moves: int
     movement_units: int
     processing_units: int
-    pst_error: int | float | None
 
     @property
     def cost_units(self) -> int:
@@ -65,18 +65,17 @@ class PhaseStats:
 class RunResult:
     """One run's per-phase costs and its move log.
 
-    ``moves`` holds every move as (effective step, target state), the
-    target occupied from that step on; ``steps`` is the input length.
+    ``phases`` holds one ``PhaseStats`` per decomposed phase, in order, so
+    the trailing partial phase, if any, is last with ``phase.complete``
+    False. ``moves`` holds every move as (effective step, target state),
+    the target occupied from that step on; ``steps`` is the input length.
     """
 
     scheduler: str
     seed: int
     trial_index: int
-    n: int
-    granularity: int
     steps: int = 0
     phases: list = field(default_factory=list)
-    suffix: PhaseStats | None = None
     moves: list = field(default_factory=list)
     conforming: bool = True
 
@@ -86,25 +85,21 @@ class RunResult:
         return _schedule(self.moves, self.steps).tolist()
 
     @property
-    def all_phases(self) -> list:
-        """The complete phases followed by the trailing partial one, if any."""
-        return self.phases if self.suffix is None else self.phases + [self.suffix]
-
-    @property
     def transitions_per_phase(self) -> list:
-        return [p.transitions for p in self.phases]
+        """Transitions in each complete phase."""
+        return [p.transitions for p in self.phases if p.phase.complete]
 
     @property
     def total_transitions(self) -> int:
-        return sum(p.transitions for p in self.all_phases)
+        return sum(p.transitions for p in self.phases)
 
     @property
     def total_moves(self) -> int:
-        return sum(p.moves for p in self.all_phases)
+        return sum(p.moves for p in self.phases)
 
     @property
     def total_units(self) -> int:
-        return sum(p.cost_units for p in self.all_phases)
+        return sum(p.cost_units for p in self.phases)
 
 
 def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int = 0,
@@ -145,25 +140,16 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         counts.append((transitions, len(walk.moves) - moved))
     units = (_event_units if event else _walk_units)(seq, walk.moves, phases)
 
-    threshold = seq.granularity
-    result = RunResult(
+    return RunResult(
         scheduler=sched.name,
         seed=seed,
         trial_index=trial_index,
-        n=seq.n,
-        granularity=threshold,
         steps=len(seq),
+        phases=[PhaseStats(phase, transitions, moves, moves * seq.granularity, processing)
+                for phase, (transitions, moves), processing in zip(phases, counts, units)],
         moves=walk.moves,
         conforming=sched.conforming,
     )
-    for phase, (transitions, moves), processing in zip(phases, counts, units):
-        stats = PhaseStats(phase.index, phase.start, phase.end, transitions, moves,
-                           moves * threshold, processing, phase.pst_error)
-        if phase.complete:
-            result.phases.append(stats)
-        else:
-            result.suffix = stats
-    return result
 
 
 def _walk_phase(walk: Walk, phase, latest_lv) -> int:
@@ -244,40 +230,46 @@ def _latest_next_request(seq: TaskSequence, needed: bool) -> np.ndarray:
 def summarize(seq: TaskSequence, result: RunResult) -> dict:
     """Report dict for one run: per-phase rows, totals, optimum, ratio.
 
-    Each phase row holds the ``PhaseStats`` fields, ``cost_units`` and the
-    phase's own optimum, which lets the comparison schedule open the phase
-    in any state for free; the trailing partial phase, if any, is reported
-    without an optimum. The whole-sequence optimum opens in state 0, as
-    the run does. Both optima are exact. The cost ratio is the
-    exact quotient rounded half-up to six decimal places.
+    Each complete phase's row holds its span, its counts and costs, its
+    prediction error and its own optimum, which lets the comparison
+    schedule open the phase in any state for free; the trailing partial
+    phase, if any, is reported as ``suffix``, without an optimum. The
+    whole-sequence optimum opens in state 0, as the run does. Both optima
+    are exact. The cost ratio is the exact quotient rounded half-up to six
+    decimal places, empty when the optimum is zero.
     """
-    phase_opts = phase_opt_units(seq.tasks, seq.granularity, result.phases)
+    complete = [stats for stats in result.phases if stats.phase.complete]
+    trailing = result.phases[len(complete):]  # the partial phase, if any
+    phase_opts = phase_opt_units(seq.tasks, seq.granularity, [s.phase for s in complete])
     opt_total = opt_units(seq.tasks, seq.granularity)
     report: dict = {
         "scheduler": result.scheduler,
         "seed": result.seed,
         "trial_index": result.trial_index,
-        "n": result.n,
-        "granularity": result.granularity,
+        "n": seq.n,
+        "granularity": seq.granularity,
         "steps": len(seq.tasks),
-        "complete_phases": len(result.phases),
-        "suffix_steps": 0 if result.suffix is None else len(seq) - result.suffix.start,
+        "complete_phases": len(complete),
+        "suffix_steps": len(seq) - trailing[0].phase.start if trailing else 0,
         "total_units": result.total_units,
         "total_transitions": result.total_transitions,
         "total_moves": result.total_moves,
         "phases": [
-            {**vars(stats), "cost_units": stats.cost_units, "opt_units": phase_opt}
-            for stats, phase_opt in zip(result.phases, phase_opts)
+            {"index": s.phase.index, "start": s.phase.start, "end": s.phase.end,
+             **_counts(s), "pst_error": s.phase.pst_error,
+             "cost_units": s.cost_units, "opt_units": phase_opt}
+            for s, phase_opt in zip(complete, phase_opts)
         ],
     }
-    if result.suffix is not None:
-        report["suffix"] = {
-            "start": result.suffix.start,
-            "transitions": result.suffix.transitions,
-            "moves": result.suffix.moves,
-            "movement_units": result.suffix.movement_units,
-            "processing_units": result.suffix.processing_units,
-        }
+    if trailing:
+        report["suffix"] = {"start": trailing[0].phase.start, **_counts(trailing[0])}
     report["opt_units"] = opt_total
     report["cost_ratio"] = round_ratio_half_up(result.total_units, opt_total)
     return report
+
+
+def _counts(stats: PhaseStats) -> dict:
+    """The counts a phase row and the suffix both report."""
+    return {"transitions": stats.transitions, "moves": stats.moves,
+            "movement_units": stats.movement_units,
+            "processing_units": stats.processing_units}

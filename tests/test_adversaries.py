@@ -198,7 +198,7 @@ def test_reversal_walks_prediction_follower_through_m_states():
     # Error budget 4 buys a tail of 3 reversed slots.
     assert run.transitions_per_phase == [3, 3, 3, 3]
     assert pst_error_per_phase(seq) == [4, 4, 4, 4]
-    assert run.suffix is None
+    assert run.phases[-1].phase.complete
 
 
 def test_reversal_with_zero_budget_is_error_free():

@@ -116,8 +116,9 @@ def test_round_ratio_half_up_strings():
     assert round_ratio_half_up(1, 2) == "0.500000"
     assert round_ratio_half_up(2, 1) == "2.000000"
     assert round_ratio_half_up(1, 1600000) == "0.000001"
-    assert round_ratio_half_up(0, 0) == "1.000000"
-    assert round_ratio_half_up(3, 0) == "inf"
+    # A zero denominator is flagged with an empty string, not divided.
+    assert round_ratio_half_up(0, 0) == ""
+    assert round_ratio_half_up(3, 0) == ""
 
 
 def test_mean_and_se():

@@ -19,6 +19,7 @@ from mtslab import adversaries, cli
 from mtslab.analysis import SweepRecord, max_forcible_transitions
 from mtslab.cli import SWEEP_MAX_N, main
 from mtslab.core import CELL_CAP, UNIT_LIMIT, canonical_json, load_task_sequence
+from mtslab.engine import run_scheduler, summarize
 from mtslab.kernels import simulate_family_trials
 from mtslab.schedulers import scheduler_names
 from mtslab.verify import VerifyResult
@@ -75,6 +76,21 @@ def test_simulate_json_to_stdout(tmp_path, capsys):
         assert row["transitions"] == 1
         assert row["opt_cost_units"] == 6
     assert doc["summary"]["max_transitions_per_phase"] == 1
+
+
+def test_simulate_and_summarize_flag_a_zero_optimum_alike(tmp_path, capsys):
+    # State 0 is never requested, so the optimum is 0 while oblivious pays.
+    inp = tmp_path / "zero.json"
+    inp.write_text('{"version":1,"n":2,"granularity":1,"tasks":[[0,1],[0,1],[0,1]]}')
+    rc = main(["simulate", "--input", str(inp), "--algorithm", "oblivious",
+               "--seed", "1", "--format", "json"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["opt_cost_units"] == 0 and summary["total_cost_units"] > 0
+    seq = load_task_sequence(str(inp))
+    report = summarize(seq, run_scheduler(seq, "oblivious", seed=1))
+    assert report["total_units"] == summary["total_cost_units"]
+    assert report["cost_ratio"] == summary["mean_cost_ratio"] == ""
 
 
 def test_adversary_gen_lv_and_replay(tmp_path, capsys):
@@ -925,6 +941,59 @@ def test_hostile_values_in_a_sweep_config_exit_cleanly_and_keep_out(config, exis
         assert rc in (0, 2, 3)
         if rc:
             assert _tree(root) == before
+
+
+_HOSTILE_FLAG_VALUES = ["-1", "0", str(2**63), str(2**64), "x"]
+_GEN_FLAGS = ["--n", "--eta0", "--k", "--r", "--granularity", "--phases", "--seed",
+              "--scheduler"]
+
+
+@st.composite
+def _hostile_argv(draw, out):
+    """An adversary-gen or simulate argument list, small but for one hostile flag.
+
+    The simulate case also returns the adversary-gen call that writes its input.
+    """
+    n, phases = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    family = draw(st.sampled_from(adversaries.FAMILY_NAMES))
+    flags = {"--n": n, "--phases": phases}
+    if family in ("reversal", "force-det"):
+        flags["--eta0"] = draw(st.integers(0, 6))
+    elif family == "rand-lb":
+        flags["--k"] = draw(st.integers(2, 8))
+    else:
+        flags["--r"] = n + draw(st.integers(1, 3))
+    if family in adversaries.INTERACTIVE_FAMILIES:
+        flags["--scheduler"] = draw(st.sampled_from(scheduler_names()))
+    gen = ["adversary-gen", "--adversary", family, "--out", str(out)]
+    if draw(st.booleans()):
+        flags[draw(st.sampled_from(_GEN_FLAGS))] = draw(st.sampled_from(_HOSTILE_FLAG_VALUES))
+        return None, gen + [str(word) for pair in flags.items() for word in pair]
+    flags = {"--trials": 2, "--seed": 0}
+    flags[draw(st.sampled_from(list(flags)))] = draw(st.sampled_from(_HOSTILE_FLAG_VALUES))
+    setup = ["adversary-gen", "--adversary", "rand-lb", "--out", str(out.with_name("in.json")),
+             "--n", str(n), "--k", str(max(n, 2)), "--phases", str(phases)]
+    sim = ["simulate", "--input", str(out.with_name("in.json")), "--algorithm", "oblivious",
+           "--out", str(out)]
+    return setup, sim + [str(word) for pair in flags.items() for word in pair]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hostile_command_line_flags_exit_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        setup, argv = data.draw(_hostile_argv(out))
+        if setup is not None:
+            assert _quiet_main(setup) == 0
+        try:
+            rc = _quiet_main(argv)
+        except SystemExit as exc:  # argparse rejects a value that is not an integer
+            rc = exc.code
+            assert rc == 2
+        assert rc in (0, 2, 3)
+        if rc:
+            assert not out.exists()
 
 
 def _seeded_call(entry, tmp_path, seed):

@@ -42,12 +42,13 @@ def test_lowest_index_frozen_run():
     assert run.transitions_per_phase == [1, 1]
     assert run.schedule == [0, 1, 1, 0, 0]
     # One move per phase at granularity 2.
-    assert [p.movement_units for p in run.phases] == [2, 2]
+    assert [p.movement_units for p in run.phases[:-1]] == [2, 2]
     # Process-then-move: the saturating step is still paid at the old state.
-    assert [p.processing_units for p in run.phases] == [2 + 1, 2 + 1]
-    assert run.suffix.start == 4
-    assert run.suffix.transitions == 0
-    assert run.suffix.processing_units == 1
+    assert [p.processing_units for p in run.phases[:-1]] == [2 + 1, 2 + 1]
+    trailing = run.phases[-1]
+    assert trailing.phase.start == 4
+    assert trailing.transitions == 0
+    assert trailing.processing_units == 1
     assert run.total_units == 2 + 3 + 2 + 3 + 1
     assert run.conforming
 
@@ -58,8 +59,8 @@ def test_engine_costs_match_schedule_audit():
     total, movement, processing = schedule_cost(
         seq.tasks, seq.granularity, run.schedule, start_state=0)
     assert run.total_units == total
-    moves_units = sum(p.movement_units for p in run.phases) + run.suffix.movement_units
-    proc_units = sum(p.processing_units for p in run.phases) + run.suffix.processing_units
+    moves_units = sum(p.movement_units for p in run.phases)
+    proc_units = sum(p.processing_units for p in run.phases)
     assert moves_units == movement
     assert proc_units == processing
 
@@ -69,7 +70,7 @@ def test_phase_stats_expose_prediction_error():
     run = run_scheduler(seq, "lowest-index")
     # Phase 0 truth sat steps are [0, 1]; block says [0, 1]: error 0.
     # Phase 1 truth sat steps are [3, 2]; block says [3, 2]: error 0.
-    assert [p.pst_error for p in run.phases] == [0, 0]
+    assert [p.phase.pst_error for p in run.phases[:-1]] == [0, 0]
 
 
 def test_missing_prediction_blocks_are_rejected():
@@ -90,7 +91,7 @@ def test_suffix_needs_its_own_prediction_block():
         run_scheduler(trimmed, "lps")
     # Schedulers that ignore predictions run fine without the block.
     run = run_scheduler(trimmed, "lowest-index")
-    assert len(run.phases) == 2
+    assert len(run.transitions_per_phase) == 2
 
 
 def test_randomized_runs_are_reproducible_per_trial():
@@ -120,6 +121,28 @@ def test_summarize_report_shape():
     assert report["suffix"]["start"] == 4
     assert report["opt_units"] > 0
     assert "." in report["cost_ratio"]
+
+
+def test_run_lists_every_phase_once_with_the_trailing_one_last():
+    seq = _two_phase_sequence()
+    # At this seed oblivious also moves in the trailing phase.
+    run = run_scheduler(seq, "oblivious", seed=2)
+    assert [p.phase for p in run.phases] == decompose_phases(seq)
+    trailing = run.phases[-1]
+    assert not trailing.phase.complete
+    assert (trailing.transitions, trailing.moves, trailing.cost_units) == (1, 1, 2)
+    # Totals cover the trailing phase; the per-phase transitions do not.
+    assert run.transitions_per_phase == [1, 2]
+    assert run.total_transitions == 1 + 2 + 1
+    assert run.total_moves == 1 + 1 + 1
+    assert run.total_units == 4 + 5 + 2
+    report = summarize(seq, run)
+    assert len(report["phases"]) == 2
+    assert report["suffix"] == {
+        "start": trailing.phase.start, "transitions": trailing.transitions,
+        "moves": trailing.moves, "movement_units": trailing.movement_units,
+        "processing_units": trailing.processing_units,
+    }
 
 
 # Small integers fit most fields, so a good share of spliced payloads load

@@ -47,7 +47,7 @@ def test_kernel_matches_engine_trial_zero(family, policy, n, m, gran, phases):
     run = run_scheduler(seq, policy, seed=seed, trial_index=0)
     assert run.transitions_per_phase == counts[0].tolist()
     assert run.total_units == int(costs[0])
-    assert run.suffix is None
+    assert run.phases[-1].phase.complete
 
 
 def test_trials_use_independent_streams():

@@ -153,7 +153,7 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
         assert unsaturated == [s for s in range(seq.n) if truth[s] > now]
     if not phases or phases[-1].complete:
         # No forced move past the input's end.
-        assert run.suffix is None and not [c for c in sched.calls if c[2] >= len(seq)]
+        assert all(p.phase.complete for p in run.phases) and not [c for c in sched.calls if c[2] >= len(seq)]
         return
 
     trailing = phases[-1]
@@ -161,7 +161,8 @@ def test_single_sum_decomposition_matches_restart_oracle(seq):
     trailing_calls = [c for c in sched.calls if c[2] >= suffix_start]
     assert trailing.end == len(seq) - 1
     # The engine walks the trailing phase on the same saturation steps.
-    assert (run.suffix.start, run.suffix.end) == (suffix_start, len(seq) - 1)
+    last = run.phases[-1].phase
+    assert (last.start, last.end) == (suffix_start, len(seq) - 1)
     # It stops only on a state that never saturates inside the input.
     final = trailing_calls[-1][3] if trailing_calls else run.schedule[suffix_start]
     assert truth[final] == len(seq)
@@ -379,7 +380,7 @@ def test_schedulers_without_lv_run_the_same_with_and_without_it(seq, seed):
         for variant in (with_lv, without_lv):
             sched = make_scheduler(name)
             run = run_scheduler(variant, sched, seed=seed)
-            runs.append((run.schedule, run.all_phases, _stream_words(sched)))
+            runs.append((run.schedule, run.phases, _stream_words(sched)))
         assert runs[0] == runs[1], name
 
     custom = _RecordingLowest()
