@@ -92,6 +92,8 @@ def _prediction_block(offset: int, pred_state) -> tuple:
 
 def budget_tail_size(n: int, eta0: int) -> int:
     """m = min(max_forcible_transitions(eta0), n): the tail eta0 buys over n states."""
+    if eta0 < 0:
+        raise ConfigurationError("eta0 must be >= 0")
     return min(max_forcible_transitions(eta0), n)
 
 
@@ -104,8 +106,6 @@ def reversal_sequence(n: int, granularity: int, eta0: int, phases: int) -> TaskS
     and walks a prediction-following scheduler through all m slots: one
     opening move plus m - 1 forced moves, every phase.
     """
-    if eta0 < 0:
-        raise ConfigurationError("eta0 must be >= 0")
     _check_geometry(n, granularity, phases, n)
     return _tail_sequence("reversal", n, granularity, budget_tail_size(n, eta0), phases, 0)
 
@@ -302,8 +302,6 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
     generation identical to the later replay.
     """
     _check_geometry(n, granularity, phases, 1)
-    if eta0 < 0:
-        raise ConfigurationError("eta0 must be >= 0")
     m = budget_tail_size(n, eta0)
     walk = _live_scheduler(scheduler, n, seed)
 
@@ -479,8 +477,17 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
     return replace(seq, pst=blocks)
 
 
-FAMILY_NAMES = ("reversal", "lv", "force-det", "rand-lb")
-INTERACTIVE_FAMILIES = ("lv", "force-det")
+# The flags each family reads besides n, granularity, phases and seed. Each
+# is required, but for lv's r, which defaults to the granularity, or n + 1.
+_FAMILY_FLAGS = {
+    "reversal": ("eta0",),
+    "lv": ("scheduler", "r"),
+    "force-det": ("eta0", "scheduler"),
+    "rand-lb": ("k",),
+}
+FAMILY_NAMES = tuple(_FAMILY_FLAGS)
+INTERACTIVE_FAMILIES = tuple(name for name, flags in _FAMILY_FLAGS.items()
+                             if "scheduler" in flags)
 _FAMILY_ALIASES = {
     "force-deterministic": "force-det",
     "lv-adversary": "lv",
@@ -506,34 +513,22 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
     Returns (sequence, info) where info carries the derived geometry that
     the command line reports: the realized tail size m for the
     budget-driven families, or the repeat count for the demand-repeat one.
+    A flag the family does not read, per ``_FAMILY_FLAGS``, is an error.
     """
     name = canonical_family(family)
-    if name in INTERACTIVE_FAMILIES and scheduler is None:
-        raise ConfigurationError(f"family {name!r} needs --scheduler (it steers one)")
-    if name in ("reversal", "force-det"):
-        if eta0 is None:
-            raise ConfigurationError(f"family {name!r} needs --eta0")
-        if k is not None or r is not None:
-            raise ConfigurationError(f"family {name!r} takes --eta0, not --k or --r")
-    elif name == "rand-lb":
-        if k is None:
-            raise ConfigurationError("family 'rand-lb' needs --k (shuffled tail size)")
-        if k < 2:
-            raise ConfigurationError("family 'rand-lb' needs --k >= 2")
-        if eta0 is not None or r is not None:
-            raise ConfigurationError("family 'rand-lb' takes --k, not --eta0 or --r")
-    else:
-        if eta0 is not None or k is not None:
-            raise ConfigurationError("family 'lv' takes --r, not --eta0 or --k")
-        if r is None:
-            r = granularity
-        elif granularity is not None and granularity != r:
-            raise ConfigurationError("the granularity of family 'lv' is the repeat count --r")
-        if r is not None and r <= n:
-            raise ConfigurationError("family 'lv' needs --r > n")
-        granularity = n + 1 if r is None else r
+    reads = _FAMILY_FLAGS[name]
+    for flag, value in (("eta0", eta0), ("scheduler", scheduler), ("r", r), ("k", k)):
+        if value is not None and flag not in reads:
+            raise ConfigurationError(f"family {name!r} does not read --{flag}")
+        if value is None and flag in reads and flag != "r":
+            raise ConfigurationError(f"family {name!r} needs --{flag}")
+    if name == "rand-lb" and k < 2:
+        raise ConfigurationError("family 'rand-lb' needs --k >= 2")
+    # Only lv reads r; its granularity is the repeat count.
     if granularity is None:
-        granularity = max(n, 1)
+        granularity = r if r is not None else n + 1 if name == "lv" else max(n, 1)
+    elif r is not None and r != granularity:
+        raise ConfigurationError("the granularity of family 'lv' is the repeat count --r")
     _check_output_size(name, n, granularity, phases)
     if name == "reversal":
         seq = reversal_sequence(n, granularity, eta0, phases)

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int, default=None,
                      help="shuffled tail size for the rand-lb family (>= 2)")
     gen.add_argument("--scheduler", default=None,
-                     help="scheduler steered by the interactive families: "
+                     help="scheduler steered by the force-det and lv families: "
                           + ", ".join(scheduler_names()))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output JSON path")

@@ -6,10 +6,11 @@ calls the scheduler's own hooks itself, once per phase opening and once
 per saturation of its current state, and takes each move's candidates
 from the phase's cached list. A ``Scheduler`` instance runs through the
 movement protocol of ``schedulers.Walk``, which checks every answer; that
-path is the only one for custom schedulers and the oracle the event path
-is tested against. Both paths keep the move log, from which
-``RunResult.schedule`` (the state occupied at every step) is built when
-it is read, so a run can be audited against ``core.schedule_cost``.
+path is the only one for custom schedulers and the oracle the event
+path's moves and transitions are tested against. Both paths keep the move
+log, from which ``RunResult.schedule`` (the state occupied at every step)
+is built when it is read, and share one sum of processing units per
+phase, which is audited against ``core.schedule_cost``.
 
 Runs always open in state 0. Randomized schedulers draw from the stream
 seeded with trial_seed(seed, trial_index), the same derivation the batched
@@ -138,7 +139,7 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
         moved = len(walk.moves)
         transitions = walk_phase(walk, phase, latest_lv)
         counts.append((transitions, len(walk.moves) - moved))
-    units = (_event_units if event else _walk_units)(seq, walk.moves, phases)
+    units = _units(seq, walk.moves, phases)
 
     return RunResult(
         scheduler=sched.name,
@@ -191,13 +192,7 @@ def _event_phase(walk: Walk, phase, latest_lv) -> int:
     return transitions
 
 
-def _walk_units(seq: TaskSequence, moves, phases) -> list:
-    """Processing units per phase: one Python sum per phase over the per-step costs."""
-    per_step = seq.tasks[np.arange(len(seq)), _schedule(moves, len(seq))].tolist()
-    return [sum(per_step[p.start : p.end + 1]) for p in phases]
-
-
-def _event_units(seq: TaskSequence, moves, phases) -> list:
+def _units(seq: TaskSequence, moves, phases) -> list:
     """Processing units per phase: one gather of the per-step costs along the
     schedule and one sum per phase, from its start to the next phase's."""
     total, n = seq.tasks.shape
@@ -206,7 +201,8 @@ def _event_units(seq: TaskSequence, moves, phases) -> list:
     per_step = seq.tasks.reshape(-1).take(_schedule(moves, total) + np.arange(0, total * n, n))
     # The phases tile the input. int64 is exact while no partial sum can reach 2**63.
     if int(per_step.max()) * total >= 1 << 63:
-        return _walk_units(seq, moves, phases)
+        per_step = per_step.tolist()
+        return [sum(per_step[p.start : p.end + 1]) for p in phases]
     return np.add.reduceat(per_step, [p.start for p in phases]).tolist()
 
 

@@ -294,7 +294,8 @@ def invariants_suite(inputs: int = 60, seed: int = 0) -> VerifyResult:
     own checks, the offline-optimum sandwich among them, run once, and
     every registered scheduler's run must satisfy the cost identity and,
     when conforming, the per-phase cost sandwich. Failures carry the
-    offending input's parameters and the scheduler in their detail.
+    offending input's parameters in their detail, and a run's failures
+    also name its scheduler.
     """
     if inputs < 1:
         raise ConfigurationError("inputs must be >= 1")
@@ -307,20 +308,17 @@ def invariants_suite(inputs: int = 60, seed: int = 0) -> VerifyResult:
         gran = 2 + stream.randbelow(9)
         phase_count = 1 + stream.randbelow(2)
         seq = random_unit_sequence(n, gran, phase_count, seed=trial_seed(seed, i))
-        # The input's own checks are the same for every run.
+        where = f"input {i} (n={n}, g={gran}, phases={phase_count})"
         decomposed = decompose_phases(seq)
-        shared = VerifyResult()
-        _check_sequence(shared, seq, decomposed)
+        sub = VerifyResult()
+        _check_sequence(sub, seq, decomposed)  # once: the same for every run
+        failures += [f"{where}: {c.name}: {c.detail}" for c in sub.checks if not c.passed]
         for name in sorted(SCHEDULERS):
-            sub = VerifyResult(list(shared.checks))
+            sub = VerifyResult()
             _check_run(sub, seq, decomposed, name, seed=seed)
             runs += 1
-            for check in sub.checks:
-                if not check.passed:
-                    failures.append(
-                        f"input {i} (n={n}, g={gran}, phases={phase_count}), "
-                        f"scheduler {name}: {check.name}: {check.detail}"
-                    )
+            failures += [f"{where}, scheduler {name}: {c.name}: {c.detail}"
+                         for c in sub.checks if not c.passed]
     result.add(
         "random-input-conformance",
         not failures,

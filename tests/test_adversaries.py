@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtslab.adversaries import (
+    _FAMILY_FLAGS,
     BLOCK_CELLS,
     FAMILY_NAMES,
+    INTERACTIVE_FAMILIES,
     build_family,
     canonical_family,
     forcing_sequence,
@@ -396,6 +398,28 @@ def test_build_family_flag_validation():
         build_family("lv", n=4, scheduler="lowest-index", eta0=1)
     with pytest.raises(ConfigurationError):
         build_family("force-det", n=4, eta0=2)  # missing scheduler
+
+
+# A valid value of every family flag at n = 4.
+_FLAG_VALUES = {"eta0": 2, "k": 3, "r": 5, "scheduler": "lowest-index"}
+
+
+def test_family_names_come_from_the_flag_table():
+    assert FAMILY_NAMES == ("reversal", "lv", "force-det", "rand-lb")
+    assert INTERACTIVE_FAMILIES == ("lv", "force-det")
+
+
+@pytest.mark.parametrize("family", _FAMILY_FLAGS)
+def test_build_family_reads_exactly_the_flags_of_its_table_row(family):
+    reads = _FAMILY_FLAGS[family]
+    given = {flag: _FLAG_VALUES[flag] for flag in reads}
+    build_family(family, n=4, **given)
+    for flag in _FLAG_VALUES.keys() - set(reads):
+        with pytest.raises(ConfigurationError, match=rf"--{flag}\b"):
+            build_family(family, n=4, **given, **{flag: _FLAG_VALUES[flag]})
+    for flag in set(reads) - {"r"}:  # lv's r defaults to n + 1
+        with pytest.raises(ConfigurationError, match=rf"--{flag}\b"):
+            build_family(family, n=4, **{f: v for f, v in given.items() if f != flag})
 
 
 def test_repeat_block_bound_error_names_repeat():

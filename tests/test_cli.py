@@ -130,6 +130,16 @@ def test_adversary_gen_rand_lb(tmp_path, capsys):
     assert len(seq.pst) == 4
 
 
+@pytest.mark.parametrize("family, flag", [("reversal", "--eta0"), ("rand-lb", "--k")])
+def test_adversary_gen_refuses_a_scheduler_the_family_does_not_read(
+        tmp_path, capsys, family, flag):
+    rc, out = _gen(tmp_path, "--adversary", family, "--n", "4", flag, "2",
+                   "--scheduler", "lps")
+    assert rc == 2
+    assert "--scheduler" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_trials_only_for_randomized(tmp_path, capsys):
     _, inp = _gen(tmp_path, "--adversary", "reversal", "--n", "4",
                   "--eta0", "2", "--phases", "1")

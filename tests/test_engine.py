@@ -11,6 +11,7 @@ from mtslab.core import (
     TaskSequence,
     decompose_phases,
     from_json_dict,
+    next_demand,
     schedule_cost,
     to_json_dict,
 )
@@ -54,15 +55,24 @@ def test_lowest_index_frozen_run():
 
 
 def test_engine_costs_match_schedule_audit():
-    seq = _two_phase_sequence()
-    run = run_scheduler(seq, "lps")
-    total, movement, processing = schedule_cost(
-        seq.tasks, seq.granularity, run.schedule, start_state=0)
-    assert run.total_units == total
-    moves_units = sum(p.movement_units for p in run.phases)
-    proc_units = sum(p.processing_units for p in run.phases)
-    assert moves_units == movement
-    assert proc_units == processing
+    # Every scheduler, on the event path and through Walk; the last phase trails.
+    base = _two_phase_sequence()
+    seq = TaskSequence(n=base.n, granularity=base.granularity, tasks=base.tasks,
+                       pst=base.pst, lv=next_demand(base.tasks))
+    for name in scheduler_names():
+        for scheduler in (name, make_scheduler(name)):
+            run = run_scheduler(seq, scheduler, seed=3)
+            total, movement, processing = schedule_cost(
+                seq.tasks, seq.granularity, run.schedule, start_state=0)
+            assert run.total_units == total
+            assert sum(p.movement_units for p in run.phases) == movement
+            assert sum(p.processing_units for p in run.phases) == processing
+            assert not run.phases[-1].phase.complete
+            for p in run.phases:
+                steps = slice(p.phase.start, p.phase.end + 1)
+                _, _, processing = schedule_cost(seq.tasks[steps], seq.granularity,
+                                                 run.schedule[steps])
+                assert p.processing_units == processing, (name, p.phase.index)
 
 
 def test_phase_stats_expose_prediction_error():

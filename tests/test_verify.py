@@ -2,6 +2,7 @@
 
 import pytest
 
+from mtslab import verify
 from mtslab.adversaries import random_unit_sequence, reversal_sequence
 from mtslab.core import TaskSequence, lv_loss, pst_error_per_phase
 from mtslab.engine import run_scheduler
@@ -141,6 +142,21 @@ def test_invariants_suite_reports_a_failing_offline_sandwich(monkeypatch):
     check, = invariants_suite(inputs=2, seed=2).checks
     assert (check.name, check.passed) == ("random-input-conformance", False)
     assert "offline-sandwich: offline optimum 0 outside [" in check.detail
+
+
+def test_invariants_suite_reports_a_failed_input_check_once(monkeypatch):
+    check_sequence = verify._check_sequence
+
+    def planted(result, seq, decomposed):
+        check_sequence(result, seq, decomposed)
+        result.add("planted", False, "broken")
+
+    monkeypatch.setattr(verify, "_check_sequence", planted)
+    check, = invariants_suite(inputs=2, seed=2).checks
+    # One entry per input, naming no scheduler, and no run fails.
+    entries = check.detail.split("; ")
+    assert [e.split(" (")[0] for e in entries] == ["input 0", "input 1"]
+    assert all(e.endswith("): planted: broken") for e in entries)
 
 
 def test_run_suite_dispatch():
