@@ -235,7 +235,7 @@ def _tail_sequence(family: str, n: int, granularity: int, m: int, phases: int,
     tasks = np.empty((phases * n, n), np.int64)
     pst: dict = {}
     h = np.empty(n, np.int64)
-    words = state_rows([trial_seed(seed, 0)]).T.copy()
+    words = state_rows([trial_seed(seed, 0)])
     offset = 0
     for order, true in tail_orders(family, n, m, phases, words):
         for pred, realized in zip(order[0], true[0]):
@@ -246,19 +246,15 @@ def _tail_sequence(family: str, n: int, granularity: int, m: int, phases: int,
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst)
 
 
-def _check_geometry(n: int, granularity: int, phases: int, least_granularity: int,
-                    name: str = "granularity") -> None:
-    """A generator's bounds: n >= 1, phases >= 1 and its family's least granularity.
-
-    ``name`` is the caller's argument that sets the granularity.
-    """
+def _check_geometry(n: int, granularity: int, phases: int, least_granularity: int) -> None:
+    """A generator's bounds: n >= 1, phases >= 1 and its family's least granularity."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
     if phases < 1:
         raise ConfigurationError("phases must be >= 1")
     if granularity < least_granularity:
         raise ConfigurationError(
-            f"{name} must be >= {least_granularity} for this family, got {granularity}"
+            f"granularity must be >= {least_granularity} for this family, got {granularity}"
         )
 
 
@@ -329,25 +325,24 @@ def forcing_sequence(n: int, granularity: int, eta0: int, phases: int,
 
 
 def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
-                          repeat: int | None = None, seed: int = 0) -> TaskSequence:
+                          granularity: int | None = None, seed: int = 0) -> TaskSequence:
     """Pin a scheduler with truthful next-request predictions.
 
     The stream is built from single-state demands of one unit each, with
-    the saturation threshold set to ``repeat`` (default n + 1). A phase
-    runs n rounds: round q sweeps all states once in index order, then
-    hammers the state the scheduler currently occupies for repeat - q
-    further steps, which lands that state on the threshold exactly at the
-    block's last step and forces the scheduler off. Every state is
-    hammered exactly once per phase, so a conforming scheduler that makes
-    no phase-opening move is forced into exactly n - 1 transitions per
-    phase. The emitted next-request table is exact (zero loss): sweeps
-    never saturate anything, so the hammer target for round q is already
-    determined when round q starts.
+    the saturation threshold, the repeat count, set to ``granularity``
+    (default n + 1). A phase runs n rounds: round q sweeps all states once
+    in index order, then hammers the state the scheduler currently
+    occupies for repeat - q further steps, which lands that state on the
+    threshold exactly at the block's last step and forces the scheduler
+    off. Every state is hammered exactly once per phase, so a conforming
+    scheduler that makes no phase-opening move is forced into exactly
+    n - 1 transitions per phase. The emitted next-request table is exact
+    (zero loss): sweeps never saturate anything, so the hammer target for
+    round q is already determined when round q starts.
     """
-    if repeat is None:
-        repeat = n + 1
-    # The granularity is the repeat count; n + 1 keeps sweeps from saturating.
-    _check_geometry(n, repeat, phases, n + 1, name="repeat")
+    repeat = n + 1 if granularity is None else granularity
+    # At least n + 1 keeps sweeps from saturating.
+    _check_geometry(n, repeat, phases, n + 1)
     walk = _live_scheduler(scheduler, n, seed, allow_pst=False)
 
     # The demanded state of every step.
@@ -477,11 +472,11 @@ def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
     return replace(seq, pst=blocks)
 
 
-# The flags each family reads besides n, granularity, phases and seed. Each
-# is required, but for lv's r, which defaults to the granularity, or n + 1.
+# The flags each family reads besides n, granularity, phases and seed; each
+# is required.
 _FAMILY_FLAGS = {
     "reversal": ("eta0",),
-    "lv": ("scheduler", "r"),
+    "lv": ("scheduler",),
     "force-det": ("eta0", "scheduler"),
     "rand-lb": ("k",),
 }
@@ -506,8 +501,7 @@ def canonical_family(family: str) -> str:
 
 def build_family(family: str, *, n: int, granularity: int | None = None,
                  eta0: int | None = None, phases: int = 1, seed: int = 0,
-                 scheduler: str | None = None, r: int | None = None,
-                 k: int | None = None):
+                 scheduler: str | None = None, k: int | None = None):
     """Uniform entry point used by the command line.
 
     Returns (sequence, info) where info carries the derived geometry that
@@ -517,18 +511,16 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
     """
     name = canonical_family(family)
     reads = _FAMILY_FLAGS[name]
-    for flag, value in (("eta0", eta0), ("scheduler", scheduler), ("r", r), ("k", k)):
+    for flag, value in (("eta0", eta0), ("scheduler", scheduler), ("k", k)):
         if value is not None and flag not in reads:
             raise ConfigurationError(f"family {name!r} does not read --{flag}")
-        if value is None and flag in reads and flag != "r":
+        if value is None and flag in reads:
             raise ConfigurationError(f"family {name!r} needs --{flag}")
     if name == "rand-lb" and k < 2:
         raise ConfigurationError("family 'rand-lb' needs --k >= 2")
-    # Only lv reads r; its granularity is the repeat count.
+    # lv's granularity is its repeat count r, which must exceed n.
     if granularity is None:
-        granularity = r if r is not None else n + 1 if name == "lv" else max(n, 1)
-    elif r is not None and r != granularity:
-        raise ConfigurationError("the granularity of family 'lv' is the repeat count --r")
+        granularity = n + 1 if name == "lv" else max(n, 1)
     _check_output_size(name, n, granularity, phases)
     if name == "reversal":
         seq = reversal_sequence(n, granularity, eta0, phases)
@@ -539,7 +531,7 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
     if name == "force-det":
         seq = forcing_sequence(n, granularity, eta0, phases, scheduler, seed=seed)
         return seq, {"family": name, "m": budget_tail_size(n, eta0)}
-    seq = repeat_block_sequence(n, phases, scheduler, repeat=granularity, seed=seed)
+    seq = repeat_block_sequence(n, phases, scheduler, granularity, seed=seed)
     return seq, {"family": name, "r": seq.granularity}
 
 

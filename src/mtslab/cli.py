@@ -67,10 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--eta0", type=int, default=None,
                      help="prediction error budget (reversal, force-det)")
     gen.add_argument("--granularity", type=int, default=None,
-                     help="units per saturation threshold (default n)")
+                     help="units per saturation threshold (default n); for the lv "
+                          "family, its repeat count r (> n, default n + 1)")
     gen.add_argument("--phases", type=int, default=1, help="complete phases to emit")
-    gen.add_argument("--r", type=int, default=None,
-                     help="repeat count for the lv family (> n, default n + 1)")
     gen.add_argument("--k", type=int, default=None,
                      help="shuffled tail size for the rand-lb family (>= 2)")
     gen.add_argument("--scheduler", default=None,
@@ -97,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the self-contained property suites")
     ver.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    ver.add_argument("--max-m", type=int, default=8,
-                     help="largest tail size for the brute-force footrule suite")
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(func=_cmd_verify)
 
@@ -122,7 +119,6 @@ def _cmd_adversary_gen(args) -> int:
         phases=args.phases,
         seed=args.seed,
         scheduler=args.scheduler,
-        r=args.r,
         k=args.k,
     )
     save_task_sequence(seq, args.out)
@@ -206,7 +202,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     check_seed(args.seed, "--seed")
-    result = run_suite(args.suite, max_m=args.max_m, seed=args.seed)
+    result = run_suite(args.suite, seed=args.seed)
     for line in result.lines():
         print(line)
     return 0 if result.passed else 1

@@ -172,10 +172,8 @@ def _simulate_family(policies, family, n, m, gran, phases, sch, adv):
 
 def _streams(seed, trials, copies):
     """Word-major xorshift words, shape (4, copies * trials): column
-    k * trials + i holds trial i's stream from ``seed``, for every copy k.
-    The copy makes the words C-contiguous, whatever the number of copies."""
-    words = state_rows([trial_seed(seed, t) for t in range(trials)])
-    return np.tile(words, (copies, 1)).T.copy()
+    k * trials + i holds trial i's stream from ``seed``, for every copy k."""
+    return np.tile(state_rows([trial_seed(seed, t) for t in range(trials)]), copies)
 
 
 def simulate_family_trials(policy, family: str, n: int, m,

@@ -87,15 +87,17 @@ def _mix64_rows(z: np.ndarray) -> np.ndarray:
 
 
 def state_rows(seeds: list[int]) -> np.ndarray:
-    """``seed_words`` of every seed, one row each, kernel-ready (int64)."""
+    """``seed_words`` of every seed, one column each: the word-major
+    (4, streams) C-contiguous int64 table that ``_randbelow`` and
+    ``_word_run`` read."""
     s = np.array([seed & MASK64 for seed in seeds], dtype=np.uint64)
     a = _mix64_rows(s + np.uint64(_GAMMA))
     b = _mix64_rows(s + np.uint64(2 * _GAMMA & MASK64))
     half = np.uint64(32)
     low = np.uint64(MASK32)
-    rows = np.stack([a & low, a >> half, b & low, b >> half], axis=1).astype(np.int64)
-    rows[~rows.any(axis=1)] = (1, 0, 0, 0)
-    return rows
+    words = np.stack([a & low, a >> half, b & low, b >> half]).astype(np.int64)
+    words[0, ~words.any(axis=0)] = 1
+    return words
 
 
 class RandomStream:

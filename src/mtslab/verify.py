@@ -207,16 +207,10 @@ def max_footrule_bruteforce(m: int) -> int:
     return best
 
 
-def _check_max_m(max_m: int) -> None:
-    if not 1 <= max_m <= 9:
-        raise ConfigurationError("max_m must be in [1, 9] (factorial enumeration)")
-
-
-def footrule_suite(max_m: int = 8) -> VerifyResult:
-    """Brute-force footrule maxima against the closed form."""
-    _check_max_m(max_m)
+def footrule_suite() -> VerifyResult:
+    """Brute-force footrule maxima against the closed form, for m = 1..8."""
     result = VerifyResult()
-    for m in range(1, max_m + 1):
+    for m in range(1, 9):
         brute = max_footrule_bruteforce(m)
         closed = max_footrule(m)
         result.add(
@@ -330,17 +324,16 @@ def invariants_suite(inputs: int = 60, seed: int = 0) -> VerifyResult:
     return result
 
 
-def run_suite(suite: str, *, max_m: int = 8, seed: int = 0) -> VerifyResult:
+def run_suite(suite: str, *, seed: int = 0) -> VerifyResult:
     """Dispatch one named suite (or all of them) and merge the results."""
     if suite not in SUITE_NAMES:
         known = ", ".join(SUITE_NAMES)
         raise ConfigurationError(f"unknown suite {suite!r} (known: {known})")
-    _check_max_m(max_m)
     result = VerifyResult()
     if suite in ("arith", "all"):
         result.checks.extend(arith_suite().checks)
     if suite in ("footrule", "all"):
-        result.checks.extend(footrule_suite(max_m).checks)
+        result.checks.extend(footrule_suite().checks)
     if suite in ("opt", "all"):
         result.checks.extend(opt_suite(seed=seed).checks)
     if suite in ("invariants", "all"):

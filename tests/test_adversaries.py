@@ -65,7 +65,7 @@ def test_realize_order_validation():
 
 def _tail_tables(family, n, m, phases, seeds):
     """(order, true) per phase, each (rows, n), from ``tail_orders``' blocks."""
-    words = state_rows(seeds).T.copy()
+    words = state_rows(seeds)
     return [(order[:, p], true[:, p]) for order, true in tail_orders(family, n, m, phases, words)
             for p in range(order.shape[1])]
 
@@ -141,7 +141,7 @@ def test_tail_orders_are_one_geometry_for_kernel_and_files(family, n, data, phas
 def test_tail_orders_blocks_stay_within_their_cell_budget():
     # The kernel oracle tests' two-block examples: 8 rows and 16 rows of 12 slots.
     for rows, phases in ((8, 100), (16, 60)):
-        words = state_rows([trial_seed(1, t) for t in range(rows)]).T.copy()
+        words = state_rows([trial_seed(1, t) for t in range(rows)])
         blocks = [order.shape for order, _ in tail_orders("rand-lb", 12, 12, phases, words)]
         assert len(blocks) == 2 and sum(shape[1] for shape in blocks) == phases
         assert all(rows * shape[1] * 12 <= BLOCK_CELLS for shape in blocks)
@@ -175,7 +175,7 @@ def test_rejected_word_in_a_block_is_redrawn_as_the_stream_would(earlier):
     assert [ahead.next_u32() for _ in range(earlier + 1)][-1] == 0xFFFFFFFF
     n, m, phases = 7, [5, 5, 3], 4
     seeds = [trial_seed(2, t) for t in range(3)]
-    words = state_rows(seeds).T.copy()
+    words = state_rows(seeds)
     words[:, 1] = crafted
     replay = [_stream_at(column) for column in words.T.tolist()]
     (order, _), = tail_orders("rand-lb", n, m, phases, words)
@@ -264,7 +264,7 @@ def test_repeat_block_forces_full_rotation():
 
 
 def test_repeat_block_pins_prediction_reader_too():
-    seq = repeat_block_sequence(5, 2, "lv-greedy", repeat=7)
+    seq = repeat_block_sequence(5, 2, "lv-greedy", granularity=7)
     assert seq.granularity == 7
     assert lv_loss(seq) == 0
     run = run_scheduler(seq, "lv-greedy")
@@ -273,7 +273,7 @@ def test_repeat_block_pins_prediction_reader_too():
 
 def test_repeat_block_validation():
     with pytest.raises(ConfigurationError):
-        repeat_block_sequence(4, 1, "lowest-index", repeat=4)
+        repeat_block_sequence(4, 1, "lowest-index", granularity=4)
     with pytest.raises(ConfigurationError):
         repeat_block_sequence(4, 1, "lps")
 
@@ -353,6 +353,13 @@ def test_noisy_pst_stays_in_budget_and_splits_only_distinct_steps(deadline, seq,
                     assert phase.h[a] != phase.h[b]
 
 
+def test_negative_budget_and_empty_tail_are_refused():
+    with pytest.raises(ConfigurationError, match="eta0 must be >= 0"):
+        noisy_pst(random_unit_sequence(2, 2, 1), -1)
+    with pytest.raises(ConfigurationError, match="tail size must be >= 1"):
+        shuffled_tail_sequence(4, 4, 0, 1)
+
+
 def test_noisy_pst_rejects_budgets_past_one_draw(deadline):
     # One draw picks an offset among 2 * eta0 + 1 values, at most 2**32.
     base = random_unit_sequence(2, 2, 1, seed=0)
@@ -393,15 +400,19 @@ def test_build_family_flag_validation():
     with pytest.raises(ConfigurationError):
         build_family("reversal", n=4)  # missing eta0
     with pytest.raises(ConfigurationError):
-        build_family("lv", n=4, scheduler="lowest-index", r=4)  # r <= n
+        build_family("lv", n=4, scheduler="lowest-index", granularity=4)  # r <= n
     with pytest.raises(ConfigurationError):
         build_family("lv", n=4, scheduler="lowest-index", eta0=1)
     with pytest.raises(ConfigurationError):
         build_family("force-det", n=4, eta0=2)  # missing scheduler
+    with pytest.raises(ConfigurationError, match="eta0 must be >= 0"):
+        build_family("reversal", n=4, eta0=-1)
+    with pytest.raises(ConfigurationError, match="eta0 must be >= 0"):
+        build_family("force-det", n=4, eta0=-1, scheduler="lps")
 
 
 # A valid value of every family flag at n = 4.
-_FLAG_VALUES = {"eta0": 2, "k": 3, "r": 5, "scheduler": "lowest-index"}
+_FLAG_VALUES = {"eta0": 2, "k": 3, "scheduler": "lowest-index"}
 
 
 def test_family_names_come_from_the_flag_table():
@@ -417,14 +428,14 @@ def test_build_family_reads_exactly_the_flags_of_its_table_row(family):
     for flag in _FLAG_VALUES.keys() - set(reads):
         with pytest.raises(ConfigurationError, match=rf"--{flag}\b"):
             build_family(family, n=4, **given, **{flag: _FLAG_VALUES[flag]})
-    for flag in set(reads) - {"r"}:  # lv's r defaults to n + 1
+    for flag in reads:
         with pytest.raises(ConfigurationError, match=rf"--{flag}\b"):
             build_family(family, n=4, **{f: v for f, v in given.items() if f != flag})
 
 
-def test_repeat_block_bound_error_names_repeat():
-    with pytest.raises(ConfigurationError, match="repeat must be >= 5"):
-        repeat_block_sequence(4, 1, "lowest-index", repeat=4)
+def test_repeat_block_bound_error_names_granularity():
+    with pytest.raises(ConfigurationError, match="granularity must be >= 5"):
+        repeat_block_sequence(4, 1, "lowest-index", granularity=4)
 
 
 def test_build_family_reports_geometry():
@@ -446,7 +457,7 @@ def test_lv_length_matches_its_closed_form():
     for n in (1, 2, 3, 5):
         for r in (n + 1, n + 4):
             for phases in (1, 2):
-                seq = repeat_block_sequence(n, phases, "lowest-index", repeat=r)
+                seq = repeat_block_sequence(n, phases, "lowest-index", granularity=r)
                 assert len(seq) == phases * (n * n + n * r - n * (n + 1) // 2)
 
 

@@ -94,7 +94,7 @@ def test_simulate_and_summarize_flag_a_zero_optimum_alike(tmp_path, capsys):
 
 
 def test_adversary_gen_lv_and_replay(tmp_path, capsys):
-    rc, inp = _gen(tmp_path, "--adversary", "lv", "--n", "4", "--r", "5",
+    rc, inp = _gen(tmp_path, "--adversary", "lv", "--n", "4", "--granularity", "5",
                    "--phases", "2", "--scheduler", "lv-greedy")
     assert rc == 0
     stdout = capsys.readouterr().out
@@ -324,8 +324,20 @@ def test_unsafe_numbers_are_malformed_input(tmp_path, capsys, payload):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--adversary", "lv", "--n", "4", "--granularity", "4", "--scheduler", "lps"],
+     "granularity must be >= 5 for this family, got 4"),
+    (["--adversary", "reversal", "--n", "4", "--eta0", "-1"], "eta0 must be >= 0"),
+], ids=["lv-granularity", "reversal-eta0"])
+def test_out_of_range_family_value_is_a_usage_error(tmp_path, capsys, argv, error):
+    rc, out = _gen(tmp_path, *argv)
+    assert rc == 2
+    assert f"error: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_subcommand_exit_codes(capsys, monkeypatch):
-    rc = main(["verify", "--suite", "footrule", "--max-m", "4"])
+    rc = main(["verify", "--suite", "footrule"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "[ok] footrule-max-m4" in out
@@ -337,14 +349,6 @@ def test_verify_subcommand_exit_codes(capsys, monkeypatch):
     rc = main(["verify", "--suite", "arith"])
     assert rc == 1
     assert "[FAIL] doomed" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("suite, max_m", [("arith", "0"), ("opt", "99")])
-def test_verify_checks_max_m_whichever_suite_runs(capsys, suite, max_m):
-    assert main(["verify", "--suite", suite, "--max-m", max_m]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "max_m must be in [1, 9]" in captured.err
 
 
 SWEEP_CONFIG = {
@@ -569,7 +573,7 @@ _HOSTILE_GEN = {
     "force-det-granularity": ["--adversary", "force-det", "--n", "3", "--eta0", "2",
                               "--scheduler", "lps", "--granularity", str(2**70)],
     "lv-r": ["--adversary", "lv", "--n", "3", "--scheduler", "lowest-index",
-             "--r", str(2**70)],
+             "--granularity", str(2**70)],
     "phases": ["--adversary", "reversal", "--n", "3", "--eta0", "2",
                "--phases", str(10**20)],
     "n": ["--adversary", "rand-lb", "--n", str(10**20), "--k", "3"],
@@ -954,8 +958,7 @@ def test_hostile_values_in_a_sweep_config_exit_cleanly_and_keep_out(config, exis
 
 
 _HOSTILE_FLAG_VALUES = ["-1", "0", str(2**63), str(2**64), "x"]
-_GEN_FLAGS = ["--n", "--eta0", "--k", "--r", "--granularity", "--phases", "--seed",
-              "--scheduler"]
+_GEN_FLAGS = ["--n", "--eta0", "--k", "--granularity", "--phases", "--seed", "--scheduler"]
 
 
 @st.composite
@@ -972,7 +975,7 @@ def _hostile_argv(draw, out):
     elif family == "rand-lb":
         flags["--k"] = draw(st.integers(2, 8))
     else:
-        flags["--r"] = n + draw(st.integers(1, 3))
+        flags["--granularity"] = n + draw(st.integers(1, 3))
     if family in adversaries.INTERACTIVE_FAMILIES:
         flags["--scheduler"] = draw(st.sampled_from(scheduler_names()))
     gen = ["adversary-gen", "--adversary", family, "--out", str(out)]

@@ -424,7 +424,7 @@ def _canonical_bytes(payload) -> bytes:
 
 _FAMILY_ARGS = {
     "reversal": ["--n", "6", "--eta0", "4", "--phases", "3"],
-    "lv": ["--n", "4", "--r", "5", "--phases", "2", "--scheduler", "lv-greedy"],
+    "lv": ["--n", "4", "--granularity", "5", "--phases", "2", "--scheduler", "lv-greedy"],
     "force-det": ["--n", "6", "--eta0", "8", "--phases", "2", "--scheduler", "lps"],
     "rand-lb": ["--n", "5", "--k", "3", "--phases", "4", "--seed", "9"],
 }

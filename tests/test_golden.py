@@ -33,7 +33,7 @@ FAMILIES = {
     # scheduler that reads no lv table, and lv steering lowest-index.
     "force-det-lps": ["--adversary", "force-det", "--n", "5", "--eta0", "4", "--phases", "2",
                       "--granularity", "7", "--scheduler", "lps", "--seed", "3"],
-    "lv-lowest-index": ["--adversary", "lv", "--n", "3", "--r", "6", "--phases", "2",
+    "lv-lowest-index": ["--adversary", "lv", "--n", "3", "--granularity", "6", "--phases", "2",
                         "--scheduler", "lowest-index", "--seed", "1"],
 }
 

@@ -1,9 +1,12 @@
 """Verification checks pass on healthy inputs and catch tampered ones."""
 
+from dataclasses import replace
+
 import pytest
 
-from mtslab import verify
+from mtslab import analysis, verify
 from mtslab.adversaries import random_unit_sequence, reversal_sequence
+from mtslab.cli import main
 from mtslab.core import TaskSequence, lv_loss, pst_error_per_phase
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
@@ -103,15 +106,64 @@ def test_non_conforming_run_skips_the_sandwich():
     assert result.passed, result.lines()
 
 
+def test_failed_cost_identity_prints_both_sides(monkeypatch):
+    seq = reversal_sequence(4, 4, 2, 2)
+    run = run_scheduler(seq, "lps")
+    move = sum(p.movement_units for p in run.phases)
+    proc = sum(p.processing_units for p in run.phases)
+    schedule_cost = verify.schedule_cost
+
+    def skewed(tasks, granularity, schedule):
+        total, movement, processing = schedule_cost(tasks, granularity, schedule)
+        return total + 1, movement + 1, processing
+
+    monkeypatch.setattr(verify, "schedule_cost", skewed)
+    lines = verify_sequence(seq, "lps").lines()
+    assert f"[FAIL] cost-identity: audit ({move + 1}, {proc}) != engine ({move}, {proc})" in lines
+
+
+def test_failed_phase_cost_sandwich_lists_its_violations(monkeypatch):
+    seq = reversal_sequence(4, 4, 2, 2)
+    real = verify.run_scheduler
+
+    def inflated(*args, **kwargs):
+        run = real(*args, **kwargs)
+        return replace(run, phases=[replace(p, transitions=p.transitions + 10)
+                                    for p in run.phases])
+
+    monkeypatch.setattr(verify, "run_scheduler", inflated)
+    bad = [(p.phase.index, p.transitions + 10, p.cost_units)
+           for p in run_scheduler(seq, "lps").phases if p.phase.complete]
+    assert len(bad) == 2
+    lines = verify_sequence(seq, "lps").lines()
+    assert f"[FAIL] phase-cost-sandwich: violations (phase, transitions, units): {bad}" in lines
+
+
+@pytest.mark.parametrize("suite, owner, name, at, line", [
+    # The band scan reads analysis's inverse; the frozen values read verify's.
+    ("arith", analysis, "max_forcible_transitions", 7,
+     "[FAIL] footrule-band-consistency: first violation (m, budget) = (3, 7)"),
+    ("arith", verify, "harmonic_number", 50,
+     "[FAIL] harmonic-exactness: mismatches {50: 'difference is not 1/n'}"),
+    ("footrule", verify, "max_footrule", 5,
+     "[FAIL] footrule-max-m5: brute force 12 != closed form 13"),
+], ids=["footrule-band-consistency", "harmonic-exactness", "footrule-max-m"])
+def test_failed_suite_check_prints_its_counterexample_and_exits_1(capsys, monkeypatch, suite,
+                                                                  owner, name, at, line):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda x: real(x) + (x == at))
+    assert main(["verify", "--suite", suite]) == 1
+    failed = [out for out in capsys.readouterr().out.splitlines() if out.startswith("[FAIL]")]
+    assert failed == [line]
+
+
 def test_arith_suite_is_green():
     result = arith_suite()
     assert result.passed, result.lines()
 
 
 def test_footrule_suite_bounds():
-    assert footrule_suite(5).passed
-    with pytest.raises(ConfigurationError):
-        footrule_suite(10)
+    assert footrule_suite().passed
 
 
 def test_opt_suite_is_green():
@@ -161,7 +213,7 @@ def test_invariants_suite_reports_a_failed_input_check_once(monkeypatch):
 
 def test_run_suite_dispatch():
     assert set(SUITE_NAMES) == {"arith", "footrule", "opt", "invariants", "all"}
-    merged = run_suite("all", max_m=4)
+    merged = run_suite("all")
     assert merged.passed
     names = {c.name for c in merged.checks}
     assert "footrule-max-m4" in names
