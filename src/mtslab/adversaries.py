@@ -340,7 +340,7 @@ def repeat_block_sequence(n: int, phases: int, scheduler: str | Scheduler,
     (zero loss): sweeps never saturate anything, so the hammer target for
     round q is already determined when round q starts.
     """
-    repeat = n + 1 if granularity is None else granularity
+    repeat = _default_granularity("lv", n) if granularity is None else granularity
     # At least n + 1 keeps sweeps from saturating.
     _check_geometry(n, repeat, phases, n + 1)
     walk = _live_scheduler(scheduler, n, seed, allow_pst=False)
@@ -483,6 +483,13 @@ _FAMILY_FLAGS = {
 FAMILY_NAMES = tuple(_FAMILY_FLAGS)
 INTERACTIVE_FAMILIES = tuple(name for name, flags in _FAMILY_FLAGS.items()
                              if "scheduler" in flags)
+
+
+def _default_granularity(family: str, n: int) -> int:
+    """lv's granularity is its repeat count, which must exceed n: n + 1; others' is n."""
+    return n + 1 if family == "lv" else max(n, 1)
+
+
 _FAMILY_ALIASES = {
     "force-deterministic": "force-det",
     "lv-adversary": "lv",
@@ -518,9 +525,8 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
             raise ConfigurationError(f"family {name!r} needs --{flag}")
     if name == "rand-lb" and k < 2:
         raise ConfigurationError("family 'rand-lb' needs --k >= 2")
-    # lv's granularity is its repeat count r, which must exceed n.
     if granularity is None:
-        granularity = n + 1 if name == "lv" else max(n, 1)
+        granularity = _default_granularity(name, n)
     _check_output_size(name, n, granularity, phases)
     if name == "reversal":
         seq = reversal_sequence(n, granularity, eta0, phases)

@@ -121,7 +121,9 @@ class SweepRecord:
     totals aggregate over trials, in integer units of 1/granularity. The
     ratio field is the decimal string total_cost_units / opt_cost_units
     with six fractional digits, empty when the optimum is zero (flagged
-    rather than divided). The CSV columns are the fields, in order.
+    rather than divided). The CSV columns are the fields, in order. A
+    sweep builds a kernel call's records from one reduction of its arrays
+    and formats each record's row once, for every eta0 it stands for.
     """
 
     n: int
@@ -137,24 +139,32 @@ class SweepRecord:
     ratio: str
 
     @classmethod
-    def from_counts(cls, *, n: int, eta0: int, m: int, algorithm: str, seed: int,
-                    phases: int, counts, total_cost_units: int,
-                    opt_cost_units: int) -> "SweepRecord":
-        mean, peak = transition_stats(counts)
-        return cls(
-            n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed, phases=phases,
-            mean_transitions_per_phase=mean,
-            max_transitions_per_phase=peak,
-            total_cost_units=total_cost_units,
-            opt_cost_units=opt_cost_units,
-            ratio=round_ratio_half_up(total_cost_units, opt_cost_units),
-        )
+    def from_counts(cls, counts, costs, *, n: int, algorithms, tails, eta0s, seed: int,
+                    opt_cost_units: int) -> dict:
+        """``{(algorithm, m): record}`` from one kernel call's ``counts``
+        (algorithms, tails, trials, phases) and ``costs`` (algorithms, tails,
+        trials), with each tail size's eta0 field in ``eta0s``. No int64 sum
+        wraps: a count is at most n, and a call holds at most CELL_CAP cells."""
+        *_, trials, phases = counts.shape
+        sums = counts.sum(axis=(-2, -1)).tolist()
+        peaks = counts.max(axis=(-2, -1)).tolist()
+        totals = costs.sum(axis=-1).tolist()
+        return {
+            (algorithm, m): cls(
+                n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed, phases=phases,
+                mean_transitions_per_phase=round_ratio_half_up(total, trials * phases),
+                max_transitions_per_phase=peak, total_cost_units=cost,
+                opt_cost_units=opt_cost_units, ratio=round_ratio_half_up(cost, opt_cost_units))
+            for algorithm, *rows in zip(algorithms, sums, peaks, totals)
+            for m, eta0, total, peak, cost in zip(tails, eta0s, *rows)
+        }
 
-    def csv_row(self, eta0: int | None = None) -> str:
-        """The fields in column order. Sweep cells that differ only in
-        eta0 share one record: ``eta0`` gives another such cell's row."""
-        values = vars(self) if eta0 is None else {**vars(self), "eta0": eta0}
-        return ",".join([str(values[name]) for name in _SWEEP_COLUMNS])
+    def csv_row_parts(self) -> tuple[str, str]:
+        """The row's text before and after its eta0 field: the row of any
+        eta0 that shares this record's other fields is before + eta0 + after."""
+        values = [str(getattr(self, name)) for name in _SWEEP_COLUMNS]
+        at = _SWEEP_COLUMNS.index("eta0")
+        return ",".join(values[:at] + [""]), ",".join([""] + values[at + 1:])
 
     @classmethod
     def csv_header(cls) -> str:

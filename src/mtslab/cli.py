@@ -311,10 +311,10 @@ def _cmd_sweep(args) -> int:
         # A cell depends on eta0 only through m, and seeds, phases, trials
         # and granularity are fixed per sweep: one kernel pass runs every
         # algorithm over every distinct m of this n on one phase chain, and
-        # one record per (algorithm, m) gives the rows of all its eta0. A
-        # pass holds every algorithm's counts at once, so the cell cap
-        # charges algorithms x tail sizes x trials x max(n, phases), and the
-        # algorithms are split only where one tail size cannot hold them all.
+        # one record per (algorithm, m), its row formatted once, gives the
+        # rows of all its eta0. A pass holds every algorithm's counts at once,
+        # so the cell cap charges algorithms x tail sizes x trials x max(n,
+        # phases); algorithms split only where one tail size cannot hold all.
         ms = [budget_tail_size(n, eta0) for eta0 in config["eta0"]]
         first = {}  # the first eta0 of each distinct m
         for eta0, m in zip(config["eta0"], ms):
@@ -329,15 +329,13 @@ def _cmd_sweep(args) -> int:
                 names, chunk = tuple(algorithms[a:a + group]), tuple(tails[i:i + step])
                 counts, costs = simulate_family_trials(names, family, n, chunk, phases, trials,
                                                        granularity=gran, seed=seed)
-                for algorithm, cells, totals in zip(names, counts, costs.sum(axis=-1)):
-                    for m, cell, total in zip(chunk, cells, totals):
-                        records[algorithm, m] = SweepRecord.from_counts(
-                            n=n, eta0=first[m], m=m, algorithm=algorithm, seed=seed,
-                            phases=phases, counts=cell, total_cost_units=int(total),
-                            opt_cost_units=opt_total,
-                        )
+                records.update(SweepRecord.from_counts(
+                    counts, costs, n=n, algorithms=names, tails=chunk,
+                    eta0s=[first[m] for m in chunk], seed=seed, opt_cost_units=opt_total,
+                ))
+        parts = {key: record.csv_row_parts() for key, record in records.items()}
         for algorithm in algorithms:
-            lines[algorithm].extend(records[algorithm, m].csv_row(eta0=eta0)
+            lines[algorithm].extend(str(eta0).join(parts[algorithm, m])
                                     for eta0, m in zip(config["eta0"], ms))
     # (file name, text, note): every output is built before anything is
     # written, so a sweep that fails while computing leaves nothing behind.

@@ -13,11 +13,13 @@ that ``mtslab verify`` runs live in ``mtslab.verify``.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
+from mtslab.analysis import SweepRecord, round_ratio_half_up, transition_stats
 from mtslab.core import Phase, TaskSequence
 from mtslab.rng import RandomStream, trial_seed
 from mtslab.schedulers import Walk
@@ -192,6 +194,28 @@ def simulate_family_scalar(policy, family: str, n: int, m,
         costs.append(total)
     return (np.array(counts, dtype=np.int64).reshape(trials, phases),
             np.array(costs, dtype=np.int64))
+
+
+def sweep_row_scalar(*, n: int, eta0: int, m: int, algorithm: str, seed: int,
+                     phases: int, counts, total_cost_units: int,
+                     opt_cost_units: int) -> str:
+    """One sweep cell's CSV row, from that cell's own counts and cost total.
+
+    ``counts`` holds the cell's (trial, phase) transition counts. The record
+    is built and formatted field by field for this one eta0;
+    ``SweepRecord.from_counts`` builds every record of a kernel call from
+    one reduction, and the sweep formats each record's row once.
+    """
+    mean, peak = transition_stats(counts)
+    record = SweepRecord(
+        n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed, phases=phases,
+        mean_transitions_per_phase=mean,
+        max_transitions_per_phase=peak,
+        total_cost_units=total_cost_units,
+        opt_cost_units=opt_cost_units,
+        ratio=round_ratio_half_up(total_cost_units, opt_cost_units),
+    )
+    return ",".join([str(getattr(record, f.name)) for f in fields(SweepRecord)])
 
 
 def expected_walk_visits_bruteforce(m: int) -> Fraction:

@@ -28,6 +28,7 @@ from mtslab.core import (
     lv_loss,
     pst_error_per_phase,
     save_task_sequence,
+    to_json_dict,
 )
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
@@ -450,6 +451,15 @@ def test_build_family_reports_geometry():
     seq, info = build_family(
         "force-det", n=4, eta0=4, phases=2, scheduler="lps")
     assert info == {"family": "force-det", "m": 3}
+
+
+def test_lv_default_granularity_is_the_generators_default():
+    # build_family bounds the file at the default the generator then runs.
+    seq, info = build_family("lv", n=4, phases=2, scheduler="lowest-index")
+    direct = repeat_block_sequence(4, 2, "lowest-index")
+    assert info == {"family": "lv", "r": 5}
+    assert seq.granularity == direct.granularity == 5
+    assert to_json_dict(seq) == to_json_dict(direct)
 
 
 def test_lv_length_matches_its_closed_form():

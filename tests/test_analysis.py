@@ -2,6 +2,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +16,7 @@ from mtslab.analysis import (
     round_ratio_half_up,
 )
 from mtslab.core import CELL_CAP
-from oracles import mean_and_se
+from oracles import mean_and_se, sweep_row_scalar
 
 
 def test_max_footrule_frozen_values():
@@ -131,18 +132,34 @@ def test_mean_and_se():
 
 
 def test_sweep_record_row_and_flagged_ratio():
-    rec = SweepRecord.from_counts(
+    # The per-cell oracle and one kernel call's reduction, with one
+    # algorithm and one tail size, give the same frozen row.
+    row = "4,4,3,lps,0,2,3.000000,3,60,16,3.750000"
+    assert sweep_row_scalar(
         n=4, eta0=4, m=3, algorithm="lps", seed=0, phases=2,
         counts=[[3, 3], [3, 3]], total_cost_units=60, opt_cost_units=16,
+    ) == row
+    records = SweepRecord.from_counts(
+        np.array([[[[3, 3], [3, 3]]]]), np.array([[[30, 30]]]), n=4,
+        algorithms=["lps"], tails=[3], eta0s=[4], seed=0, opt_cost_units=16,
     )
+    rec = records["lps", 3]
+    assert list(records) == [("lps", 3)]
     assert rec.mean_transitions_per_phase == "3.000000"
     assert rec.max_transitions_per_phase == 3
     assert rec.ratio == "3.750000"
-    assert rec.csv_row() == "4,4,3,lps,0,2,3.000000,3,60,16,3.750000"
+    assert "4".join(rec.csv_row_parts()) == row
+    assert "9".join(rec.csv_row_parts()) == row.replace("4,4,", "4,9,", 1)
     assert SweepRecord.csv_header().startswith("n,eta0,m,algorithm,seed,phases,")
 
-    flagged = SweepRecord.from_counts(
+    flagged_row = sweep_row_scalar(
         n=2, eta0=0, m=1, algorithm="stay-put", seed=0, phases=1,
         counts=[[0]], total_cost_units=0, opt_cost_units=0,
     )
+    assert flagged_row.endswith(",0,0,")
+    flagged = SweepRecord.from_counts(
+        np.zeros((1, 1, 1, 1), dtype=np.int64), np.zeros((1, 1, 1), dtype=np.int64), n=2,
+        algorithms=["stay-put"], tails=[1], eta0s=[0], seed=0, opt_cost_units=0,
+    )["stay-put", 1]
     assert flagged.ratio == ""
+    assert "0".join(flagged.csv_row_parts()) == flagged_row

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +22,10 @@ from mtslab.analysis import SweepRecord, max_forcible_transitions
 from mtslab.cli import SWEEP_MAX_N, main
 from mtslab.core import CELL_CAP, UNIT_LIMIT, canonical_json, load_task_sequence
 from mtslab.engine import run_scheduler, summarize
-from mtslab.kernels import simulate_family_trials
+from mtslab.kernels import FAMILIES, POLICIES, simulate_family_trials
 from mtslab.schedulers import scheduler_names
 from mtslab.verify import VerifyResult
-from oracles import simulate_family_scalar
+from oracles import simulate_family_scalar, sweep_row_scalar
 
 
 def _gen(tmp_path, *extra):
@@ -501,8 +503,8 @@ def test_sweep_splits_kernel_calls_at_the_cell_cap(tmp_path, capsys, monkeypatch
 
 def test_sweep_rows_equal_one_record_per_eta0(tmp_path, capsys):
     # The rows of eta0 values that share a tail size come from one record;
-    # each must equal the record built for its own eta0 from the kernel's
-    # single-policy call for that cell.
+    # each must equal the row built field by field for its own eta0 from
+    # the kernel's single-policy call for that cell.
     cfg = _write_config(tmp_path, **CACHE_CONFIG)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     capsys.readouterr()
@@ -516,11 +518,11 @@ def test_sweep_rows_equal_one_record_per_eta0(tmp_path, capsys):
                 counts, costs = simulate_family_trials(algorithm, CACHE_CONFIG["adversary"], n,
                                                        m, phases, trials, granularity=gran,
                                                        seed=seed)
-                expected.append(SweepRecord.from_counts(
+                expected.append(sweep_row_scalar(
                     n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed, phases=phases,
                     counts=counts, total_cost_units=int(costs.sum()),
                     opt_cost_units=trials * phases * gran,
-                ).csv_row())
+                ))
         assert _sweep_rows(tmp_path / "o", algorithm) == expected
 
 
@@ -544,6 +546,70 @@ def test_sweep_cache_matches_one_oracle_run_per_cell(tmp_path, capsys, monkeypat
     capsys.readouterr()
     for algorithm, rows in expected.items():
         assert _sweep_rows(tmp_path / "fast", algorithm) == [header, *rows]
+
+
+@functools.cache
+def _oracle_cell(algorithm, family, n, m, phases, trials, gran, seed):
+    """One cell's per-trial counts and cost total from the scalar oracle."""
+    counts, costs = simulate_family_scalar(algorithm, family, n, m, phases, trials, gran, seed)
+    return counts, int(costs.sum())
+
+
+@st.composite
+def _differential_sweeps(draw):
+    """A small sweep config and a cell cap that may split its kernel calls.
+
+    The eta0 lists repeat values, come unsorted and share tail sizes. 128
+    (trial, phase) cells give means whose seventh digit is a 5, where
+    half-up and half-even rounding differ.
+    """
+    ns = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    trials, phases = draw(st.sampled_from([(1, 1), (2, 3), (3, 2), (1, 128), (2, 64)]))
+    config = {
+        "n": ns,
+        "eta0": draw(st.lists(st.integers(0, 20), min_size=1, max_size=8)),
+        "algorithms": draw(st.lists(st.sampled_from(POLICIES), min_size=1, max_size=4,
+                                    unique=True)),
+        "adversary": draw(st.sampled_from(FAMILIES)),
+        "phases": phases,
+        "granularity": draw(st.integers(max(ns), max(ns) + 3)),
+        "trials": trials,
+        "seed": draw(st.integers(0, 3)),
+    }
+    # Room for 1 to 12 (algorithm, tail size) pairs at the largest n.
+    cap = draw(st.integers(1, 12)) * trials * max(max(ns), phases)
+    return config, cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=_differential_sweeps())
+def test_every_sweep_byte_matches_rows_built_per_eta0(drawn):
+    # Each row is built for its own eta0 from the scalar oracle's cell,
+    # field by field; the sweep reduces each kernel call's arrays at once
+    # and formats each (algorithm, n, m) record's row once.
+    config, cap = drawn
+    trials, phases, gran, seed = (config[k] for k in ("trials", "phases", "granularity", "seed"))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CELL_CAP", cap):
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        assert _quiet_main(["sweep", "--config", str(path), "--out", str(Path(tmp) / "o")]) == 0
+        for algorithm in config["algorithms"]:
+            rows = [SweepRecord.csv_header()]
+            for n in config["n"]:
+                for eta0 in config["eta0"]:
+                    m = min(max_forcible_transitions(eta0), n)
+                    counts, total = _oracle_cell(algorithm, config["adversary"], n, m,
+                                                 phases, trials, gran, seed)
+                    rows.append(sweep_row_scalar(
+                        n=n, eta0=eta0, m=m, algorithm=algorithm, seed=seed, phases=phases,
+                        counts=counts, total_cost_units=total,
+                        opt_cost_units=trials * phases * gran,
+                    ))
+            text = (Path(tmp) / "o" / f"{algorithm}.csv").read_text()
+            assert text == "\n".join(rows) + "\n"
+        manifest = json.loads((Path(tmp) / "o" / "manifest.json").read_text())
+        assert manifest["records"] == {a: len(config["n"]) * len(config["eta0"])
+                                       for a in config["algorithms"]}
 
 
 _TOO_BIG = {

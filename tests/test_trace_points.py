@@ -64,8 +64,9 @@ def test_installed_tracer_records_the_sweep_layers(spans, tmp_path, capsys):
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
     names = [span.name for span in tracer.take()]
     # Two algorithms, one n: one kernel call over both algorithms and both
-    # distinct tail sizes, seeding its streams, and one record per
-    # (algorithm, m) cell; eta0 = 0 and 2 give m = 1 and 2.
+    # distinct tail sizes (eta0 = 0 and 2 give m = 1 and 2), seeding its
+    # streams. One records call per kernel call builds all four
+    # (algorithm, m) records from the call's arrays at once.
     assert names.count("kernels.family") == 1
-    assert names.count("analysis.records") == 4
+    assert names.count("analysis.records") == 1
     assert "rng.seed" in names
