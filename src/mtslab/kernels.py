@@ -29,7 +29,10 @@ it has one row per (m, trial), and every policy walks every row:
   most n - 1 times per phase: oblivious from its opening draw, and
   robust-lps once its trust runs out. One loop walks both, phase by phase,
   so each scheduler stream is read in phase order; a state before the
-  window saturates at its predicted slot.
+  window saturates at its predicted slot. A move out of slot r draws
+  below the n - 1 - r later states and takes the drawn one by position:
+  one flatnonzero over the walking rows' rank tables lists every row's
+  later states in (row, index) order.
 
 Every stream is consumed in the order of the per-trial walk, so results
 are identical to ``simulate_family_scalar`` in ``tests/oracles.py``, the
@@ -78,8 +81,7 @@ def _walk_later(words, cols, rank, r, gran):
     per row; row i draws on stream ``cols[i]`` among the later states by
     index, ``rank[i]`` holding each state's slot. At most n - 1 moves."""
     n = rank.shape[1]
-    moves = np.zeros(len(cols), np.int64)
-    units = np.zeros(len(cols), np.int64)
+    moves, units = np.zeros((2, len(cols)), np.int64)
     act = np.arange(len(cols))
     for _ in range(n - 1):
         live = r < n - 1
@@ -88,9 +90,13 @@ def _walk_later(words, cols, rank, r, gran):
             break
         units[act] += 2 * gran - 1 - r
         moves[act] += 1
-        pick = _randbelow(words, cols[act], n - 1 - r)
-        seen = np.cumsum(rank[act] > r[:, None], axis=1)
-        r = rank[act, (seen > pick[:, None]).argmax(1)]
+        later = n - 1 - r
+        pick = _randbelow(words, cols[act], later)
+        # Row i has exactly later[i] later states, and the flat positions
+        # of all rows' later states come in (row, index) order, so row i's
+        # pick-th one sits at offset cumsum(later)[i] - later[i] + pick[i].
+        table = rank[act]
+        r = table.ravel()[np.flatnonzero(table > r[:, None])[np.cumsum(later) - later + pick]]
     return moves, units
 
 

@@ -9,8 +9,12 @@ closed-form bound. Two of the checks also carry wall-clock budgets.
 import json
 import time
 
+from hypothesis import example, given, settings, strategies as st, target
+
 from mtslab.adversaries import (
     forcing_sequence,
+    noisy_pst,
+    random_unit_sequence,
     repeat_block_sequence,
     reversal_sequence,
 )
@@ -74,6 +78,57 @@ def test_footrule_bruteforce_matches_closed_form_and_bands_invert():
     for m in range(1, 9):
         assert max_footrule_bruteforce(m) == max_footrule(m)
     assert max_footrule_consistency(1000) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["random-unit", "reversal"]),
+    n=st.integers(1, 8),
+    granularity=st.integers(1, 8),
+    phases=st.integers(1, 4),
+    eta0=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Reversal at eta0 = max_footrule(m) walks lps through exactly the bound.
+@example(family="reversal", n=2, granularity=2, phases=2, eta0=max_footrule(2), seed=0)
+@example(family="reversal", n=5, granularity=5, phases=2, eta0=max_footrule(5), seed=0)
+@example(family="reversal", n=8, granularity=8, phases=2, eta0=max_footrule(8), seed=0)
+@example(family="reversal", n=8, granularity=8, phases=2, eta0=max_footrule(3), seed=0)
+@example(family="reversal", n=7, granularity=9, phases=3, eta0=max_footrule(6), seed=0)
+def test_prediction_follower_stays_within_the_error_bound_per_phase(
+        family, n, granularity, phases, eta0, seed):
+    """The paper's deterministic bound, phase by phase: in a complete phase
+    whose prediction error is e, lps makes at most max_forcible_transitions(e)
+    transitions, each costing at most 2g on top of the g of the state it
+    opens in.
+
+    Premise: the prediction block puts states that saturate on different
+    steps on different predicted steps, as ``noisy_pst`` and the reversal
+    family do. Blocks that predict two such states on one step can exceed
+    the bound through lps's lowest-index tie-break: at n = 2, in a phase
+    that opens on state 1, h = (10, 10) against saturation steps (10, 11)
+    has error 1 and bound 1, and lps moves to state 0 and back.
+    """
+    if family == "reversal":
+        g = max(granularity, n)
+        seq = reversal_sequence(n, g, eta0, phases)
+    else:
+        g = granularity
+        seq = noisy_pst(random_unit_sequence(n, g, phases, seed=seed), eta0, seed=seed + 1)
+    run = run_scheduler(seq, "lps")
+    excess = []
+    for stats in run.phases:
+        phase = stats.phase
+        if not phase.complete or phase.h is None:
+            continue
+        bound = max_forcible_transitions(phase.pst_error)
+        excess.append(stats.transitions - bound)
+        assert stats.transitions <= bound, (phase.index, stats.transitions, bound)
+        assert stats.cost_units <= (2 * bound + 1) * g, (phase.index, stats.cost_units, bound)
+        if family == "reversal" and n > 1:
+            assert stats.transitions == bound, (phase.index, stats.transitions, bound)
+    assert excess
+    target(max(excess))
 
 
 def test_random_inputs_satisfy_the_cost_sandwiches():

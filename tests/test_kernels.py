@@ -139,6 +139,16 @@ tail_lists = st.integers(1, 12).flatmap(
          seed=13)
 @example(policy="lowest-index", family="rand-lb", nm=(300, 1), phases=3, trials=2,
          extra_gran=0, seed=14)
+# A uniform move finds its target by position among every row's later
+# states: opening draws before a window of 2 of 300, whose walks cross the
+# slots outside it; a full window of 300; and a move where a row at slot
+# n - 2 (one later state, no draw) comes before rows that draw.
+@example(policy="oblivious", family="rand-lb", nm=(300, 2), phases=3, trials=4, extra_gran=0,
+         seed=15)
+@example(policy="robust-lps", family="reversal", nm=(300, 300), phases=3, trials=4,
+         extra_gran=3, seed=16)
+@example(policy="robust-lps", family="rand-lb", nm=(12, 12), phases=3, trials=4, extra_gran=0,
+         seed=0)
 def test_lockstep_kernel_matches_scalar_oracle(policy, family, nm, phases, trials,
                                                extra_gran, seed):
     n, m = nm
@@ -174,6 +184,11 @@ def test_lockstep_kernel_matches_scalar_oracle(policy, family, nm, phases, trial
 @example(policy="lowest-index", family="reversal", nms=(1, [1, 1]), phases=3, trials=2, seed=8)
 @example(policy="lowest-index", family="reversal", nms=(3, [3, 1, 3]), phases=4, trials=2, seed=9)
 @example(policy="lowest-index", family="rand-lb", nms=(300, [1, 1]), phases=3, trials=2, seed=10)
+# Uniform moves by position, as in the single-tail test's examples.
+@example(policy="oblivious", family="rand-lb", nms=(300, [2, 1]), phases=3, trials=2, seed=11)
+@example(policy="robust-lps", family="reversal", nms=(300, [300, 2]), phases=3, trials=2,
+         seed=12)
+@example(policy="robust-lps", family="rand-lb", nms=(12, [5, 12]), phases=3, trials=4, seed=11)
 def test_kernel_over_several_tail_sizes_matches_oracle_and_one_call_each(
         policy, family, nms, phases, trials, seed):
     # Repeats and any order: each row of a call runs its own tail size.
