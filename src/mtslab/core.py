@@ -311,17 +311,26 @@ def lv_loss(seq: TaskSequence) -> int:
 
 # ---- serialization ----
 
-def to_json_dict(seq: TaskSequence) -> dict:
+def _skeleton(seq: TaskSequence) -> dict:
+    """The JSON object of ``seq`` with an empty list in place of each table."""
     payload: dict = {
         "version": SCHEMA_VERSION,
         "n": seq.n,
         "granularity": seq.granularity,
-        "tasks": seq.tasks.tolist(),
+        "tasks": [],
     }
     if seq.pst is not None:
         payload["pst"] = [{"phase_start": s, "h": list(h)} for s, h in sorted(seq.pst.items())]
     if seq.lv is not None:
-        payload["lv"] = {"next_request": seq.lv.tolist()}
+        payload["lv"] = {"next_request": []}
+    return payload
+
+
+def to_json_dict(seq: TaskSequence) -> dict:
+    payload = _skeleton(seq)
+    payload["tasks"] = seq.tasks.tolist()
+    if seq.lv is not None:
+        payload["lv"]["next_request"] = seq.lv.tolist()
     return payload
 
 
@@ -477,8 +486,85 @@ def write_text(path, text: str) -> None:
         raise
 
 
+# The fixed ends of a canonical file, the key that opens a canonical lv
+# table, the text span the table parser checks at a time, and the most
+# table entries the writer formats in one row block.
+_HEAD = b'{"granularity":'
+_LV_KEY = b'"lv":{"next_request":'
+_TASKS_KEY = b'"tasks":'
+_TAIL = b',"version":1}\n'
+_CHUNK = 1 << 14
+_WRITE_CELLS = 1 << 14
+# Powers of ten from 10 to 10**18: an entry x >= 0 has one digit more than
+# the number of them at most x.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
 def save_task_sequence(seq: TaskSequence, path) -> None:
-    write_text(path, canonical_json(to_json_dict(seq)) + "\n")
+    """Write ``seq`` to ``path`` as its canonical JSON file (see ``write_text``).
+
+    The bytes are ``canonical_json(to_json_dict(seq)) + "\\n"``, the oracle
+    the tests compare against. Only the object around the tables goes
+    through ``canonical_json``; the ``tasks`` and ``lv.next_request``
+    tables are formatted in row blocks by ``_format_table`` and spliced in
+    where ``_load_canonical`` cuts them out.
+    """
+    text = canonical_json(_skeleton(seq))
+    # The tasks placeholder is the "[]" that ends the text before _TAIL.
+    tasks_at = len(text) + 1 - len(_TAIL) - len("[]")
+    parts = []
+    if seq.lv is not None:
+        lv_at = text.index(_LV_KEY.decode()) + len(_LV_KEY)
+        parts += [text[:lv_at], *_format_table(seq.lv), text[lv_at + 2:tasks_at]]
+    else:
+        parts.append(text[:tasks_at])
+    parts += [*_format_table(seq.tasks), text[tasks_at + 2:], "\n"]
+    write_text(path, "".join(parts))
+
+
+def _format_table(table: np.ndarray):
+    """The canonical JSON text of an int64 table whose entries are >= -1,
+    in pieces of at most ``_WRITE_CELLS`` entries each (at least one row).
+
+    Each row is written as ``[d,...,d]`` and followed by a comma, which
+    the last row's piece turns into the table's closing ``]``.
+    """
+    rows, n = table.shape
+    yield "["
+    step = max(1, _WRITE_CELLS // n)
+    for top in range(0, rows, step):
+        block = table[top:top + step].ravel()
+        value = np.abs(block)
+        sign = block < 0
+        # Each entry takes its sign, its digits and the comma or "]" after
+        # it; the first of a row also takes the "[", and the last the comma
+        # that joins its row to the next.
+        size = np.where(sign, 3, 2)
+        for power in _POW10[:np.searchsorted(_POW10, value.max(), side="right")]:
+            size += value >= power
+        size[::n] += 1
+        size[n - 1::n] += 1
+        end = np.cumsum(size)
+        text = np.full(end[-1], ord(","), dtype=np.uint8)
+        row_end = end[n - 1::n]
+        text[row_end - 2] = ord("]")
+        text[0] = ord("[")
+        text[row_end[:-1]] = ord("[")
+        if top + step >= rows:
+            text[-1] = ord("]")
+        last = end - 2
+        last[n - 1::n] -= 1
+        text[last[sign] - 1] = ord("-")  # the one negative entry is -1
+        # Digits right to left, each round over the entries with more left.
+        at, left = last, value
+        while len(at):
+            rest = left // 10
+            text[at] = left - 10 * rest + ord("0")
+            more = rest > 0
+            at, left = at[more] - 1, rest[more]
+        yield str(text, "ascii")
+    if not rows:
+        yield "]"
 
 
 def load_task_sequence(path) -> TaskSequence:
@@ -503,15 +589,6 @@ def _load_text(data: bytes) -> TaskSequence:
         # literals past Python's digit limit; RecursionError, deep nesting.
         raise MalformedInputError(f"not valid UTF-8 JSON: {exc}") from exc
     return from_json_dict(payload)
-
-
-# The fixed ends of a canonical file, the key that opens a canonical lv
-# table, and the text span the table parser checks at a time.
-_HEAD = b'{"granularity":'
-_LV_KEY = b'"lv":{"next_request":'
-_TASKS_KEY = b'"tasks":'
-_TAIL = b',"version":1}\n'
-_CHUNK = 1 << 14
 
 
 def _load_canonical(data: bytes):
