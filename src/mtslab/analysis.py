@@ -22,13 +22,12 @@ __all__ = [
 
 
 def harmonic_number(n: int) -> Fraction:
-    """Sum of 1/i for i in 1..n, exact."""
+    """Sum of 1/i for i in 1..n, exact: one sum of integer numerators over
+    the common denominator lcm(1..n), reduced once."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        total += Fraction(1, i)
-    return total
+    common = math.lcm(*range(1, n + 1))
+    return Fraction(sum(common // i for i in range(1, n + 1)), common)
 
 
 def max_footrule(m: int) -> int:

@@ -4,13 +4,16 @@ Drives one scheduler over one task sequence, phase by phase, with exact
 integer accounting. A registered name runs on the event path: the engine
 calls the scheduler's own hooks itself, once per phase opening and once
 per saturation of its current state, and takes each move's candidates
-from the phase's cached list. A ``Scheduler`` instance runs through the
-movement protocol of ``schedulers.Walk``, which checks every answer; that
-path is the only one for custom schedulers and the oracle the event
-path's moves and transitions are tested against. Both paths keep the move
-log, from which ``RunResult.schedule`` (the state occupied at every step)
-is built when it is read, and share one sum of processing units per
-phase, which is audited against ``core.schedule_cost``.
+from the phase's cached list. lps is the exception: by name, it walks
+every phase at once, from a table of saturation steps and a table of the
+dense ranks of the prediction blocks, in at most n - 1 array rounds per
+run. A ``Scheduler`` instance runs through the movement protocol of
+``schedulers.Walk``, which checks every answer; that path is the only one
+for custom schedulers and the oracle the other two paths' moves and
+transitions are tested against. Every path keeps the move log, from which
+``RunResult.schedule`` (the state occupied at every step) is built when
+it is read, and shares one sum of processing units per phase, which is
+audited against ``core.schedule_cost``.
 
 Runs always open in state 0. Randomized schedulers draw from the stream
 seeded with trial_seed(seed, trial_index), the same derivation the batched
@@ -107,10 +110,11 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
                   phases=None) -> RunResult:
     """Simulate one scheduler over one sequence; exact integer accounting.
 
-    ``scheduler`` is a registered name, which runs on the event path, or a
-    ``Scheduler`` instance, which runs through ``Walk``; both give the same
-    result. ``seed`` must be in [0, 2**64). ``phases``, when given, must be
-    ``decompose_phases(seq)``: every phase, the trailing partial one last.
+    ``scheduler`` is a registered name, which runs on the event path (lps
+    on its table walk), or a ``Scheduler`` instance, which runs through
+    ``Walk``; both give the same result. ``seed`` must be in [0, 2**64).
+    ``phases``, when given, must be ``decompose_phases(seq)``: every
+    phase, the trailing partial one last.
     Callers that run many trials over one sequence decompose it once and
     pass the list to each.
     """
@@ -126,19 +130,23 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
 
     if phases is None:
         phases = decompose_phases(seq)
-    latest_lv = _latest_next_request(seq, sched.needs_lv)
+    bare = next((p for p in phases if p.h is None), None) if sched.needs_pst else None
+    if bare is not None:
+        raise ConfigurationError(
+            f"scheduler {sched.name!r} needs a prediction block for the phase "
+            f"starting at step {bare.start} and the input has none"
+        )
 
-    walk_phase = _event_phase if event else _walk_phase
-    counts = []  # (transitions, moves) per phase
-    for phase in phases:
-        if sched.needs_pst and phase.h is None:
-            raise ConfigurationError(
-                f"scheduler {sched.name!r} needs a prediction block for the phase "
-                f"starting at step {phase.start} and the input has none"
-            )
-        moved = len(walk.moves)
-        transitions = walk_phase(walk, phase, latest_lv)
-        counts.append((transitions, len(walk.moves) - moved))
+    if event and sched.name == "lps" and phases:
+        walk.moves, counts = _lps_table_walk(seq.n, phases)
+    else:
+        latest_lv = _latest_next_request(seq, sched.needs_lv)
+        walk_phase = _event_phase if event else _walk_phase
+        counts = []  # (transitions, moves) per phase
+        for phase in phases:
+            moved = len(walk.moves)
+            transitions = walk_phase(walk, phase, latest_lv)
+            counts.append((transitions, len(walk.moves) - moved))
     units = _units(seq, walk.moves, phases)
 
     return RunResult(
@@ -190,6 +198,56 @@ def _event_phase(walk: Walk, phase, latest_lv) -> int:
             transitions += 1
     walk.state = state
     return transitions
+
+
+def _lps_table_walk(n: int, phases) -> tuple:
+    """lps over every phase at once: its move log and (transitions, moves) per phase.
+
+    Each phase opens on its first top-ranked state, then, in each round,
+    every phase still walking moves to the first top-ranked state that
+    saturates strictly after its current one. A phase has at most n - 1
+    such moves, and the opening counts only where it leaves the state the
+    previous phase ended on.
+    """
+    sat = np.array([p.sat_step for p in phases], dtype=np.int64)
+    rank = _dense_ranks([p.h for p in phases])
+    opening = rank.argmax(axis=1)
+    state = opening.copy()
+    walking = np.arange(len(phases))
+    owners, steps, targets = [], [], []
+    for _ in range(n - 1):
+        tau = sat[walking, state[walking]]
+        later = np.where(sat[walking] > tau[:, None], rank[walking], -1)
+        going = later.max(axis=1) >= 0
+        if not going.any():
+            break
+        walking = walking[going]
+        state[walking] = later[going].argmax(axis=1)
+        owners.append(walking)
+        steps.append(tau[going] + 1)
+        targets.append(state[walking])
+    # Each opening, against the state the phase before it ended on.
+    opened = np.flatnonzero(opening != np.append(0, state[:-1]))
+    starts = np.array([p.start for p in phases], dtype=np.int64)
+    owner = np.concatenate([opened, *owners])
+    step = np.concatenate([starts[opened], *steps])
+    target = np.concatenate([opening[opened], *targets])
+    order = step.argsort()
+    moves = list(zip(step[order].tolist(), target[order].tolist()))
+    per_phase = np.bincount(owner, minlength=len(phases)).tolist()
+    return moves, [(count, count) for count in per_phase]
+
+
+def _dense_ranks(blocks) -> np.ndarray:
+    """Per entry of the (phases, n) blocks, its rank among all distinct
+    values, equal values ranked equal, in Python's order of the values."""
+    keys = np.array(blocks)  # int64 when every entry is an int that fits
+    if keys.dtype != np.int64:
+        # float64 orders floats and ints up to 2**53 exactly; past that,
+        # object keys sort by Python's own comparisons.
+        big = max((abs(v) for h in blocks for v in h if not isinstance(v, float)), default=0)
+        keys = np.array(blocks, dtype=np.float64 if big <= 1 << 53 else object)
+    return np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
 
 
 def _units(seq: TaskSequence, moves, phases) -> list:

@@ -53,6 +53,15 @@ def decompose_phases_restart(seq: TaskSequence):
     return phases
 
 
+def harmonic_number_loop(n: int) -> Fraction:
+    """Sum of 1/i for i in 1..n, one Fraction added per term; the loop that
+    ``analysis.harmonic_number`` replaced."""
+    total = Fraction(0)
+    for i in range(1, n + 1):
+        total += Fraction(1, i)
+    return total
+
+
 def fit_budget_scalar(deltas, eta0: int) -> list:
     """Offsets shrunk one unit at a time until their total magnitude fits eta0.
 

@@ -30,6 +30,7 @@ from mtslab.cli import main
 from mtslab.core import decompose_phases, lv_loss, pst_error_per_phase
 from mtslab.engine import run_scheduler
 from mtslab.kernels import simulate_family_trials
+from mtslab.schedulers import SCHEDULERS
 from mtslab.verify import invariants_suite, max_footrule_bruteforce, opt_suite
 from oracles import expected_walk_visits_bruteforce, mean_and_se
 
@@ -157,6 +158,23 @@ def test_prediction_follower_stays_within_the_error_bound_on_drawn_blocks(
         blocks[phase.start] = tuple(data.draw(
             st.lists(steps, min_size=n, max_size=n, unique=True), label=f"h{phase.index}"))
     target(max(_excess_over_the_error_bound(replace(seq, pst=blocks), granularity)))
+
+
+def test_prediction_follower_stays_within_the_error_bound_on_force_det_files():
+    """The bound of the tests above on force-det files, each steered against
+    one conforming scheduler and then walked by lps.
+
+    Each block predicts the n states on n consecutive steps and one state
+    saturates per step, so every block is tie-free.
+    """
+    conforming = [name for name, cls in SCHEDULERS.items() if cls.conforming]
+    for n in (2, 3, 5, 8):
+        for eta0 in (0, 1, 3, 8, 20):
+            for name in conforming:
+                for seed in range(3):
+                    seq = forcing_sequence(n, n, eta0, 3, name, seed=seed)
+                    excess = _excess_over_the_error_bound(seq, n)
+                    assert len(excess) == 3, (n, eta0, name, seed)
 
 
 def test_random_inputs_satisfy_the_cost_sandwiches():

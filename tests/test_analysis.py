@@ -16,7 +16,7 @@ from mtslab.analysis import (
     round_ratio_half_up,
 )
 from mtslab.core import CELL_CAP
-from oracles import mean_and_se, sweep_row_scalar
+from oracles import harmonic_number_loop, mean_and_se, sweep_row_scalar
 
 
 def test_max_footrule_frozen_values():
@@ -62,6 +62,11 @@ def test_harmonic_frozen_values():
     assert harmonic_number(1) == Fraction(1)
     assert harmonic_number(2) == Fraction(3, 2)
     assert harmonic_number(4) == Fraction(25, 12)
+
+
+def test_harmonic_number_matches_the_term_by_term_loop():
+    for n in range(301):
+        assert harmonic_number(n) == harmonic_number_loop(n), n
 
 
 @given(st.integers(min_value=1, max_value=300))

@@ -222,15 +222,17 @@ def test_spliced_payloads_load_and_run_or_fail_cleanly(payload, data, value):
 
 @st.composite
 def _event_inputs(draw):
-    """Small inputs with many ties, int or float prediction blocks (some
-    missing) and, often, an lv table that holds -1 and 0."""
+    """Small inputs with many ties, prediction blocks (some missing) of
+    small ints, of floats, or of values that only Python orders exactly,
+    and, often, an lv table that holds -1 and 0."""
     n = draw(st.integers(1, 5))
     granularity = draw(st.integers(1, 3))
     steps = draw(st.integers(0, 24))
     tasks = draw(st.lists(st.lists(st.integers(0, granularity), min_size=n, max_size=n),
                           min_size=steps, max_size=steps))
     bare = TaskSequence(n=n, granularity=granularity, tasks=tasks)
-    value = draw(st.sampled_from([st.integers(0, 3), st.floats(0, 3, width=16)]))
+    exact = st.sampled_from([-(2**64), -1, 2.0**53, 2**53 + 1, 2**64])
+    value = draw(st.sampled_from([st.integers(0, 3), st.floats(0, 3, width=16), exact]))
     pst = {}
     for phase in decompose_phases(bare):
         if draw(st.integers(0, 9)):  # one block in ten is missing
@@ -276,9 +278,26 @@ def _outcome(seq, scheduler, seed, trial_index, phases=None):
 # lists of one phase.
 @example(seq=TaskSequence(n=3, granularity=1, tasks=[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                           pst={0: (0, 1, 2)}), seed=0, trials=1)
+# Prediction blocks that float64 keys would tie: 2**53 + 1 is the larger.
+@example(seq=TaskSequence(n=2, granularity=1, tasks=[[1, 0], [0, 1]],
+                          pst={0: (2.0**53, 2**53 + 1)}), seed=0, trials=1)
+# Ints past int64 and negative ints, with a negative tie in the second block.
+@example(seq=TaskSequence(n=3, granularity=1, tasks=[[0, 0, 1], [1, 0, 0], [0, 1, 0]] * 2,
+                          pst={0: (-(2**65), -3, 2**64 + 1), 3: (-1, -2, -1)}),
+         seed=0, trials=1)
+# Every state saturates on one step, and the second phase opens where the
+# first one ended.
+@example(seq=TaskSequence(n=3, granularity=1, tasks=[[1, 1, 1], [1, 1, 1]],
+                          pst={0: (0, 5, 5), 1: (0, 5, 5)}), seed=0, trials=1)
+# No steps, so no phases.
+@example(seq=TaskSequence(n=2, granularity=1, tasks=[], pst={}), seed=0, trials=1)
+# The trailing phase has no block: both paths refuse the input with one text.
+@example(seq=TaskSequence(n=2, granularity=1, tasks=[[1, 0], [0, 1], [1, 0]],
+                          pst={0: (1, 2)}), seed=0, trials=1)
 def test_event_walk_matches_checked_walk(deadline, seq, seed, trials):
-    """Each built-in by name, on the event path over one shared decomposition,
-    equals the same scheduler run as an instance through ``Walk``."""
+    """Each built-in by name, on the event path (lps on its table walk) over
+    one shared decomposition, equals the same scheduler run as an instance
+    through ``Walk``."""
     shared = decompose_phases(seq)
     for trial in range(trials):
         for name in scheduler_names():
