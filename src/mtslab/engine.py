@@ -5,9 +5,9 @@ integer accounting. A registered name runs on the event path: the engine
 calls the scheduler's own hooks itself, once per phase opening and once
 per saturation of its current state, and takes each move's candidates
 from the phase's cached list. lps is the exception: by name, it walks
-every phase at once, from a table of saturation steps and a table of the
-dense ranks of the prediction blocks, in at most n - 1 array rounds per
-run. A ``Scheduler`` instance runs through the movement protocol of
+every phase at once through its own ``walk_phases``, from a table of
+saturation steps and a table of the dense ranks of the prediction
+blocks, in at most n - 1 array rounds per run. A ``Scheduler`` instance runs through the movement protocol of
 ``schedulers.Walk``, which checks every answer; that path is the only one
 for custom schedulers and the oracle the other two paths' moves and
 transitions are tested against. Every path keeps the move log, from which
@@ -137,8 +137,9 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
             f"starting at step {bare.start} and the input has none"
         )
 
-    if event and sched.name == "lps" and phases:
-        walk.moves, counts = _lps_table_walk(seq.n, phases)
+    walk_phases = getattr(sched, "walk_phases", None) if event else None
+    if walk_phases is not None and phases:
+        walk.moves, counts = walk_phases(phases)
     else:
         latest_lv = _latest_next_request(seq, sched.needs_lv)
         walk_phase = _event_phase if event else _walk_phase
@@ -198,56 +199,6 @@ def _event_phase(walk: Walk, phase, latest_lv) -> int:
             transitions += 1
     walk.state = state
     return transitions
-
-
-def _lps_table_walk(n: int, phases) -> tuple:
-    """lps over every phase at once: its move log and (transitions, moves) per phase.
-
-    Each phase opens on its first top-ranked state, then, in each round,
-    every phase still walking moves to the first top-ranked state that
-    saturates strictly after its current one. A phase has at most n - 1
-    such moves, and the opening counts only where it leaves the state the
-    previous phase ended on.
-    """
-    sat = np.array([p.sat_step for p in phases], dtype=np.int64)
-    rank = _dense_ranks([p.h for p in phases])
-    opening = rank.argmax(axis=1)
-    state = opening.copy()
-    walking = np.arange(len(phases))
-    owners, steps, targets = [], [], []
-    for _ in range(n - 1):
-        tau = sat[walking, state[walking]]
-        later = np.where(sat[walking] > tau[:, None], rank[walking], -1)
-        going = later.max(axis=1) >= 0
-        if not going.any():
-            break
-        walking = walking[going]
-        state[walking] = later[going].argmax(axis=1)
-        owners.append(walking)
-        steps.append(tau[going] + 1)
-        targets.append(state[walking])
-    # Each opening, against the state the phase before it ended on.
-    opened = np.flatnonzero(opening != np.append(0, state[:-1]))
-    starts = np.array([p.start for p in phases], dtype=np.int64)
-    owner = np.concatenate([opened, *owners])
-    step = np.concatenate([starts[opened], *steps])
-    target = np.concatenate([opening[opened], *targets])
-    order = step.argsort()
-    moves = list(zip(step[order].tolist(), target[order].tolist()))
-    per_phase = np.bincount(owner, minlength=len(phases)).tolist()
-    return moves, [(count, count) for count in per_phase]
-
-
-def _dense_ranks(blocks) -> np.ndarray:
-    """Per entry of the (phases, n) blocks, its rank among all distinct
-    values, equal values ranked equal, in Python's order of the values."""
-    keys = np.array(blocks)  # int64 when every entry is an int that fits
-    if keys.dtype != np.int64:
-        # float64 orders floats and ints up to 2**53 exactly; past that,
-        # object keys sort by Python's own comparisons.
-        big = max((abs(v) for h in blocks for v in h if not isinstance(v, float)), default=0)
-        keys = np.array(blocks, dtype=np.float64 if big <= 1 << 53 else object)
-    return np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
 
 
 def _units(seq: TaskSequence, moves, phases) -> list:

@@ -153,7 +153,17 @@ class UniformRestart(Scheduler):
 
 
 def _latest_predicted(candidates, h):
+    # LatestPredictedSaturation.walk_phases applies this rule to whole tables.
     return max(candidates, key=h.__getitem__)  # ties: the first, lowest index
+
+
+def _dense_ranks(blocks) -> np.ndarray:
+    """Per entry of the (phases, n) blocks, its rank among all distinct
+    values, equal values ranked equal, in Python's order of the values."""
+    keys = np.array(blocks)  # int64 when every entry is an int that fits
+    if keys.dtype != np.int64:
+        keys = np.array(blocks, dtype=object)  # sorts by Python's comparisons
+    return np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
 
 
 class LatestPredictedSaturation(Scheduler):
@@ -172,6 +182,44 @@ class LatestPredictedSaturation(Scheduler):
 
     def on_saturation(self, current, unsaturated, now, h, latest_lv):
         return _latest_predicted(unsaturated, h)
+
+    def walk_phases(self, phases) -> tuple:
+        """Every phase at once: the move log and (transitions, moves) per phase.
+
+        The engine calls this for lps by name, over ``decompose_phases``'
+        list. Each phase opens on its first top-ranked state, then, in each
+        round, every phase still walking moves to the first top-ranked
+        state that saturates strictly after its current one, at most
+        n - 1 times. An opening counts only where it leaves the state the
+        previous phase ended on.
+        """
+        sat = np.array([p.sat_step for p in phases], dtype=np.int64)
+        rank = _dense_ranks([p.h for p in phases])
+        opening = rank.argmax(axis=1)
+        state = opening.copy()
+        walking = np.arange(len(phases))
+        owners, steps, targets = [], [], []
+        for _ in range(self.n - 1):
+            tau = sat[walking, state[walking]]
+            later = np.where(sat[walking] > tau[:, None], rank[walking], -1)
+            going = later.max(axis=1) >= 0
+            if not going.any():
+                break
+            walking = walking[going]
+            state[walking] = later[going].argmax(axis=1)
+            owners.append(walking)
+            steps.append(tau[going] + 1)
+            targets.append(state[walking])
+        # Each opening, against the state the phase before it ended on.
+        opened = np.flatnonzero(opening != np.append(0, state[:-1]))
+        starts = np.array([p.start for p in phases], dtype=np.int64)
+        owner = np.concatenate([opened, *owners])
+        step = np.concatenate([starts[opened], *steps])
+        target = np.concatenate([opening[opened], *targets])
+        order = step.argsort()
+        moves = list(zip(step[order].tolist(), target[order].tolist()))
+        per_phase = np.bincount(owner, minlength=len(phases)).tolist()
+        return moves, [(count, count) for count in per_phase]
 
 
 class RobustLatestPredicted(Scheduler):
