@@ -19,9 +19,7 @@ from .analysis import (
 from .adversaries import (
     build_family,
     forcing_sequence,
-    noisy_pst,
     random_unit_sequence,
-    realize_saturation_order,
     repeat_block_sequence,
     reversal_sequence,
     shuffled_tail_sequence,
@@ -43,10 +41,10 @@ from .errors import (
     ProtocolError,
 )
 from .kernels import backend_name, simulate_family_trials
-from .opt import opt_schedule, opt_units
+from .opt import opt_units
 from .rng import RandomStream, seed_words, trial_seed
 from .schedulers import SCHEDULERS, Scheduler, make_scheduler, scheduler_names
-from .verify import VerifyResult, run_suite, verify_sequence
+from .verify import VerifyResult, run_suite
 
 __all__ = [
     "__version__",
@@ -59,9 +57,7 @@ __all__ = [
     "round_ratio_half_up",
     "build_family",
     "forcing_sequence",
-    "noisy_pst",
     "random_unit_sequence",
-    "realize_saturation_order",
     "repeat_block_sequence",
     "reversal_sequence",
     "shuffled_tail_sequence",
@@ -81,7 +77,6 @@ __all__ = [
     "ProtocolError",
     "backend_name",
     "simulate_family_trials",
-    "opt_schedule",
     "opt_units",
     "RandomStream",
     "seed_words",
@@ -92,5 +87,4 @@ __all__ = [
     "scheduler_names",
     "VerifyResult",
     "run_suite",
-    "verify_sequence",
 ]

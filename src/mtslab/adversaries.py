@@ -1,15 +1,15 @@
 """Input generators.
 
-Four families of task sequences, plus helpers for fabricating prediction
-tables. Two families are closed-form streams written out directly; the
-other two are interactive: they drive a live scheduler instance through
-the engine's protocol (one ``schedulers.Walk``) and record a stream
-tailored to the observed behavior, so replaying the file through the
-engine (same scheduler, same seed) reproduces the interaction. Each
-generator builds its task and next-request tables once, as int64 arrays:
-the interactive ones record one demanded state per step and expand the
-record into a one-hot table at the end. ``build_family`` bounds the size
-of the output from closed forms before anything is generated.
+Four families of task sequences. Two are closed-form streams written
+out directly; the other two are interactive: they drive a live scheduler
+instance through the engine's protocol (one ``schedulers.Walk``) and
+record a stream tailored to the observed behavior, so replaying the file
+through the engine (same scheduler, same seed) reproduces the
+interaction. Each generator builds its task and next-request tables
+once, as int64 arrays: the interactive ones record one demanded state
+per step and expand the record into a one-hot table at the end.
+``build_family`` bounds the size of the output from closed forms before
+anything is generated.
 
 Shared geometry: a phase realizes a saturation order, one state per step.
 Prediction blocks assign each state a predicted saturation step; the
@@ -26,24 +26,15 @@ phase-opening move is always real.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .analysis import max_forcible_transitions
-from .core import (
-    CELL_CAP,
-    UNIT_LIMIT,
-    TaskSequence,
-    decompose_phases,
-    next_demand,
-)
+from .core import CELL_CAP, UNIT_LIMIT, TaskSequence, next_demand
 from .errors import ConfigurationError
 from .rng import RandomStream, _randbelow, _word_run, state_rows, trial_seed
 from .schedulers import Scheduler, Walk
 
 __all__ = [
-    "realize_saturation_order",
     "reversal_sequence",
     "shuffled_tail_sequence",
     "tail_orders",
@@ -51,33 +42,23 @@ __all__ = [
     "forcing_sequence",
     "repeat_block_sequence",
     "random_unit_sequence",
-    "noisy_pst",
     "FAMILY_NAMES",
-    "INTERACTIVE_FAMILIES",
     "canonical_family",
     "build_family",
 ]
 
 
-def realize_saturation_order(n: int, granularity: int, order) -> list:
-    """Tasks (one per step) saturating the states of ``order`` in order.
+def _spike_rows(granularity: int, order: np.ndarray) -> np.ndarray:
+    """The (n, n) int64 task table saturating the states of ``order`` in order.
 
     Step j hands the j-th target exactly the units it is missing
     (granularity - j, since it collected one unit in each earlier step),
     one unit to every state still waiting, and nothing to states already
     saturated. Every state therefore reaches the threshold exactly, one
-    state per step, and the phase is n steps long. Needs granularity >= n
-    so the closing spike stays positive.
+    state per step, and the phase is n steps long. Unchecked: ``order``
+    must be a permutation of range(n), and granularity >= n keeps the
+    closing spike positive; ``_tail_sequence`` guarantees both.
     """
-    if sorted(order) != list(range(n)):
-        raise ConfigurationError("order must be a permutation of the states")
-    if granularity < n:
-        raise ConfigurationError("granularity must be >= n to realize an order")
-    return _spike_rows(granularity, np.asarray(order, np.int64)).tolist()
-
-
-def _spike_rows(granularity: int, order: np.ndarray) -> np.ndarray:
-    """The (n, n) int64 table of ``realize_saturation_order``, unchecked."""
     position = np.argsort(order)  # the step at which each state saturates
     step = np.arange(len(order))[:, None]
     return np.where(position == step, granularity - step, position > step)
@@ -405,73 +386,6 @@ def random_unit_sequence(n: int, granularity: int, phases: int, seed: int = 0) -
     return TaskSequence(n=n, granularity=granularity, tasks=tasks, pst=pst, lv=lv)
 
 
-def _fit_budget(deltas: list, eta0: int) -> list:
-    """``deltas`` shrunk toward zero until their total magnitude is at most eta0.
-
-    The same offsets as taking one unit off the largest magnitude (lowest
-    index first) until the total fits, in closed form: find the largest
-    level L with sum(min(|d|, L)) <= eta0, lower every magnitude above L to
-    L + 1, and take one more unit off the lowest-indexed of them until the
-    total is eta0. ``fit_budget_scalar`` in ``tests/oracles.py`` is that
-    per-unit loop.
-    """
-    mags = [abs(d) for d in deltas]
-    if sum(mags) <= eta0:
-        return deltas
-    lo, hi = 0, max(mags)  # the level sum fits at lo and overflows at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sum(min(m, mid) for m in mags) <= eta0:
-            lo = mid
-        else:
-            hi = mid
-    out = list(deltas)
-    above = [i for i, m in enumerate(mags) if m > lo]
-    extra = sum(min(m, lo + 1) for m in mags) - eta0
-    for k, i in enumerate(above):
-        level = lo if k < extra else lo + 1
-        out[i] = level if out[i] > 0 else -level
-    return out
-
-
-def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
-    """``seq`` with its prediction blocks perturbed within budget; tables shared.
-
-    Per phase, signed integer offsets are drawn in [-eta0, eta0], shrunk
-    (largest magnitude first) until their total magnitude fits the budget,
-    and then shrunk further whenever two states that saturate on different
-    steps are predicted on the same step (the larger offset of the two,
-    never zero, shrinks), so the realized per-phase error is at most eta0
-    and states that saturate apart are predicted apart; states that
-    saturate on the same step may share a predicted step. Shrinking only
-    ever moves predictions toward the truth.
-    """
-    if eta0 < 0:
-        raise ConfigurationError("eta0 must be >= 0")
-    if 2 * eta0 + 1 > 1 << 32:
-        raise ConfigurationError("eta0 must be < 2**31: one draw spans 2 * eta0 + 1 offsets")
-    stream = RandomStream(trial_seed(seed, 0))
-    blocks = {}
-    for phase in (p for p in decompose_phases(seq) if p.complete):
-        true = list(phase.sat_step)
-        n = len(true)
-        drawn = [stream.randbelow(2 * eta0 + 1) - eta0 for _ in range(n)]
-        deltas = _fit_budget(drawn, eta0)
-        while True:
-            seen: dict = {}
-            clash = None
-            for i in range(n):
-                first = seen.setdefault(true[i] + deltas[i], i)
-                if true[first] != true[i]:
-                    clash = max((first, i), key=lambda i: (abs(deltas[i]), -i))
-                    break
-            if clash is None:
-                break
-            deltas[clash] -= 1 if deltas[clash] > 0 else -1
-        blocks[phase.start] = tuple(true[i] + deltas[i] for i in range(n))
-    return replace(seq, pst=blocks)
-
-
 # The flags each family reads besides n, granularity, phases and seed; each
 # is required.
 _FAMILY_FLAGS = {
@@ -481,8 +395,6 @@ _FAMILY_FLAGS = {
     "rand-lb": ("k",),
 }
 FAMILY_NAMES = tuple(_FAMILY_FLAGS)
-INTERACTIVE_FAMILIES = tuple(name for name, flags in _FAMILY_FLAGS.items()
-                             if "scheduler" in flags)
 
 
 def _default_granularity(family: str, n: int) -> int:
@@ -511,10 +423,10 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
                  scheduler: str | None = None, k: int | None = None):
     """Uniform entry point used by the command line.
 
-    Returns (sequence, info) where info carries the derived geometry that
-    the command line reports: the realized tail size m for the
-    budget-driven families, or the repeat count for the demand-repeat one.
-    A flag the family does not read, per ``_FAMILY_FLAGS``, is an error.
+    Returns (sequence, m): m is the realized tail size of the
+    budget-driven families, and None for lv, whose repeat count is the
+    sequence's granularity. A flag the family does not read, per
+    ``_FAMILY_FLAGS``, is an error.
     """
     name = canonical_family(family)
     reads = _FAMILY_FLAGS[name]
@@ -530,15 +442,14 @@ def build_family(family: str, *, n: int, granularity: int | None = None,
     _check_output_size(name, n, granularity, phases)
     if name == "reversal":
         seq = reversal_sequence(n, granularity, eta0, phases)
-        return seq, {"family": name, "m": budget_tail_size(n, eta0)}
+        return seq, budget_tail_size(n, eta0)
     if name == "rand-lb":
         seq = shuffled_tail_sequence(n, granularity, k, phases, seed=seed)
-        return seq, {"family": name, "m": min(k, n)}
+        return seq, min(k, n)
     if name == "force-det":
         seq = forcing_sequence(n, granularity, eta0, phases, scheduler, seed=seed)
-        return seq, {"family": name, "m": budget_tail_size(n, eta0)}
-    seq = repeat_block_sequence(n, phases, scheduler, granularity, seed=seed)
-    return seq, {"family": name, "r": seq.granularity}
+        return seq, budget_tail_size(n, eta0)
+    return repeat_block_sequence(n, phases, scheduler, granularity, seed=seed), None
 
 
 def _check_output_size(name: str, n: int, granularity: int, phases: int) -> None:

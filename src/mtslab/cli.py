@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_adversary_gen(args) -> int:
     check_seed(args.seed, "--seed")
-    seq, info = build_family(
+    seq, m = build_family(
         args.adversary,
         n=args.n,
         granularity=args.granularity,
@@ -125,10 +125,10 @@ def _cmd_adversary_gen(args) -> int:
     errors = pst_error_per_phase(seq)
     print(f"wrote {args.out}: n={seq.n} granularity={seq.granularity} "
           f"steps={len(seq)} phases={len(errors)}")
-    if "m" in info:
-        print(f"m = {info['m']}")
+    if m is None:
+        print(f"r = {seq.granularity}")
     else:
-        print(f"r = {info['r']}")
+        print(f"m = {m}")
     for index, err in enumerate(errors):
         if err is not None:
             print(f"phase {index}: realized error {err}")

@@ -7,13 +7,14 @@ per saturation of its current state, and takes each move's candidates
 from the phase's cached list. lps is the exception: by name, it walks
 every phase at once through its own ``walk_phases``, from a table of
 saturation steps and a table of the dense ranks of the prediction
-blocks, in at most n - 1 array rounds per run. A ``Scheduler`` instance runs through the movement protocol of
-``schedulers.Walk``, which checks every answer; that path is the only one
-for custom schedulers and the oracle the other two paths' moves and
-transitions are tested against. Every path keeps the move log, from which
-``RunResult.schedule`` (the state occupied at every step) is built when
-it is read, and shares one sum of processing units per phase, which is
-audited against ``core.schedule_cost``.
+blocks, in at most n - 1 array rounds per run. A ``Scheduler`` instance
+runs through the movement protocol of ``schedulers.Walk``, which checks
+every answer; that path is the only one for custom schedulers and the
+oracle the other two paths' moves and transitions are tested against.
+Every path keeps the move log, from which ``RunResult.schedule`` (the
+state occupied at every step) is built when it is read, and shares one
+sum of processing units per phase, which is audited against
+``core.schedule_cost``.
 
 Runs always open in state 0. Randomized schedulers draw from the stream
 seeded with trial_seed(seed, trial_index), the same derivation the batched

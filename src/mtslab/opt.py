@@ -19,9 +19,7 @@ The next window is twice the block's length, at least 2n: it doubles
 over blocks that do not close, O(log steps) of them per closed block.
 
 ``phase_opt_units`` steps the recurrence over many phases at once, one
-row of a block per phase. ``opt_schedule`` keeps the forward table and
-backtracks one witness schedule, preferring to stay and breaking ties
-toward the lowest state index, so witnesses are deterministic.
+row of a block per phase.
 """
 
 from __future__ import annotations
@@ -31,13 +29,7 @@ import numpy as np
 from .core import UNIT_LIMIT, unit_total
 from .errors import ConfigurationError
 
-__all__ = ["opt_units", "phase_opt_units", "opt_schedule"]
-
-
-def _step(prev, rows, granularity: int, out) -> None:
-    """One step of the recurrence, for one DP row or for every row of a block."""
-    np.minimum(prev, prev.min(axis=-1, keepdims=prev.ndim > 1) + granularity, out=out)
-    out += rows
+__all__ = ["opt_units", "phase_opt_units"]
 
 
 def _opening(tasks, granularity: int):
@@ -108,33 +100,8 @@ def phase_opt_units(arr, granularity: int, phases) -> list:
     block = np.zeros((len(phases), arr.shape[1]), dtype=np.int64)
     for k, count in enumerate(active.tolist()):
         live = block[:count]
-        _step(live, arr[starts[:count] + k], granularity, live)
+        np.minimum(live, live.min(axis=1, keepdims=True) + granularity, out=live)
+        live += arr[starts[:count] + k]
     best = np.empty(len(phases), dtype=np.int64)
     best[order] = block.min(axis=1)
     return best.tolist()
-
-
-def opt_schedule(tasks, granularity: int):
-    """(cost_units, schedule) for one optimal schedule, opening in state 0."""
-    opening = _opening(tasks, granularity)
-    if opening is None:
-        return 0, []
-    arr, prev = opening
-    steps = len(arr)
-    best = np.empty(arr.shape, dtype=np.int64)
-    for t in range(steps):
-        _step(prev, arr[t], granularity, best[t])
-        prev = best[t]
-    state = int(np.argmin(best[-1]))
-    cost = int(best[-1, state])
-    schedule = [0] * steps
-    schedule[-1] = state
-    for t in range(steps - 1, 0, -1):
-        here = best[t, state] - arr[t, state]
-        if best[t - 1, state] != here:
-            # Jumped in: the lowest other state one move away.
-            came = best[t - 1] + granularity == here
-            came[state] = False
-            state = int(np.argmax(came))
-        schedule[t - 1] = state
-    return cost, schedule

@@ -2,8 +2,9 @@
 
 Each check is a named pass/fail with a human-readable detail line. Some
 read the input alone, the offline-optimum sandwich among them; the rest
-check one scheduler run over it. The command line maps any failed check
-to a nonzero exit status; library callers get the full list back.
+check one scheduler run over it; the invariants suite runs both kinds on
+random inputs it draws. The command line's ``verify`` runs the suites and
+maps any failed check to a nonzero exit status.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .engine import run_scheduler
 from .errors import ConfigurationError
 from .opt import opt_units, phase_opt_units
 from .rng import RandomStream, trial_seed
-from .schedulers import SCHEDULERS, Scheduler
+from .schedulers import SCHEDULERS
 
 SUITE_NAMES = ("arith", "footrule", "opt", "invariants", "all")
 
@@ -54,17 +55,6 @@ class VerifyResult:
             mark = "ok" if c.passed else "FAIL"
             out.append(f"[{mark}] {c.name}: {c.detail}")
         return out
-
-
-def verify_sequence(seq: TaskSequence, scheduler: str | Scheduler | None = None, *,
-                    seed: int = 0) -> VerifyResult:
-    """Run every applicable check; attach a scheduler run when one is named."""
-    result = VerifyResult()
-    decomposed = decompose_phases(seq)
-    _check_sequence(result, seq, decomposed)
-    if scheduler is not None:
-        _check_run(result, seq, decomposed, scheduler, seed=seed)
-    return result
 
 
 def _check_sequence(result: VerifyResult, seq: TaskSequence, decomposed) -> None:

@@ -8,19 +8,24 @@ registered schedulers through ``schedulers.Walk`` over its own phase
 geometry and adversary stream, so it shares no geometry or random-number
 code with the lockstep kernel. The brute-force optimum and footrule maximum
 that ``mtslab verify`` runs live in ``mtslab.verify``.
+
+The module also holds test-input helpers that the package no longer
+ships: ``noisy_pst``, which perturbs prediction blocks within a budget,
+and its ``_fit_budget``, whose oracle is ``fit_budget_scalar``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 
 from mtslab.analysis import SweepRecord, round_ratio_half_up, transition_stats
-from mtslab.core import Phase, TaskSequence
+from mtslab.core import Phase, TaskSequence, decompose_phases
+from mtslab.errors import ConfigurationError
 from mtslab.rng import RandomStream, trial_seed
 from mtslab.schedulers import Walk
 
@@ -66,14 +71,79 @@ def fit_budget_scalar(deltas, eta0: int) -> list:
     """Offsets shrunk one unit at a time until their total magnitude fits eta0.
 
     Each pass takes one unit off the largest magnitude, the lowest index
-    among equals; ``adversaries._fit_budget`` computes the result in
-    closed form.
+    among equals; ``_fit_budget`` computes the result in closed form.
     """
     deltas = list(deltas)
     while sum(abs(d) for d in deltas) > eta0:
         worst = max(range(len(deltas)), key=lambda i: (abs(deltas[i]), -i))
         deltas[worst] -= 1 if deltas[worst] > 0 else -1
     return deltas
+
+
+def _fit_budget(deltas: list, eta0: int) -> list:
+    """``deltas`` shrunk toward zero until their total magnitude is at most eta0.
+
+    The same offsets as taking one unit off the largest magnitude (lowest
+    index first) until the total fits, in closed form: find the largest
+    level L with sum(min(|d|, L)) <= eta0, lower every magnitude above L to
+    L + 1, and take one more unit off the lowest-indexed of them until the
+    total is eta0. ``fit_budget_scalar`` is that per-unit loop.
+    """
+    mags = [abs(d) for d in deltas]
+    if sum(mags) <= eta0:
+        return deltas
+    lo, hi = 0, max(mags)  # the level sum fits at lo and overflows at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(min(m, mid) for m in mags) <= eta0:
+            lo = mid
+        else:
+            hi = mid
+    out = list(deltas)
+    above = [i for i, m in enumerate(mags) if m > lo]
+    extra = sum(min(m, lo + 1) for m in mags) - eta0
+    for k, i in enumerate(above):
+        level = lo if k < extra else lo + 1
+        out[i] = level if out[i] > 0 else -level
+    return out
+
+
+def noisy_pst(seq: TaskSequence, eta0: int, seed: int = 0) -> TaskSequence:
+    """``seq`` with its prediction blocks perturbed within budget; tables shared.
+
+    Per phase, signed integer offsets are drawn in [-eta0, eta0], shrunk
+    (largest magnitude first) until their total magnitude fits the budget,
+    and then shrunk further whenever two states that saturate on different
+    steps are predicted on the same step (the larger offset of the two,
+    never zero, shrinks), so the realized per-phase error is at most eta0
+    and states that saturate apart are predicted apart; states that
+    saturate on the same step may share a predicted step. Shrinking only
+    ever moves predictions toward the truth.
+    """
+    if eta0 < 0:
+        raise ConfigurationError("eta0 must be >= 0")
+    if 2 * eta0 + 1 > 1 << 32:
+        raise ConfigurationError("eta0 must be < 2**31: one draw spans 2 * eta0 + 1 offsets")
+    stream = RandomStream(trial_seed(seed, 0))
+    blocks = {}
+    for phase in (p for p in decompose_phases(seq) if p.complete):
+        true = list(phase.sat_step)
+        n = len(true)
+        drawn = [stream.randbelow(2 * eta0 + 1) - eta0 for _ in range(n)]
+        deltas = _fit_budget(drawn, eta0)
+        while True:
+            seen: dict = {}
+            clash = None
+            for i in range(n):
+                first = seen.setdefault(true[i] + deltas[i], i)
+                if true[first] != true[i]:
+                    clash = max((first, i), key=lambda i: (abs(deltas[i]), -i))
+                    break
+            if clash is None:
+                break
+            deltas[clash] -= 1 if deltas[clash] > 0 else -1
+        blocks[phase.start] = tuple(true[i] + deltas[i] for i in range(n))
+    return replace(seq, pst=blocks)
 
 
 def next_demand_scalar(tasks) -> list:

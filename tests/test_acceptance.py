@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st, target
 
 from mtslab.adversaries import (
     forcing_sequence,
-    noisy_pst,
     random_unit_sequence,
     repeat_block_sequence,
     reversal_sequence,
@@ -32,7 +31,7 @@ from mtslab.engine import run_scheduler
 from mtslab.kernels import simulate_family_trials
 from mtslab.schedulers import SCHEDULERS
 from mtslab.verify import invariants_suite, max_footrule_bruteforce, opt_suite
-from oracles import expected_walk_visits_bruteforce, mean_and_se
+from oracles import expected_walk_visits_bruteforce, mean_and_se, noisy_pst
 
 
 def test_reversal_forces_exact_transition_counts_on_prediction_follower():

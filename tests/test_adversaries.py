@@ -8,13 +8,11 @@ from mtslab.adversaries import (
     _FAMILY_FLAGS,
     BLOCK_CELLS,
     FAMILY_NAMES,
-    INTERACTIVE_FAMILIES,
+    _spike_rows,
     build_family,
     canonical_family,
     forcing_sequence,
-    noisy_pst,
     random_unit_sequence,
-    realize_saturation_order,
     repeat_block_sequence,
     reversal_sequence,
     shuffled_tail_sequence,
@@ -34,15 +32,16 @@ from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
 from mtslab.rng import RandomStream, state_rows, trial_seed
 from mtslab.schedulers import SCHEDULERS
+from oracles import noisy_pst
 
 
 def test_realize_order_frozen_example():
-    assert realize_saturation_order(2, 2, [0, 1]) == [[2, 1], [0, 1]]
+    assert _spike_rows(2, np.array([0, 1])).tolist() == [[2, 1], [0, 1]]
 
 
 def test_realize_order_saturates_exactly_in_order():
     order = [3, 0, 2, 1]
-    tasks = realize_saturation_order(4, 7, order)
+    tasks = _spike_rows(7, np.array(order)).tolist()
     assert len(tasks) == 4
     for s in range(4):
         assert sum(row[s] for row in tasks) == 7
@@ -55,13 +54,6 @@ def test_realize_order_saturates_exactly_in_order():
     assert [len(states) for states in saturated] == [1, 2, 3, 4]
     for j in range(4):
         assert set(saturated[j]) == set(order[: j + 1])
-
-
-def test_realize_order_validation():
-    with pytest.raises(ConfigurationError):
-        realize_saturation_order(3, 5, [0, 1, 1])
-    with pytest.raises(ConfigurationError):
-        realize_saturation_order(3, 2, [0, 1, 2])
 
 
 def _tail_tables(family, n, m, phases, seeds):
@@ -418,7 +410,7 @@ _FLAG_VALUES = {"eta0": 2, "k": 3, "scheduler": "lowest-index"}
 
 def test_family_names_come_from_the_flag_table():
     assert FAMILY_NAMES == ("reversal", "lv", "force-det", "rand-lb")
-    assert INTERACTIVE_FAMILIES == ("lv", "force-det")
+    assert [f for f in FAMILY_NAMES if "scheduler" in _FAMILY_FLAGS[f]] == ["lv", "force-det"]
 
 
 @pytest.mark.parametrize("family", _FAMILY_FLAGS)
@@ -440,24 +432,24 @@ def test_repeat_block_bound_error_names_granularity():
 
 
 def test_build_family_reports_geometry():
-    seq, info = build_family("reversal", n=8, eta0=4, phases=2)
-    assert info == {"family": "reversal", "m": 3}
+    seq, m = build_family("reversal", n=8, eta0=4, phases=2)
+    assert m == 3
     assert seq.granularity == 8
-    seq, info = build_family("rand-lb", n=4, k=9, phases=1, seed=2)
-    assert info == {"family": "rand-lb", "m": 4}
-    seq, info = build_family("lv", n=3, scheduler="lowest-index", phases=1)
-    assert info == {"family": "lv", "r": 4}
+    seq, m = build_family("rand-lb", n=4, k=9, phases=1, seed=2)
+    assert m == 4
+    seq, m = build_family("lv", n=3, scheduler="lowest-index", phases=1)
+    assert m is None
     assert seq.granularity == 4
-    seq, info = build_family(
+    seq, m = build_family(
         "force-det", n=4, eta0=4, phases=2, scheduler="lps")
-    assert info == {"family": "force-det", "m": 3}
+    assert m == 3
 
 
 def test_lv_default_granularity_is_the_generators_default():
     # build_family bounds the file at the default the generator then runs.
-    seq, info = build_family("lv", n=4, phases=2, scheduler="lowest-index")
+    seq, m = build_family("lv", n=4, phases=2, scheduler="lowest-index")
     direct = repeat_block_sequence(4, 2, "lowest-index")
-    assert info == {"family": "lv", "r": 5}
+    assert m is None
     assert seq.granularity == direct.granularity == 5
     assert to_json_dict(seq) == to_json_dict(direct)
 

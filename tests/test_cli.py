@@ -1042,7 +1042,7 @@ def _hostile_argv(draw, out):
         flags["--k"] = draw(st.integers(2, 8))
     else:
         flags["--granularity"] = n + draw(st.integers(1, 3))
-    if family in adversaries.INTERACTIVE_FAMILIES:
+    if "scheduler" in adversaries._FAMILY_FLAGS[family]:
         flags["--scheduler"] = draw(st.sampled_from(scheduler_names()))
     gen = ["adversary-gen", "--adversary", family, "--out", str(out)]
     if draw(st.booleans()):

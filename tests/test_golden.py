@@ -14,12 +14,13 @@ import json
 
 import pytest
 
-from mtslab.adversaries import build_family, noisy_pst, random_unit_sequence
+from mtslab.adversaries import random_unit_sequence
 from mtslab.cli import main
 from mtslab.core import TaskSequence, load_task_sequence, save_task_sequence
 from mtslab.engine import run_scheduler, summarize
 from mtslab.errors import ConfigurationError
 from mtslab.schedulers import make_scheduler, scheduler_names
+from oracles import noisy_pst
 
 FAMILIES = {
     "reversal": ["--adversary", "reversal", "--n", "5", "--eta0", "3", "--phases", "3"],

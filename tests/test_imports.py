@@ -1,10 +1,12 @@
 """Every name a module of ``mtslab`` imports is used there or exported,
-and the package imports no test code.
+every name it exports is read by the package or the benchmark, and the
+package imports no test code.
 
 An import that outlives the code that read it is dead weight that no
-other test notices; this scan names each one. The slow references in
-``tests/oracles.py`` are not installed, so no module of the package may
-need them.
+other test notices; this scan names each one. So is an exported name that
+only tests read: what tests need to build inputs lives in ``tests/``. The
+slow references in ``tests/oracles.py`` are not installed, so no module
+of the package may need them.
 """
 
 import ast
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "mtslab"
+_BENCH = _SRC.parents[1] / "perfbench"
 
 
 def _imported(tree):
@@ -52,6 +55,63 @@ def test_every_import_is_used_or_exported(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os.path\nfrom json import dumps, loads\n__all__ = ['loads']\n")
     assert _unused(tree) == [("os", 1), ("dumps", 2)]
+
+
+def _read_by_package(tree):
+    """Names package code reads: loaded names and attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _read_by_benchmark(tree):
+    """Names the benchmark may reach a function by: names, attributes,
+    imported names and string constants (its trace points name their
+    attributes as strings)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _unread(exporters, readers, benchmark):
+    """Exported names that no reader module and no benchmark module reads."""
+    exported = set().union(*map(_exported, exporters))
+    read = {name for tree in readers for name in _read_by_package(tree)}
+    read |= {name for tree in benchmark for name in _read_by_benchmark(tree)}
+    return exported - read
+
+
+# Exported names that only tests read, each with what keeps it in the package.
+_WAITING = {
+    "summarize": "waits for ROADMAP item 1: only summarize reads engine's opt_units, "
+                 "which perfbench traces",
+}
+
+
+def test_every_exported_name_is_read_by_the_package_or_the_benchmark():
+    modules = {path: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
+    readers = [tree for path, tree in modules.items() if path.name != "__init__.py"]
+    benchmark = [ast.parse(path.read_text()) for path in sorted(_BENCH.glob("*.py"))]
+    unread = _unread(modules.values(), readers, benchmark)
+    assert unread == _WAITING.keys(), (
+        f"read only by tests: {sorted(unread - _WAITING.keys())}, "
+        f"no longer waiting: {sorted(_WAITING.keys() - unread)}")
+
+
+def test_the_export_scan_sees_a_name_only_tests_read():
+    module = ast.parse("def f(): pass\ndef g(): return f()\ndef h(): pass\n"
+                       "def k(): pass\n__all__ = ['f', 'g', 'h', 'k']\n")
+    init = ast.parse("from .m import g, h\n__all__ = ['g', 'h']\n")
+    bench = ast.parse("points = [(m, 'h')]\n")
+    assert _unread([module, init], [module], [bench]) == {"g", "k"}
 
 
 def _test_code_imports(tree):

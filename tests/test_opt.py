@@ -1,4 +1,4 @@
-"""Offline optimum: value, witness schedule, edge cases."""
+"""Offline optimum: value and edge cases."""
 
 import math
 from types import SimpleNamespace
@@ -8,10 +8,10 @@ import pytest
 
 from mtslab import opt
 from mtslab.adversaries import random_unit_sequence, reversal_sequence
-from mtslab.core import UNIT_LIMIT, TaskSequence, schedule_cost
+from mtslab.core import UNIT_LIMIT, TaskSequence
 from mtslab.engine import run_scheduler, summarize
 from mtslab.errors import ConfigurationError
-from mtslab.opt import opt_schedule, opt_units, phase_opt_units
+from mtslab.opt import opt_units, phase_opt_units
 from mtslab.rng import RandomStream, trial_seed
 from mtslab.verify import opt_bruteforce
 from oracles import opt_units_scalar
@@ -25,21 +25,6 @@ def _free_start(tasks, gran):
 
 def test_empty_input_costs_nothing():
     assert opt_units([], 5) == 0
-    assert opt_schedule([], 5) == (0, [])
-
-
-def test_witness_schedule_audits_to_the_optimum():
-    stream = RandomStream(trial_seed(13, 0))
-    for _ in range(30):
-        n = 1 + stream.randbelow(4)
-        steps = 1 + stream.randbelow(6)
-        gran = 1 + stream.randbelow(5)
-        tasks = [[stream.randbelow(gran + 2) for _ in range(n)]
-                 for _ in range(steps)]
-        cost, schedule = opt_schedule(tasks, gran)
-        total, _, _ = schedule_cost(tasks, gran, schedule, start_state=0)
-        assert total == cost
-        assert cost == opt_units(tasks, gran)
 
 
 def test_value_matches_bruteforce_both_start_modes():
@@ -54,14 +39,6 @@ def test_value_matches_bruteforce_both_start_modes():
         assert _free_start(tasks, gran) == opt_bruteforce(tasks, gran, free_start=True)
 
 
-def test_backtrack_prefers_staying():
-    # Both states are free all along; the witness never wanders.
-    tasks = [[0, 0], [0, 0], [0, 0]]
-    cost, schedule = opt_schedule(tasks, 2)
-    assert cost == 0
-    assert schedule == [0, 0, 0]
-
-
 def test_opt_units_empty_is_zero():
     assert opt_units([], 4) == 0
 
@@ -74,24 +51,21 @@ def test_opt_units_rejects_flat_input():
 def test_optima_reject_negative_entries():
     # The blocked optimum relies on row minima that never fall.
     tasks = [[-2, 3], [0, -1], [-3, 0], [3, 1], [2, -3], [-2, 2], [2, 3], [-1, -3]]
-    for optimum in (opt_units, opt_schedule):
-        with pytest.raises(ConfigurationError):
-            optimum(tasks, 1)
+    with pytest.raises(ConfigurationError):
+        opt_units(tasks, 1)
 
 
 def test_optima_reject_units_past_the_limit():
     # Three entries of 2**62 would wrap the int64 DP; the exact optimum is 2.
     seq = TaskSequence(n=2, granularity=1, tasks=[[2**62, 0], [2**62, 0], [0, 2**62]])
     assert opt_units_scalar(seq.tasks.tolist(), 1) == 2
-    for optimum in (opt_units, opt_schedule):
-        with pytest.raises(ConfigurationError):
-            optimum(seq.tasks, seq.granularity)
+    with pytest.raises(ConfigurationError):
+        opt_units(seq.tasks, seq.granularity)
     with pytest.raises(ConfigurationError):
         summarize(seq, run_scheduler(seq, "lowest-index"))
     # Units plus one move per step may reach UNIT_LIMIT - 1, as in a file ...
     tasks = [[UNIT_LIMIT - 4, 0], [0, 1]]
     assert opt_units(tasks, 1) == opt_units_scalar(tasks, 1) == 2
-    assert opt_schedule(tasks, 1)[0] == 2
     # ... but not UNIT_LIMIT itself.
     with pytest.raises(ConfigurationError):
         opt_units([[UNIT_LIMIT - 3, 0], [0, 1]], 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mtslab.adversaries import _fit_budget, random_unit_sequence, reversal_sequence
+from mtslab.adversaries import random_unit_sequence, reversal_sequence
 from mtslab.analysis import harmonic_number, max_footrule
 from mtslab.core import (
     TaskSequence,
@@ -16,13 +16,13 @@ from mtslab.core import (
     load_task_sequence,
     next_demand,
     save_task_sequence,
-    schedule_cost,
 )
 from mtslab.engine import run_scheduler
-from mtslab.opt import opt_schedule, opt_units, phase_opt_units
+from mtslab.opt import opt_units, phase_opt_units
 from mtslab.schedulers import LowestIndex, NextRequestGreedy, make_scheduler, scheduler_names
 from mtslab.verify import max_footrule_bruteforce, opt_bruteforce
 from oracles import (
+    _fit_budget,
     decompose_phases_restart,
     expected_walk_visits_bruteforce,
     fit_budget_scalar,
@@ -457,10 +457,6 @@ def test_vectorized_optimum_matches_scalar_oracle(case):
     assert phase_opt_units(arr, g, spans) == [
         opt_units_scalar(tasks[p.start : p.end + 1], g, free_start=True) for p in spans
     ]
-
-    cost, schedule = opt_schedule(tasks, g)
-    assert cost == opt_units_scalar(tasks, g)
-    assert schedule_cost(tasks, g, schedule, start_state=0)[0] == cost
 
 
 @st.composite

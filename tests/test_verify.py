@@ -7,18 +7,31 @@ import pytest
 from mtslab import analysis, verify
 from mtslab.adversaries import random_unit_sequence, reversal_sequence
 from mtslab.cli import main
-from mtslab.core import TaskSequence, lv_loss, pst_error_per_phase
+from mtslab.core import TaskSequence, decompose_phases, lv_loss, pst_error_per_phase
 from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
 from mtslab.verify import (
     SUITE_NAMES,
+    VerifyResult,
+    _check_run,
+    _check_sequence,
     arith_suite,
     footrule_suite,
     invariants_suite,
     opt_suite,
     run_suite,
-    verify_sequence,
 )
+
+
+def verify_sequence(seq, scheduler=None, *, seed=0):
+    """The input's checks, then a run's when a scheduler is named, made as
+    the invariants suite makes them."""
+    result = VerifyResult()
+    decomposed = decompose_phases(seq)
+    _check_sequence(result, seq, decomposed)
+    if scheduler is not None:
+        _check_run(result, seq, decomposed, scheduler, seed=seed)
+    return result
 
 
 def test_healthy_sequence_passes_every_check():
