@@ -21,6 +21,8 @@ import os
 import shutil
 import sys
 
+import numpy as np
+
 from . import __version__
 from .adversaries import FAMILY_NAMES, budget_tail_size, build_family, canonical_family
 from .analysis import SweepRecord, round_ratio_half_up, transition_stats
@@ -28,6 +30,7 @@ from .core import (
     CELL_CAP,
     UNIT_LIMIT,
     canonical_json,
+    csv_text,
     decompose_phases,
     load_task_sequence,
     pst_error_per_phase,
@@ -160,17 +163,23 @@ def _cmd_simulate(args) -> int:
     phase_opts = phase_opt_units(seq.tasks, seq.granularity, phases)
     opt_total = opt_units(seq.tasks, seq.granularity)
 
-    rows = []
+    # The rows in SIMULATE_FIELDS order; each entry is below core.UNIT_LIMIT.
+    table = np.empty((args.trials, len(phases), len(SIMULATE_FIELDS)), dtype=np.int64)
+    table[:, :, 0] = np.arange(args.trials)[:, None]
+    table[:, :, 1] = np.arange(len(phases))
+    table[:, :, 4] = phase_opts
     total_cost = 0
     for trial in range(args.trials):
         res = run_scheduler(seq, args.algorithm, seed=args.seed, trial_index=trial,
                             phases=decomposition)
-        # The trailing phase, if any, comes last and has no optimum: zip drops it.
-        for p, popt in zip(res.phases, phase_opts):
-            rows.append((trial, p.phase.index, p.transitions, p.cost_units, popt))
+        # The trailing phase, if any, comes last and has no optimum.
+        stats = res.phases[:len(phases)]
+        table[trial, :, 2] = [p.transitions for p in stats]
+        table[trial, :, 3] = [p.cost_units for p in stats]
         total_cost += res.total_units
+    table = table.reshape(-1, len(SIMULATE_FIELDS))
 
-    mean_transitions, max_transitions = transition_stats([row[2] for row in rows])
+    mean_transitions, max_transitions = transition_stats(table[:, 2])
     summary = {
         "algorithm": sched.name,
         "seed": args.seed,
@@ -189,13 +198,12 @@ def _cmd_simulate(args) -> int:
     # An empty --out, like none, means standard output.
     out = args.out or None
     if args.format == "json":
-        doc = {"rows": [dict(zip(SIMULATE_FIELDS, row)) for row in rows], "summary": summary}
+        doc = {"rows": [dict(zip(SIMULATE_FIELDS, row)) for row in table.tolist()],
+               "summary": summary}
         write_text(out, canonical_json(doc) + "\n")
         return 0
 
-    lines = [",".join(SIMULATE_FIELDS)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    write_text(out, "\n".join(lines) + "\n")
+    write_text(out, csv_text(SIMULATE_FIELDS, table))
     print(canonical_json(summary), file=sys.stdout if out else sys.stderr)
     return 0
 

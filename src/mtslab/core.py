@@ -487,17 +487,22 @@ def write_text(path, text: str) -> None:
 
 
 # The fixed ends of a canonical file, the key that opens a canonical lv
-# table, the text span the table parser checks at a time, and the most
-# table entries the writer formats in one row block.
+# table, the text span the table parser checks at a time (each temporary
+# it makes holds about one entry per byte of the span), and the most
+# table entries the writers format in one row block.
 _HEAD = b'{"granularity":'
 _LV_KEY = b'"lv":{"next_request":'
 _TASKS_KEY = b'"tasks":'
 _TAIL = b',"version":1}\n'
-_CHUNK = 1 << 14
+_CHUNK = 1 << 16
 _WRITE_CELLS = 1 << 14
 # Powers of ten from 10 to 10**18: an entry x >= 0 has one digit more than
 # the number of them at most x.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+# "-" less "0" in uint8, and for each k the least signed type that holds
+# every number of k + 1 digits.
+_MINUS = (ord("-") - ord("0")) % 256
+_PLACE_KINDS = [np.int8] * 2 + [np.int16] * 2 + [np.int32] * 5 + [np.int64] * 9
 
 
 def save_task_sequence(seq: TaskSequence, path) -> None:
@@ -540,8 +545,7 @@ def _format_table(table: np.ndarray):
         # it; the first of a row also takes the "[", and the last the comma
         # that joins its row to the next.
         size = np.where(sign, 3, 2)
-        for power in _POW10[:np.searchsorted(_POW10, value.max(), side="right")]:
-            size += value >= power
+        _add_digits(size, value)
         size[::n] += 1
         size[n - 1::n] += 1
         end = np.cumsum(size)
@@ -555,16 +559,52 @@ def _format_table(table: np.ndarray):
         last = end - 2
         last[n - 1::n] -= 1
         text[last[sign] - 1] = ord("-")  # the one negative entry is -1
-        # Digits right to left, each round over the entries with more left.
-        at, left = last, value
-        while len(at):
-            rest = left // 10
-            text[at] = left - 10 * rest + ord("0")
-            more = rest > 0
-            at, left = at[more] - 1, rest[more]
+        _fill_digits(text, last, value)
         yield str(text, "ascii")
     if not rows:
         yield "]"
+
+
+def csv_text(fields, table: np.ndarray) -> str:
+    """The CSV text of an int64 table whose entries are >= 0, under a
+    header line of ``fields``.
+
+    Each entry is followed by a comma, or by a newline at the end of its
+    row. The rows are formatted in blocks of at most ``_WRITE_CELLS``
+    entries each (at least one row).
+    """
+    rows, n = table.shape
+    parts = [",".join(fields), "\n"]
+    step = max(1, _WRITE_CELLS // n)
+    for top in range(0, rows, step):
+        value = table[top:top + step].ravel()
+        # Each entry takes its digits and the separator after it.
+        size = np.full(len(value), 2)
+        _add_digits(size, value)
+        end = np.cumsum(size)
+        text = np.full(end[-1], ord(","), dtype=np.uint8)
+        text[end[n - 1::n] - 1] = ord("\n")
+        _fill_digits(text, end - 2, value)
+        parts.append(str(text, "ascii"))
+    return "".join(parts)
+
+
+def _add_digits(size: np.ndarray, value: np.ndarray) -> None:
+    """Add to ``size`` each entry's digits past its first (``value`` >= 0)."""
+    for power in _POW10[:np.searchsorted(_POW10, value.max(), side="right")]:
+        size += value >= power
+
+
+def _fill_digits(text: np.ndarray, last: np.ndarray, value: np.ndarray) -> None:
+    """Write each entry of ``value`` (>= 0) in decimal into ``text``, its
+    last digit at ``last``."""
+    # Digits right to left, each round over the entries with more left.
+    at, left = last, value
+    while len(at):
+        rest = left // 10
+        text[at] = left - 10 * rest + ord("0")
+        more = rest > 0
+        at, left = at[more] - 1, rest[more]
 
 
 def load_task_sequence(path) -> TaskSequence:
@@ -640,7 +680,9 @@ def _parse_table(data: bytes, start: int, stop: int, n: int, negative: bool):
     """The int64 (rows, n) table written canonically in data[start:stop], or None.
 
     The text is checked in row-aligned spans of about ``_CHUNK`` bytes, so
-    the temporary arrays stay small whatever the file size.
+    the temporary arrays stay small whatever the file size. Each span is
+    passed on with the byte after it, the comma that joins the next row or
+    the table's closing "]", so every entry ends on a mark in the data.
     """
     if stop - start < 2 or data[start] != ord("[") or data[stop - 1] != ord("]"):
         return None
@@ -654,7 +696,7 @@ def _parse_table(data: bytes, start: int, stop: int, n: int, negative: bool):
     done = 0
     while start < stop:
         end = data.find(b"],[", start + _CHUNK, stop) + 1 or stop
-        block = _parse_rows(text[start:end], n, negative)
+        block = _parse_rows(text[start:end + 1], n, negative)
         if block is None:
             return None
         table[done:done + len(block)] = block
@@ -666,39 +708,60 @@ def _parse_table(data: bytes, start: int, stop: int, n: int, negative: bool):
 def _parse_rows(text: np.ndarray, n: int, negative: bool):
     """The int64 table of ``text``, canonical rows joined by commas, or None.
 
-    Each entry has 1 to 18 digits with no leading zero, so it fits int64;
-    with ``negative``, an entry may also be -1.
+    The last byte of ``text`` follows the rows: a comma or a "]". Each
+    entry has 1 to 18 digits with no leading zero, so it fits int64; with
+    ``negative``, an entry may also be -1. Every check is a pass over the
+    bytes, or over an array of one entry per row. Only the mark positions
+    take an int64 for each entry, and the values are summed over the bytes
+    in the least type that holds them.
     """
-    sign = text == ord("-")
-    if not negative and sign.any():
-        return None
+    # digit[19 + i] is text[i] - "0", which wraps past 9 for any other
+    # byte; 19 bytes of padding come first, so digit[18 - k:] read at the
+    # mark after an entry is its digit place k, 0 to 18.
+    digit = np.empty(len(text) + 19, dtype=np.uint8)
+    digit[:19] = 255
+    np.subtract(text, np.uint8(ord("0")), out=digit[19:])
+    is_digit = digit <= 9
     # Every byte but a digit or a sign is a mark: "[", "]" or a comma.
-    marks = np.flatnonzero((text - np.uint8(ord("0")) > 9) & ~sign)
-    rows, extra = divmod(len(marks) + 1, n + 2)
+    mark = ~is_digit[19:]
+    sign = text == ord("-")
+    signs = np.count_nonzero(sign)
+    if signs:
+        mark &= ~sign
+        # Each sign opens a -1: it follows a mark, and "1" and a mark follow it.
+        if not negative or np.count_nonzero(
+                sign[1:-2] & mark[:-3] & (text[2:-1] == ord("1")) & mark[3:]) != signs:
+            return None
+    marks = np.flatnonzero(mark)
+    rows, extra = divmod(len(marks), n + 2)
     if extra or not rows:
         return None
-    # One row is "[", n - 1 commas, "]" and the comma that joins it to the
-    # next; a virtual comma follows the last row.
-    at = np.append(marks, len(text)).reshape(rows, n + 2)
-    pattern = np.frombuffer(b"[" + b"," * (n - 1) + b"],", dtype=np.uint8)
-    if not ((np.append(text[marks], ord(",")).reshape(rows, n + 2) == pattern).all()
-            and at[0, 0] == 0 and (at[1:, 0] == at[:-1, -1] + 1).all()
-            and (at[:, -1] == at[:, -2] + 1).all()):
+    # Row r's marks are at[r]: its "[", n - 1 commas, its "]" and the byte
+    # after it. With the brackets in place, the comma count leaves no room
+    # for any other mark, and the count of adjacent marks none for an
+    # empty entry: each "]" and the byte after it, and each join and the
+    # next "[", are the only adjacent marks.
+    at = marks.reshape(rows, n + 2)
+    opens, closes, ends = at[:, 0], at[:, n], at[:, n + 1]
+    if not (opens[0] == 0 and (ends - closes == 1).all() and (opens[1:] - ends[:-1] == 1).all()
+            and (text[opens] == ord("[")).all() and (text[closes] == ord("]")).all()
+            and np.count_nonzero(text == ord(",")) == rows * n - (text[-1] != ord(","))
+            and np.count_nonzero(mark[:-1] & mark[1:]) == 2 * rows - 1
+            and not ((text[1:-1] == ord("0")) & mark[:-2] & is_digit[21:]).any()):
         return None
-    first = at[:, :n] + 1
-    width = at[:, 1:n + 1] - first
-    if width.min() < 1 or width.max() > 18:
-        return None
-    lead = text[first]
-    if ((lead == ord("0")) & (width > 1)).any():
-        return None
-    minus = lead == ord("-")
-    if negative and (minus.sum() != sign.sum()
-                     or ((width[minus] != 2) | (text[first[minus] + 1] != ord("1"))).any()):
-        return None
-    value = lead.astype(np.int64) - ord("0")
-    for k in range(1, int(width.max())):
-        more = width > k
-        value[more] = value[more] * 10 + text[first[more] + k] - ord("0")
-    value[minus] = -1
-    return value
+    # value[q] is the number the digits before q spell, read at the mark
+    # after each entry. Place k adds digit[18 - k:] where live holds, that
+    # is where the k + 1 bytes before q are all digits; the places stop at
+    # the longest run of digits.
+    value = digit[18:-1].astype(np.int8)
+    if signs:
+        np.copyto(value, -1, where=digit[17:-2] == _MINUS)
+    live = is_digit[18:-1]
+    for k in range(1, 19):
+        live = live & is_digit[18 - k:-1 - k]
+        if not live.any():
+            return np.take(value, at[:, 1:n + 1])
+        if k == 18:
+            return None  # a 19th digit
+        kind = _PLACE_KINDS[k]
+        value = value + np.multiply(digit[18 - k:-1 - k], live, dtype=kind) * kind(10 ** k)

@@ -25,6 +25,7 @@ import numpy as np
 
 from mtslab.analysis import SweepRecord, round_ratio_half_up, transition_stats
 from mtslab.core import Phase, TaskSequence, decompose_phases
+from mtslab.engine import run_scheduler
 from mtslab.errors import ConfigurationError
 from mtslab.rng import RandomStream, trial_seed
 from mtslab.schedulers import Walk
@@ -273,6 +274,33 @@ def simulate_family_scalar(policy, family: str, n: int, m,
         costs.append(total)
     return (np.array(counts, dtype=np.int64).reshape(trials, phases),
             np.array(costs, dtype=np.int64))
+
+
+def simulate_rows_scalar(seq: TaskSequence, algorithm: str, seed: int, trials: int) -> list:
+    """``mtslab simulate``'s rows, one tuple per (trial, complete phase).
+
+    Each row is (trial, phase index, transitions, cost units, per-phase
+    optimum), the optimum from ``opt_units_scalar`` over the phase's own
+    steps with a free start.
+    """
+    decomposition = decompose_phases(seq)
+    opts = [opt_units_scalar(seq.tasks[p.start:p.end + 1].tolist(), seq.granularity,
+                             free_start=True) for p in decomposition if p.complete]
+    rows = []
+    for trial in range(trials):
+        res = run_scheduler(seq, algorithm, seed=seed, trial_index=trial, phases=decomposition)
+        # The trailing phase, if any, comes last and has no optimum: zip drops it.
+        for p, popt in zip(res.phases, opts):
+            rows.append((trial, p.phase.index, p.transitions, p.cost_units, popt))
+    return rows
+
+
+def simulate_csv_scalar(names, rows) -> str:
+    """The CSV text of ``rows`` under a header of ``names``, one ``str``
+    join per row."""
+    lines = [",".join(names)]
+    lines.extend(",".join(str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def sweep_row_scalar(*, n: int, eta0: int, m: int, algorithm: str, seed: int,

@@ -15,17 +15,29 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mtslab import adversaries, cli
 from mtslab.analysis import SweepRecord, max_forcible_transitions
 from mtslab.cli import SWEEP_MAX_N, main
-from mtslab.core import CELL_CAP, UNIT_LIMIT, canonical_json, load_task_sequence
+from mtslab.core import (
+    CELL_CAP,
+    UNIT_LIMIT,
+    TaskSequence,
+    canonical_json,
+    load_task_sequence,
+    save_task_sequence,
+)
 from mtslab.engine import run_scheduler, summarize
 from mtslab.kernels import FAMILIES, POLICIES, simulate_family_trials
 from mtslab.schedulers import scheduler_names
 from mtslab.verify import VerifyResult
-from oracles import simulate_family_scalar, sweep_row_scalar
+from oracles import (
+    simulate_csv_scalar,
+    simulate_family_scalar,
+    simulate_rows_scalar,
+    sweep_row_scalar,
+)
 
 
 def _gen(tmp_path, *extra):
@@ -78,6 +90,55 @@ def test_simulate_json_to_stdout(tmp_path, capsys):
         assert row["transitions"] == 1
         assert row["opt_cost_units"] == 6
     assert doc["summary"]["max_transitions_per_phase"] == 1
+
+
+@st.composite
+def simulate_cases(draw):
+    """(sequence, algorithm, seed, trials): up to 8 steps of n <= 3 states,
+    entries from 1 digit up to what keeps the units below UNIT_LIMIT, so
+    cost units run from 1 to 19 digits; 1 to 4 trials of oblivious, or one
+    of a deterministic scheduler that needs no predictions."""
+    n = draw(st.integers(1, 3))
+    steps = draw(st.integers(0, 8))
+    granularity = draw(st.sampled_from([1, 2, 5, 10**6, 10**15]))
+    cap = (UNIT_LIMIT - 1 - granularity * steps) // max(1, steps * n)
+    top = min(cap, draw(st.sampled_from([1, 9, 10**5, 10**11, 10**17, cap])))
+    tasks = draw(st.lists(st.lists(st.integers(0, top), min_size=n, max_size=n),
+                          min_size=steps, max_size=steps))
+    algorithm = draw(st.sampled_from(["oblivious", "lowest-index", "stay-put"]))
+    trials = draw(st.integers(1, 4)) if algorithm == "oblivious" else 1
+    seq = TaskSequence(n=n, granularity=granularity, tasks=tasks)
+    return seq, algorithm, draw(st.integers(0, 99)), trials
+
+
+def _simulate_outputs(seq, argv) -> tuple:
+    """(CSV bytes, JSON document) of one simulate call on ``seq``, each to a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, rows, doc = (os.path.join(tmp, name) for name in ("in.json", "rows.csv", "rows.json"))
+        save_task_sequence(seq, inp)
+        argv = ["simulate", "--input", inp, *argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, "--out", rows]) == 0
+            assert main([*argv, "--format", "json", "--out", doc]) == 0
+        return Path(rows).read_bytes(), json.loads(Path(doc).read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=simulate_cases())
+@example(case=(TaskSequence(n=2, granularity=5, tasks=[[1, 0], [0, 1]]), "oblivious", 0, 3))
+@example(case=(TaskSequence(n=1, granularity=1, tasks=[]), "stay-put", 0, 1))
+@example(case=(TaskSequence(n=2, granularity=1, tasks=[[10**18 + 7, 1], [9, 10**17]]),
+               "lowest-index", 0, 1))
+def test_simulate_rows_match_the_per_row_oracle(case):
+    """simulate's CSV bytes and JSON rows, written from one int64 table, are
+    the per-row text of the rows built one tuple at a time; the examples
+    have no complete phase, no steps, and a 19-digit cost."""
+    seq, algorithm, seed, trials = case
+    rows = simulate_rows_scalar(seq, algorithm, seed, trials)
+    csv, doc = _simulate_outputs(seq, ["--algorithm", algorithm, "--seed", str(seed),
+                                       "--trials", str(trials)])
+    assert csv == simulate_csv_scalar(cli.SIMULATE_FIELDS, rows).encode()
+    assert doc["rows"] == [dict(zip(cli.SIMULATE_FIELDS, row)) for row in rows]
 
 
 def test_simulate_and_summarize_flag_a_zero_optimum_alike(tmp_path, capsys):

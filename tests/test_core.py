@@ -546,6 +546,25 @@ def test_canonical_loader_matches_general_parser(payload, data):
         assert _canonical_bytes(json.loads(text)) == text
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=150, deadline=None)
+@given(payload=canonical_payloads(), data=st.data())
+def test_canonical_loader_matches_general_parser_across_spans(chunk, payload, data):
+    """The byte-mutation differential with spans of 1, 7 and 64 bytes: every
+    row, or every few rows, is checked as a span of its own, so a changed
+    byte lands next to a span boundary as often as inside a span."""
+    original = _canonical_bytes(payload)
+    kind, text = data.draw(mutated(original))
+    with mock.patch.object(core, "_CHUNK", chunk):
+        fast = _loaded(_load_canonical, text)
+    rows = payload["tasks"] + payload.get("lv", {}).get("next_request", [])
+    if kind == "none" and all(len(row) == payload["n"] for row in rows):
+        assert fast is not None, "the canonical loader declined a canonical file"
+    if fast is not None:
+        _assert_same_load(fast, _loaded(_load_text, text))
+        assert _canonical_bytes(json.loads(text)) == text
+
+
 def _file(tasks: bytes, lv: bytes | None = None, n: int = 2) -> bytes:
     """A file in the canonical key order around hand-written tables."""
     head = b'{"granularity":1,'
@@ -590,8 +609,22 @@ _EDGE_FILES = {
     "no-steps": _file(b"[]", lv=b"[]"),
     # Rows far too short for n: declined before a table is allocated.
     "rows-short-of-n": _file(b"[" + b",".join([b"[0]"] * 100_000) + b"]", n=CELL_CAP),
+    # The entry total is right for two rows, but each row's count is wrong.
+    "rows-of-three-and-one": _file(b"[[1,0,1],[0]]"),
+    # An empty entry in a row that still holds n - 1 commas.
+    "empty-first-entry": _file(b"[[,0]]"),
+    "empty-last-entry": _file(b"[[1,]]"),
+    "space-for-comma": _file(b"[[1 0]]"),
+    "stray-join": _file(b"[[1,0]x[0,1]]"),
+    "leading-zero-after-comma": _file(b"[[1,01]]"),
+    "minus-one-then-digit": _file(b"[[1,0]]", lv=b"[[-12,0]]"),
+    "minus-one-after-comma": _file(b"[[1,0]]", lv=b"[[1,-1]]"),
+    # Two changes: an empty entry makes up the count of adjacent marks for
+    # a "]" or a "[" moved off its join.
+    "empty-entry-and-digit-after-row": _file(b"[[,5]7,[0,1]]"),
+    "digit-before-row-and-empty-entry": _file(b"[[1,0],7[,1]]"),
 }
-_ENGAGED = {"minus-ones", "18-digit-task", "18-digit-lv", "no-steps"}
+_ENGAGED = {"minus-ones", "18-digit-task", "18-digit-lv", "no-steps", "minus-one-after-comma"}
 
 
 @pytest.mark.parametrize("data", _EDGE_FILES.values(), ids=_EDGE_FILES.keys())
