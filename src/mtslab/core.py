@@ -706,7 +706,8 @@ def _parse_table(data: bytes, start: int, stop: int, n: int, negative: bool):
 
 
 def _parse_rows(text: np.ndarray, n: int, negative: bool):
-    """The int64 table of ``text``, canonical rows joined by commas, or None.
+    """The (rows, n) table of ``text``, canonical rows joined by commas, or
+    None; its signed type is the least that holds its longest entry.
 
     The last byte of ``text`` follows the rows: a comma or a "]". Each
     entry has 1 to 18 digits with no leading zero, so it fits int64; with
@@ -754,7 +755,7 @@ def _parse_rows(text: np.ndarray, n: int, negative: bool):
     # is where the k + 1 bytes before q are all digits; the places stop at
     # the longest run of digits.
     value = digit[18:-1].astype(np.int8)
-    if signs:
+    if signs:  # the mark after each -1 is two bytes past its sign
         np.copyto(value, -1, where=digit[17:-2] == _MINUS)
     live = is_digit[18:-1]
     for k in range(1, 19):
