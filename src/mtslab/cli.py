@@ -168,15 +168,17 @@ def _cmd_simulate(args) -> int:
     table[:, :, 0] = np.arange(args.trials)[:, None]
     table[:, :, 1] = np.arange(len(phases))
     table[:, :, 4] = phase_opts
+    moved = np.empty((args.trials, len(phases)), dtype=np.int64)
     total_cost = 0
     for trial in range(args.trials):
         res = run_scheduler(seq, args.algorithm, seed=args.seed, trial_index=trial,
                             phases=decomposition)
         # The trailing phase, if any, comes last and has no optimum.
-        stats = res.phases[:len(phases)]
-        table[trial, :, 2] = [p.transitions for p in stats]
-        table[trial, :, 3] = [p.cost_units for p in stats]
+        table[trial, :, 2] = res.transitions[:len(phases)]
+        table[trial, :, 3] = res.processing_units[:len(phases)]
+        moved[trial] = res.move_counts[:len(phases)]
         total_cost += res.total_units
+    table[:, :, 3] += moved * seq.granularity
     table = table.reshape(-1, len(SIMULATE_FIELDS))
 
     mean_transitions, max_transitions = transition_stats(table[:, 2])

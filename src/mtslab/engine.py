@@ -1,20 +1,21 @@
 """Exact simulator of one scheduler over one task sequence.
 
 Drives one scheduler over one task sequence, phase by phase, with exact
-integer accounting. A registered name runs on the event path: the engine
-calls the scheduler's own hooks itself, once per phase opening and once
-per saturation of its current state, and takes each move's candidates
-from the phase's cached list. lps is the exception: by name, it walks
-every phase at once through its own ``walk_phases``, from a table of
-saturation steps and a table of the dense ranks of the prediction
-blocks, in at most n - 1 array rounds per run. A ``Scheduler`` instance
-runs through the movement protocol of ``schedulers.Walk``, which checks
-every answer; that path is the only one for custom schedulers and the
-oracle the other two paths' moves and transitions are tested against.
+integer accounting. By name, oblivious and lps walk every phase in their
+own ``walk_phases``: oblivious in one loop that reads its stream draw for
+draw and takes each move's candidates from ``Phase.later``, lps from a
+table of saturation steps and a table of the dense ranks of the
+prediction blocks, in at most n - 1 array rounds per run. Every other
+registered name runs on the event path: the engine calls the scheduler's
+own hooks itself, once per phase opening and once per saturation of its
+current state, over the phase's cached candidate lists. A ``Scheduler``
+instance runs through the movement protocol of ``schedulers.Walk``, which
+checks every answer; that path is the only one for custom schedulers and
+the oracle the other paths' moves and transitions are tested against.
 Every path keeps the move log, from which ``RunResult.schedule`` (the
-state occupied at every step) is built when it is read, and shares one
-sum of processing units per phase, which is audited against
-``core.schedule_cost``.
+state occupied at every step) is built when it is read, and three
+per-phase columns: transitions, moves and one sum of processing units per
+phase, which is audited against ``core.schedule_cost``.
 
 Runs always open in state 0. Randomized schedulers draw from the stream
 seeded with trial_seed(seed, trial_index), the same derivation the batched
@@ -31,8 +32,8 @@ the last complete phase form a trailing phase that has not closed. The
 decomposition lists it last, with ``complete`` False, and gives each state
 that never saturates in it the input length as its saturation step, so
 the same loop walks it and stops once the scheduler sits on such a state.
-``RunResult.phases`` follows the decomposition: one ``PhaseStats`` per
-phase, the trailing one last.
+``RunResult``'s columns follow the decomposition, the trailing phase last;
+its ``phases`` builds one ``PhaseStats`` per phase from them when read.
 """
 
 from __future__ import annotations
@@ -68,21 +69,37 @@ class PhaseStats:
 
 @dataclass
 class RunResult:
-    """One run's per-phase costs and its move log.
+    """One run's per-phase counts, as columns, and its move log.
 
-    ``phases`` holds one ``PhaseStats`` per decomposed phase, in order, so
-    the trailing partial phase, if any, is last with ``phase.complete``
-    False. ``moves`` holds every move as (effective step, target state),
-    the target occupied from that step on; ``steps`` is the input length.
+    ``decomposition`` is the phase list the run walked, in order, so the
+    trailing partial phase, if any, is last with ``complete`` False.
+    ``transitions``, ``move_counts`` and ``processing_units`` hold one
+    Python int per phase of it, aligned with it; each move costs
+    ``granularity`` units. ``moves`` holds every move as (effective step,
+    target state), the target occupied from that step on; ``steps`` is the
+    input length. ``phases`` and ``schedule`` are built when read.
     """
 
     scheduler: str
     seed: int
     trial_index: int
     steps: int = 0
-    phases: list = field(default_factory=list)
+    granularity: int = 1
+    decomposition: list = field(default_factory=list)
+    transitions: list = field(default_factory=list)
+    move_counts: list = field(default_factory=list)
+    processing_units: list = field(default_factory=list)
     moves: list = field(default_factory=list)
     conforming: bool = True
+
+    @property
+    def phases(self) -> list:
+        """One ``PhaseStats`` per phase of the decomposition, built from the columns."""
+        gran = self.granularity
+        return [PhaseStats(phase, transitions, moves, moves * gran, processing)
+                for phase, transitions, moves, processing in zip(
+                    self.decomposition, self.transitions, self.move_counts,
+                    self.processing_units)]
 
     @property
     def schedule(self) -> list:
@@ -92,28 +109,29 @@ class RunResult:
     @property
     def transitions_per_phase(self) -> list:
         """Transitions in each complete phase."""
-        return [p.transitions for p in self.phases if p.phase.complete]
+        return [t for p, t in zip(self.decomposition, self.transitions) if p.complete]
 
     @property
     def total_transitions(self) -> int:
-        return sum(p.transitions for p in self.phases)
+        return sum(self.transitions)
 
     @property
     def total_moves(self) -> int:
-        return sum(p.moves for p in self.phases)
+        return sum(self.move_counts)
 
     @property
     def total_units(self) -> int:
-        return sum(p.cost_units for p in self.phases)
+        return self.total_moves * self.granularity + sum(self.processing_units)
 
 
 def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int = 0,
                   phases=None) -> RunResult:
     """Simulate one scheduler over one sequence; exact integer accounting.
 
-    ``scheduler`` is a registered name, which runs on the event path (lps
-    on its table walk), or a ``Scheduler`` instance, which runs through
-    ``Walk``; both give the same result. ``seed`` must be in [0, 2**64).
+    ``scheduler`` is a registered name, which runs on the event path
+    (oblivious and lps in their own ``walk_phases``), or a ``Scheduler``
+    instance, which runs through ``Walk``; both give the same result.
+    ``seed`` must be in [0, 2**64).
     ``phases``, when given, must be ``decompose_phases(seq)``: every
     phase, the trailing partial one last.
     Callers that run many trials over one sequence decompose it once and
@@ -140,24 +158,26 @@ def run_scheduler(seq: TaskSequence, scheduler, seed: int = 0, trial_index: int 
 
     walk_phases = getattr(sched, "walk_phases", None) if event else None
     if walk_phases is not None and phases:
-        walk.moves, counts = walk_phases(phases)
+        walk.moves, transitions, move_counts = walk_phases(phases)
     else:
         latest_lv = _latest_next_request(seq, sched.needs_lv)
         walk_phase = _event_phase if event else _walk_phase
-        counts = []  # (transitions, moves) per phase
+        transitions, move_counts = [], []
         for phase in phases:
-            moved = len(walk.moves)
-            transitions = walk_phase(walk, phase, latest_lv)
-            counts.append((transitions, len(walk.moves) - moved))
-    units = _units(seq, walk.moves, phases)
+            logged = len(walk.moves)
+            transitions.append(walk_phase(walk, phase, latest_lv))
+            move_counts.append(len(walk.moves) - logged)
 
     return RunResult(
         scheduler=sched.name,
         seed=seed,
         trial_index=trial_index,
         steps=len(seq),
-        phases=[PhaseStats(phase, transitions, moves, moves * seq.granularity, processing)
-                for phase, (transitions, moves), processing in zip(phases, counts, units)],
+        granularity=seq.granularity,
+        decomposition=phases,
+        transitions=transitions,
+        move_counts=move_counts,
+        processing_units=_units(seq, walk.moves, phases),
         moves=walk.moves,
         conforming=sched.conforming,
     )
@@ -178,8 +198,9 @@ def _walk_phase(walk: Walk, phase, latest_lv) -> int:
 
 def _event_phase(walk: Walk, phase, latest_lv) -> int:
     """One phase of ``Walk``'s moves without its checks, for the built-in
-    schedulers, whose answers are valid by construction: their hooks are
-    called directly, over the phase's cached candidate lists."""
+    schedulers without a ``walk_phases``, whose answers are valid by
+    construction: their hooks are called directly, over the phase's
+    cached candidate lists."""
     sched, state, h = walk.scheduler, walk.state, phase.h
     target, count_even_if_stay = sched.phase_start(state, h)
     transitions = 1 if count_even_if_stay else 0

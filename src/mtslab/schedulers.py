@@ -7,8 +7,11 @@ when a phase opens, and forcedly when their current state saturates, in
 which case they must pick a still-unsaturated state.
 Schedulers only pick targets. ``Walk`` seeds them, applies their answers
 and enforces this protocol, for custom schedulers and for the interactive
-input generators; the engine's event path calls the built-in schedulers'
-hooks directly, since their answers are valid by construction.
+input generators. By name, the engine trusts the built-in schedulers,
+whose answers are valid by construction: oblivious and lps walk every
+phase in their own ``walk_phases`` (oblivious in one loop over the
+stream, lps in array rounds), and the event path calls the other
+built-ins' hooks directly.
 
 Transition counting convention: a real state change always counts. The
 uniform-restart scheduler additionally counts its phase-opening draw even
@@ -151,6 +154,37 @@ class UniformRestart(Scheduler):
     def on_saturation(self, current, unsaturated, now, h, latest_lv):
         return unsaturated[self.stream.randbelow(len(unsaturated))]
 
+    def walk_phases(self, phases) -> tuple:
+        """Every phase in one loop: the move log, then transitions and moves per phase.
+
+        The engine calls this for oblivious by name, over ``decompose_phases``'
+        list. Each phase opens on a draw over all n states, which counts as
+        a transition even when it lands where the walk already is, then
+        draws from ``Phase.later`` each time its state saturates, at most
+        n - 1 times, reading the stream draw for draw as the hooks do.
+        """
+        n, randbelow = self.n, self.stream.randbelow
+        moves, transitions, moved = [], [], []
+        state = 0
+        for phase in phases:
+            logged = len(moves)
+            target = randbelow(n)
+            if target != state:
+                state = target
+                moves.append((phase.start, state))
+            count = 1
+            sat_step, later = phase.sat_step, phase.later
+            for _ in range(n - 1):
+                if not (unsat := later(state)):
+                    break
+                tau = sat_step[state]
+                state = unsat[randbelow(len(unsat))]
+                moves.append((tau + 1, state))
+                count += 1
+            transitions.append(count)
+            moved.append(len(moves) - logged)
+        return moves, transitions, moved
+
 
 def _latest_predicted(candidates, h):
     # LatestPredictedSaturation.walk_phases applies this rule to whole tables.
@@ -184,7 +218,7 @@ class LatestPredictedSaturation(Scheduler):
         return _latest_predicted(unsaturated, h)
 
     def walk_phases(self, phases) -> tuple:
-        """Every phase at once: the move log and (transitions, moves) per phase.
+        """Every phase at once: the move log, then transitions and moves per phase.
 
         The engine calls this for lps by name, over ``decompose_phases``'
         list. Each phase opens on its first top-ranked state, then, in each
@@ -218,8 +252,9 @@ class LatestPredictedSaturation(Scheduler):
         target = np.concatenate([opening[opened], *targets])
         order = step.argsort()
         moves = list(zip(step[order].tolist(), target[order].tolist()))
+        # Every lps transition is a move.
         per_phase = np.bincount(owner, minlength=len(phases)).tolist()
-        return moves, [(count, count) for count in per_phase]
+        return moves, per_phase, per_phase.copy()
 
 
 class RobustLatestPredicted(Scheduler):

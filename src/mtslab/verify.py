@@ -104,8 +104,8 @@ def _check_run(result: VerifyResult, seq: TaskSequence, decomposed, scheduler, *
     """Run ``scheduler`` over ``seq`` and check the run."""
     run = run_scheduler(seq, scheduler, seed=seed, phases=decomposed)
     _, audit_move, audit_proc = schedule_cost(seq.tasks, seq.granularity, run.schedule)
-    engine_move = sum(p.movement_units for p in run.phases)
-    engine_proc = sum(p.processing_units for p in run.phases)
+    engine_move = run.total_moves * seq.granularity
+    engine_proc = sum(run.processing_units)
     ok = audit_move == engine_move and audit_proc == engine_proc
     result.add(
         "cost-identity",

@@ -18,6 +18,7 @@ from mtslab.core import (
 from mtslab.engine import run_scheduler, summarize
 from mtslab.errors import ConfigurationError, MalformedInputError
 from mtslab.kernels import simulate_family_trials
+from mtslab.rng import seed_words, trial_seed
 from mtslab.schedulers import make_scheduler, scheduler_names
 
 
@@ -307,6 +308,38 @@ def test_event_walk_matches_checked_walk(deadline, seq, seed, trials):
                 event = _outcome(seq, name, seed, trial, phases=shared)
             checked = _outcome(seq, make_scheduler(name), seed, trial)
             assert event == checked, (name, trial)
+
+
+@pytest.mark.parametrize("seq", [
+    # n = 1: every draw has bound 1 and reads nothing; the last step trails.
+    TaskSequence(n=1, granularity=2, tasks=[[1], [1], [2], [1]]),
+    # Every state saturates on one step, so no forced move follows an opening.
+    TaskSequence(n=4, granularity=1, tasks=[[1, 1, 1, 1]] * 3),
+    # Tied saturation steps: states 0 and 1, then 2 and 3, saturate together.
+    TaskSequence(n=4, granularity=1, tasks=[[1, 1, 0, 0], [0, 0, 1, 1]] * 3),
+    # A trailing phase where states 0 and 2 never saturate.
+    TaskSequence(n=3, granularity=2, tasks=[[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 0, 0],
+                                            [0, 2, 0]]),
+    # Phases of different shapes, one after another, then a trailing one.
+    TaskSequence(n=5, granularity=2,
+                 tasks=[[2, 2, 0, 0, 0], [0, 0, 2, 1, 0], [0, 0, 0, 1, 2],
+                        [1, 0, 1, 0, 1], [1, 1, 1, 1, 1], [0, 1, 0, 2, 1], [1, 0, 0, 0, 0]]),
+], ids=["n1", "one-step", "tied", "trailing", "mixed"])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_oblivious_walk_matches_checked_walk_draw_for_draw(seq, seed):
+    """oblivious by name, over one decomposition shared by 40 trials, equals
+    the instance through ``Walk``: its move log, its three columns and its
+    stream's final four words."""
+    shared = decompose_phases(seq)
+    for trial in range(40):
+        event = _outcome(seq, "oblivious", seed, trial, phases=shared)
+        assert event == _outcome(seq, make_scheduler("oblivious"), seed, trial), trial
+        run, _, words = event
+        assert run.decomposition is shared
+        if seq.n == 1:
+            # Each opening counts, never moves, and reads no word.
+            assert (run.transitions, run.moves) == ([1] * len(shared), [])
+            assert words == list(seed_words(trial_seed(seed, trial)))
 
 
 def test_missing_predictions_raise_the_same_text_on_both_paths():

@@ -141,8 +141,7 @@ def test_failed_phase_cost_sandwich_lists_its_violations(monkeypatch):
 
     def inflated(*args, **kwargs):
         run = real(*args, **kwargs)
-        return replace(run, phases=[replace(p, transitions=p.transitions + 10)
-                                    for p in run.phases])
+        return replace(run, transitions=[t + 10 for t in run.transitions])
 
     monkeypatch.setattr(verify, "run_scheduler", inflated)
     bad = [(p.phase.index, p.transitions + 10, p.cost_units)
